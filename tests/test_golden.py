@@ -1,0 +1,91 @@
+"""Golden bytes: fixed seeds must keep producing these exact outputs.
+
+The digests and reprs below pin what `converge` and `simulate` write, and
+what the moment and activation engines return, down to the last bit on
+IEEE double hardware with this repository's numpy/scipy.  A refactor that
+claims "same behaviour" must leave every value here unchanged; a change
+that alters numbers on purpose re-pins them and says why in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from spde1d import cli, experiments as ex, nonlinearity, scheme
+
+CONVERGE_STUDY = {"m_grid": [4, 8, 16], "n_grid": [2, 4, 8], "M_ref": 128,
+                  "N_ref": 16, "paths": 70, "seed": 5}  # 70 paths: two batches
+
+CONVERGE_SHA256 = {
+    "allen_cahn": "eb47a806cb6403bfaa7220ba17fd3f8c111d9ec4b405d905badd0aded5a6bace",
+    "zero_drift": "b1c12633ed655b7c806ea4c21d57539f4e2a0072789cb0d47e0e304b04727d4f",
+}
+ZERO_DRIFT = {"a": [0.0, 0.0, 0.0, 0.0], "initial": "zero"}
+
+SIMULATE_SHA256 = "a52033c9917ca4e7dad63eb27404493e6ee5dfdf16da2621635d847093f9c451"
+
+MOMENT_REPRS = {
+    "allen_cahn": [
+        "MomentRow(M=4, N=1, estimate=3.0238793645814856e-05, stderr=1.0202716788123153e-05, activation_fraction=0.0)",
+        "MomentRow(M=4, N=8, estimate=3.02386210183255e-05, stderr=1.0202643628790958e-05, activation_fraction=0.0)",
+        "MomentRow(M=16, N=1, estimate=0.005657560445405197, stderr=0.0016944440306185852, activation_fraction=0.048214285714285716)",
+        "MomentRow(M=16, N=8, estimate=0.0058148461605294745, stderr=0.0017162566038940457, activation_fraction=0.048214285714285716)",
+        "False",
+        "(16, 1, 0.048214285714285716)",
+        "(4, 8, 0.0)",
+        "(8, 2, 0.0)",
+    ],
+    "zero_drift": [
+        "MomentRow(M=4, N=1, estimate=3.0389662178336005e-05, stderr=1.0329114136601585e-05, activation_fraction=0.0)",
+        "MomentRow(M=4, N=8, estimate=3.038968105892485e-05, stderr=1.0329115093719212e-05, activation_fraction=0.0)",
+        "MomentRow(M=16, N=1, estimate=0.0052261104261995435, stderr=0.0015818343206210849, activation_fraction=0.038392857142857145)",
+        "MomentRow(M=16, N=8, estimate=0.005377149016089003, stderr=0.001602858424339576, activation_fraction=0.04017857142857143)",
+        "False",
+        "(16, 1, 0.038392857142857145)",
+        "(4, 8, 0.0)",
+        "(8, 2, 0.0)",
+    ],
+}
+
+
+def _run(tmp_path, command, payload, names):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path)]) == cli.EXIT_OK
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update((tmp_path / name).read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name, model", [("allen_cahn", {}), ("zero_drift", ZERO_DRIFT)])
+def test_converge_bytes(tmp_path, name, model):
+    got = _run(tmp_path, "converge", {"model": model, "study": CONVERGE_STUDY},
+               ["spde1d_errors.csv", "spde1d_rates.json"])
+    assert got == CONVERGE_SHA256[name]
+
+
+def test_simulate_bytes(tmp_path):
+    payload = {"discretization": {"M": 32, "N": 16}, "study": {"seed": 9, "path": 2}}
+    got = _run(tmp_path, "simulate", payload, ["spde1d_trajectory.csv"])
+    assert got == SIMULATE_SHA256
+
+
+def _moment_reprs(model):
+    cfg = ex.StudyConfig(model=model, m_grid=(4, 16), n_grid=(1, 8), m_ref=16,
+                         n_ref=8, paths=70, seed=3, moment_p=4)
+    rows, flagged = ex.moment_audit(cfg)
+    fractions = ex.activation_fractions(cfg, [(16, 1), (4, 8), (8, 2)])
+    return [repr(r) for r in rows] + [repr(flagged)] + [repr(f) for f in fractions]
+
+
+@pytest.mark.parametrize("name, model", [
+    ("allen_cahn", scheme.allen_cahn_model()),
+    ("zero_drift", scheme.ModelParams(T=1.0, nu=1.0,
+                                      a=nonlinearity.CubicCoefficients(0.0, 0.0, 0.0, 0.0),
+                                      xi=np.zeros(1))),
+])
+def test_moment_and_activation_values(name, model):
+    assert _moment_reprs(model) == MOMENT_REPRS[name]
