@@ -54,6 +54,10 @@ def _load_config(path: str | None) -> dict:
     unknown = set(cfg) - {"model", "discretization", "study", "output"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    for name, section in cfg.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {name!r} must be an object, "
+                              f"got {type(section).__name__}")
     return cfg
 
 
@@ -271,7 +275,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         return args.handler(cfg, args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import heat_errors, spectral
-from .noise import NoiseTape
+from .noise import NoiseTape, coarsen_increments, mean_stderr
 from .scheme import DEFAULT_CHI, DEFAULT_GAMMA, DiscretizationParams, ModelParams, run_scheme
 
 BATCH_PATHS = 64
@@ -114,11 +115,23 @@ def error_table_csv(rows) -> str:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
+    """Write-then-rename so readers never observe a partial file.
+
+    The temporary file has a unique name next to the target, so concurrent
+    writers into one directory cannot clobber each other's halves.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode a plain open() would give
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _check_reference_ratios(cfg: StudyConfig, targets) -> None:
@@ -131,77 +144,77 @@ def _check_reference_ratios(cfg: StudyConfig, targets) -> None:
                 f"reference N={cfg.n_ref} must be >= 2x target N={N}")
 
 
-def _batches(paths: int):
-    return [(s, min(s + BATCH_PATHS, paths)) for s in range(0, paths, BATCH_PATHS)]
+def _path_batch(job):
+    """Power sums of one batch of paths: per target, the sum of a per-path
+    sample and of its square, plus truncation counts.
 
+    Each path draws its master increments once and coarsens them to every
+    target.  A coupled study (targets keyed (kind, M, N)) also runs the
+    reference and samples the squared H distance to it at each target grid
+    time; a cell run (targets keyed (M, N)) samples ||Y_T||_{H_gamma}^p.
+    """
+    cfg, targets, coupled, start, stop = job
+    acc = {t: {"sum": 0.0, "sum_sq": 0.0, "suppressed": 0, "steps": 0} for t in targets}
+    weights = {N: spectral.eigenvalues(N, cfg.model.nu) ** (2 * cfg.gamma)
+               for N in {t[-1] for t in targets}}
+    half_p = cfg.moment_p / 2.0
 
-def _map_batches(worker, cfg: StudyConfig, targets, threads: int | None):
-    threads = cfg.threads if threads is None else threads
-    jobs = [(cfg, targets, start, stop) for start, stop in _batches(cfg.paths)]
-    if threads <= 1 or len(jobs) == 1:
-        return [worker(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, jobs))  # map preserves job order
+    def run(M, N):
+        return run_scheme(cfg.model, cfg.discretization(M, N),
+                          coarsen_increments(master[:, :N], M))
 
-
-# ---------------------------------------------------------------------------
-# coupled reference-vs-target engine
-
-def _coupled_batch(job):
-    """Accumulators for one path batch: per target, per-grid-time sums of
-    squared H differences and their squares, plus truncation counts."""
-    cfg, targets, start, stop = job
-    acc = {t: {"d2": np.zeros(t[1] + 1), "d4": np.zeros(t[1] + 1),
-               "suppressed": 0, "steps": 0} for t in targets}
-    d_ref = cfg.discretization(cfg.m_ref, cfg.n_ref)
     for path in range(start, stop):
         tape = NoiseTape(seed=cfg.seed, M_master=cfg.m_master,
                          N_master=cfg.n_master, T=cfg.model.T, path=path)
-        master = tape.master_increments(cfg.n_ref)
-        group_ref = cfg.m_master // cfg.m_ref
-        dw_ref = master.reshape(cfg.m_ref, group_ref, cfg.n_ref).sum(axis=1)
-        y_ref, _, _ = run_scheme(cfg.model, d_ref, dw_ref)
+        master = tape.master_increments(cfg.n_ref if coupled else None)
+        if coupled:
+            y_ref = run(cfg.m_ref, cfg.n_ref)[0]
         for target in targets:
-            _, M, N = target
-            group = cfg.m_master // M
-            dw = master[:, :N].reshape(M, group, N).sum(axis=1)
-            y, _, suppressed = run_scheme(cfg.model, cfg.discretization(M, N), dw)
-            diff = y_ref[:: cfg.m_ref // M].copy()
-            diff[:, :N] -= y
-            d2 = np.einsum("ij,ij->i", diff, diff)
+            M, N = target[-2:]
+            y, _, suppressed = run(M, N)
+            if coupled:
+                diff = y_ref[:: cfg.m_ref // M].copy()
+                diff[:, :N] -= y
+                sample = np.einsum("ij,ij->i", diff, diff)
+            else:
+                sample = float(np.dot(weights[N], y[-1] * y[-1])) ** half_p
             a = acc[target]
-            a["d2"] += d2
-            a["d4"] += d2 * d2
+            a["sum"] += sample
+            a["sum_sq"] += sample * sample
             a["suppressed"] += suppressed
             a["steps"] += M
     return acc
 
 
-def _reduce_accumulators(parts):
+def _accumulate(cfg: StudyConfig, targets, coupled: bool, threads: int | None):
+    """Run every path batch and add the batch sums in batch order, so the
+    totals do not depend on the number of worker processes."""
+    threads = cfg.threads if threads is None else threads
+    targets = list(dict.fromkeys(targets))  # a repeated target is sampled once
+    jobs = [(cfg, targets, coupled, s, min(s + BATCH_PATHS, cfg.paths))
+            for s in range(0, cfg.paths, BATCH_PATHS)]
+    if threads <= 1 or len(jobs) == 1:
+        parts = [_path_batch(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(_path_batch, jobs))  # map preserves job order
     total = parts[0]
     for part in parts[1:]:
         for key, a in part.items():
-            t = total[key]
-            for field_name in ("d2", "d4"):
-                t[field_name] = t[field_name] + a[field_name]
-            t["suppressed"] += a["suppressed"]
-            t["steps"] += a["steps"]
+            for name, value in a.items():
+                total[key][name] = total[key][name] + value
     return total
 
 
-def _estimate_from_acc(a, paths: int) -> tuple[float, float, float]:
-    mean_d2 = a["d2"] / paths
-    m_star = int(np.argmax(mean_d2))
-    est = math.sqrt(max(mean_d2[m_star], 0.0))
-    if paths < 2:
-        se = math.nan
-    elif est == 0.0:
-        se = 0.0
-    else:
-        var = (a["d4"][m_star] / paths - mean_d2[m_star] ** 2) * paths / (paths - 1)
-        se = math.sqrt(max(var, 0.0) / paths) / (2.0 * est)
-    fraction = a["suppressed"] / a["steps"] if a["steps"] else 0.0
-    return est, se, fraction
+def _activation(a) -> float:
+    return a["suppressed"] / a["steps"]
+
+
+def _estimate(a, paths: int) -> tuple[float, float, float]:
+    """Strong error at the grid time of largest mean squared error."""
+    m_star = int(np.argmax(a["sum"] / paths))
+    est, se = mean_stderr(a["sum"][m_star], a["sum_sq"][m_star], paths, root=True)
+    return est, se, _activation(a)
 
 
 def strong_error_mc(cfg: StudyConfig, M: int, N: int, threads: int | None = None,
@@ -214,9 +227,7 @@ def strong_error_mc(cfg: StudyConfig, M: int, N: int, threads: int | None = None
     target = ("single", M, N)
     if enforce_ratios:
         _check_reference_ratios(cfg, [target])
-    parts = _map_batches(_coupled_batch, cfg, [target], threads)
-    acc = _reduce_accumulators(parts)[target]
-    return _estimate_from_acc(acc, cfg.paths)
+    return _estimate(_accumulate(cfg, [target], True, threads)[target], cfg.paths)
 
 
 def run_convergence_study(cfg: StudyConfig, threads: int | None = None):
@@ -257,11 +268,9 @@ def run_convergence_study(cfg: StudyConfig, threads: int | None = None):
 
     targets = temporal_targets + spatial_targets
     _check_reference_ratios(cfg, targets)
-    acc = _reduce_accumulators(_map_batches(_coupled_batch, cfg, targets, threads))
-    rows = []
-    for kind, M, N in targets:
-        est, se, frac = _estimate_from_acc(acc[(kind, M, N)], cfg.paths)
-        rows.append(ErrorTableRow(kind, M, N, est, se, frac, cfg.paths, cfg.seed))
+    acc = _accumulate(cfg, targets, True, threads)
+    rows = [ErrorTableRow(kind, M, N, *_estimate(acc[(kind, M, N)], cfg.paths),
+                          cfg.paths, cfg.seed) for kind, M, N in targets]
     fits = {}
     for axis, resolution_of in (("temporal", lambda r: r.M), ("spatial", lambda r: r.N)):
         pts = {resolution_of(r): r.estimate for r in rows
@@ -279,44 +288,7 @@ def fits_json(fits: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# target-only engine: moment audits and truncation activation
-
-def _cells_batch(job):
-    """Per cell: sums of ||Y_T||_{H_gamma}^p and its square, truncation counts."""
-    cfg, cells, start, stop = job
-    acc = {c: {"v": 0.0, "v2": 0.0, "suppressed": 0, "steps": 0} for c in cells}
-    weights = {N: spectral.eigenvalues(N, cfg.model.nu) ** (2 * cfg.gamma)
-               for N in sorted({c[1] for c in cells})}
-    half_p = cfg.moment_p / 2.0
-    for path in range(start, stop):
-        tape = NoiseTape(seed=cfg.seed, M_master=cfg.m_master,
-                         N_master=cfg.n_master, T=cfg.model.T, path=path)
-        master = tape.master_increments()
-        for cell in cells:
-            M, N = cell
-            group = cfg.m_master // M
-            dw = master[:, :N].reshape(M, group, N).sum(axis=1)
-            y, _, suppressed = run_scheme(cfg.model, cfg.discretization(M, N), dw)
-            value = float(np.dot(weights[N], y[-1] * y[-1])) ** half_p
-            a = acc[cell]
-            a["v"] += value
-            a["v2"] += value * value
-            a["suppressed"] += suppressed
-            a["steps"] += M
-    return acc
-
-
-def _reduce_cells(parts):
-    total = parts[0]
-    for part in parts[1:]:
-        for key, a in part.items():
-            t = total[key]
-            t["v"] += a["v"]
-            t["v2"] += a["v2"]
-            t["suppressed"] += a["suppressed"]
-            t["steps"] += a["steps"]
-    return total
-
+# target-only runs: moment audits and truncation activation
 
 def _run_cells(cfg: StudyConfig, cells, threads):
     for M, N in cells:
@@ -324,7 +296,7 @@ def _run_cells(cfg: StudyConfig, cells, threads):
             raise ValueError(f"cell M={M} must divide master step count {cfg.m_master}")
         if not (1 <= N <= cfg.n_master):
             raise ValueError(f"cell N={N} exceeds master mode count {cfg.n_master}")
-    return _reduce_cells(_map_batches(_cells_batch, cfg, list(cells), threads))
+    return _accumulate(cfg, list(cells), False, threads)
 
 
 @dataclass(frozen=True)
@@ -348,14 +320,8 @@ def moment_audit(cfg: StudyConfig, threads: int | None = None):
     rows = []
     for M, N in cells:
         a = acc[(M, N)]
-        mean = a["v"] / cfg.paths
-        if cfg.paths < 2:
-            se = math.nan
-        else:
-            var = (a["v2"] / cfg.paths - mean * mean) * cfg.paths / (cfg.paths - 1)
-            se = math.sqrt(max(var, 0.0) / cfg.paths)
-        frac = a["suppressed"] / a["steps"] if a["steps"] else 0.0
-        rows.append(MomentRow(M, N, mean, se, frac))
+        rows.append(MomentRow(M, N, *mean_stderr(a["sum"], a["sum_sq"], cfg.paths),
+                              _activation(a)))
     median = float(np.median([r.estimate for r in rows]))
     flagged = any(
         r.estimate > 3.0 * median + 3.0 * r.stderr
@@ -367,8 +333,7 @@ def moment_audit(cfg: StudyConfig, threads: int | None = None):
 def activation_fractions(cfg: StudyConfig, cells, threads: int | None = None):
     """Drift-suppression fraction per (M, N) cell, [(M, N, fraction), ...]."""
     acc = _run_cells(cfg, list(cells), threads)
-    return [(M, N, acc[(M, N)]["suppressed"] / acc[(M, N)]["steps"])
-            for M, N in cells]
+    return [(M, N, _activation(acc[(M, N)])) for M, N in cells]
 
 
 def with_threads(cfg: StudyConfig, threads: int) -> StudyConfig:

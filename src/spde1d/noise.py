@@ -12,6 +12,7 @@ convergence studies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,14 +191,6 @@ def _bridge_coefficients(n_steps: int, n_modes: int, T: float, nu: float):
     return coef_z, beta
 
 
-def sample_bridge_gap(tape: NoiseTape, n_steps: int, n_modes: int, nu: float) -> np.ndarray:
-    """One path of the mode-wise gap P_N O_T - O^{M,N}_T (zero initial data)."""
-    coef_z, beta = _bridge_coefficients(n_steps, n_modes, tape.T, nu)
-    z = tape.normals(rows=n_steps, cols=n_modes, substream=SUBSTREAM_INCREMENTS)
-    resid = tape.normals(rows=n_steps, cols=n_modes, substream=SUBSTREAM_AUX)
-    return np.einsum("jk,jk->k", coef_z, z) + np.einsum("jk,jk->k", beta, resid)
-
-
 def bridge_estimate(seed: int, n_steps: int, n_modes: int, T: float, nu: float,
                     paths: int) -> tuple[float, float]:
     """MC estimate of ||P_N O_T - O^{M,N}_T||_{L^2(P;H)} with delta-method stderr.
@@ -207,76 +200,35 @@ def bridge_estimate(seed: int, n_steps: int, n_modes: int, T: float, nu: float,
     Monte Carlo error is a two-sided validation of both constructions.
     """
     coef_z, beta = _bridge_coefficients(n_steps, n_modes, T, nu)
-    sums = 0.0
-    sums_sq = 0.0
+    total = total_sq = 0.0
     for p in range(paths):
         tape = NoiseTape(seed=seed, M_master=n_steps, N_master=n_modes, T=T, path=p)
         z = tape.normals(substream=SUBSTREAM_INCREMENTS)
         resid = tape.normals(substream=SUBSTREAM_AUX)
         gap = np.einsum("jk,jk->k", coef_z, z) + np.einsum("jk,jk->k", beta, resid)
         ssq = float(np.dot(gap, gap))
-        sums += ssq
-        sums_sq += ssq * ssq
-    mean = sums / paths
-    var = max(sums_sq / paths - mean * mean, 0.0) * paths / max(paths - 1, 1)
-    se_mean = np.sqrt(var / paths)
-    est = np.sqrt(mean)
-    return est, (se_mean / (2.0 * est) if est > 0 else 0.0)
+        total += ssq
+        total_sq += ssq * ssq
+    return mean_stderr(total, total_sq, paths, root=True)
 
 
 # ---------------------------------------------------------------------------
-# MC moment diagnostics
+# Monte Carlo estimator
 
-def ou_moment_diagnostics(seed: int, resolutions, T: float, nu: float,
-                          gamma: float = 0.2, p: int = 2, paths: int = 64):
-    """Empirical E||O_T||_{H_gamma}^p and E sup_t ||O_t||_{L^inf-grid}^p per cell.
+def mean_stderr(total, total_sq, n: int, root: bool = False) -> tuple[float, float]:
+    """(mean, stderr of the mean) of n samples from their sum and sum of squares.
 
-    resolutions is an iterable of (M, N); requires even p >= 2 and gamma < 1/4
-    (the spatial regularity ceiling of the stochastic convolution).  One
-    master noise draw per path feeds every resolution, so the cells are
-    coupled.  Returns (rows, bounded) where rows are
-    (M, N, moment, se, sup_moment, se) tuples and bounded reports whether no
-    estimate exceeds the finest-resolution value by more than 3 joint
-    standard errors.
+    root=True returns sqrt(mean) with its delta-method stderr, the form used
+    for L^2(P) norms estimated from squared samples.  One sample has no
+    stderr (nan).
     """
-    if p < 2 or p % 2 != 0:
-        raise ValueError(f"p must be an even integer >= 2, got {p}")
-    if not gamma < 0.25:
-        raise ValueError(f"gamma must be < 1/4, got {gamma}")
-    resolutions = list(resolutions)
-    m_master = int(np.lcm.reduce([int(m) for m, _ in resolutions]))
-    n_max = max(n for _, n in resolutions)
-    half_p = p / 2.0
-    vals = {cell: np.empty(paths) for cell in resolutions}
-    sups = {cell: np.empty(paths) for cell in resolutions}
-    for path in range(paths):
-        tape = NoiseTape(seed=seed, M_master=m_master, N_master=n_max,
-                         T=T, path=path)
-        master = tape.master_increments()
-        for cell in resolutions:
-            m_steps, n_modes = cell
-            dw = coarsen_increments(master[:, :n_modes], m_steps)
-            h = T / m_steps
-            decay = spectral.semigroup_factors(n_modes, nu, h)
-            wg = spectral.eigenvalues(n_modes, nu) ** (2 * gamma)
-            grid = spectral.default_grid(n_modes)
-            o = np.zeros(n_modes)
-            sup = np.max(np.abs(spectral.to_grid(o, grid)))
-            for m in range(m_steps):
-                o = ou_step(o, dw[m], decay)
-                sup = max(sup, np.max(np.abs(spectral.to_grid(o, grid))))
-            vals[cell][path] = float(np.dot(wg, o * o)) ** half_p
-            sups[cell][path] = sup**p
-    rows = []
-    for cell in resolutions:
-        v, s = vals[cell], sups[cell]
-        rows.append((cell[0], cell[1],
-                     float(v.mean()), float(v.std(ddof=1) / np.sqrt(paths)),
-                     float(s.mean()), float(s.std(ddof=1) / np.sqrt(paths))))
-    ref = max(rows, key=lambda r: (r[0], r[1]))
-    bounded = all(
-        r[2] <= ref[2] + 3.0 * np.hypot(r[3], ref[3]) and
-        r[4] <= ref[4] + 3.0 * np.hypot(r[5], ref[5])
-        for r in rows
-    )
-    return rows, bounded
+    mean = total / n
+    if n < 2:
+        se = math.nan
+    else:
+        var = (total_sq / n - mean ** 2) * n / (n - 1)
+        se = math.sqrt(max(var, 0.0) / n)
+    if not root:
+        return mean, se
+    est = math.sqrt(max(mean, 0.0))
+    return est, (se / (2.0 * est) if est > 0.0 else se)  # est == 0: every sample was 0

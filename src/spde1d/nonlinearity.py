@@ -94,27 +94,6 @@ def cos_coeffs_of_cos_square(c: np.ndarray) -> np.ndarray:
     return q
 
 
-def sine_coeffs_of_cos_times_sine(q: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sine series of (sum q_m cos(m pi x)) * (sum b_k sin(k pi x))."""
-    q = np.asarray(q, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    mq = q.shape[0] - 1
-    nb = b.shape[0] - 1
-    out_len = mq + nb + 1
-    conv = np.convolve(q, b)                       # sum_{m+k=n} q_m b_k
-    crp = np.zeros(out_len)                        # sum_m q_m b_{m+n}
-    for n in range(nb):
-        top = min(mq, nb - n)
-        crp[n] = np.dot(q[: top + 1], b[n : n + top + 1])
-    crm = np.zeros(out_len)                        # sum_k b_k q_{k+n}
-    for n in range(mq):
-        top = min(nb, mq - n)
-        crm[n] = np.dot(b[: top + 1], q[n : n + top + 1])
-    r = 0.5 * (conv[:out_len] + crp - crm)
-    r[0] = 0.0
-    return r
-
-
 def cos_to_sine_matrix(n_rows: int, n_cols: int) -> np.ndarray:
     """g[k, m] = <e_k, cos(m pi x)> for k = 1..n_rows, m = 0..n_cols-1.
 

@@ -128,8 +128,17 @@ def truncation_indicator(Y: np.ndarray, O: np.ndarray, d: DiscretizationParams,
 
     The comparison is non-strict; the boundary case keeps the drift.
     """
-    total = spectral.hr_norm(Y, d.gamma, nu) + spectral.hr_norm(O, d.gamma, nu)
-    return bool(total <= d.threshold(T))
+    return _keeps_drift(_gamma_weights(len(Y), nu, d.gamma), Y, O, d.threshold(T))
+
+
+def _gamma_weights(n_modes: int, nu: float, gamma: float) -> np.ndarray:
+    return spectral.eigenvalues(n_modes, nu) ** (2 * gamma)
+
+
+def _keeps_drift(w: np.ndarray, Y: np.ndarray, O: np.ndarray, thr: float) -> bool:
+    """The kernel's own indicator arithmetic, shared by every caller so that
+    a reported decision is the one the kernel made, to the last bit."""
+    return math.sqrt(float(np.dot(w, Y * Y))) + math.sqrt(float(np.dot(w, O * O))) <= thr
 
 
 def euler_step(state: SchemeState, O_next: np.ndarray, h: float,
@@ -162,7 +171,7 @@ def run_scheme(model: ModelParams, d: DiscretizationParams,
     h = model.T / d.M
     decay = spectral.semigroup_factors(d.N, model.nu, h)
     phi = spectral.phi1_factors(d.N, model.nu, h)
-    weights = spectral.eigenvalues(d.N, model.nu) ** (2 * d.gamma)
+    weights = _gamma_weights(d.N, model.nu, d.gamma)
     thr = d.threshold(model.T)
     drift_on = any(v != 0 for v in model.a.as_tuple())
     grid = spectral.default_grid(d.N)
@@ -175,9 +184,7 @@ def run_scheme(model: ModelParams, d: DiscretizationParams,
     for m in range(d.M):
         o_next = decay * (o + dw[m])
         y_next = decay * y + o_next - decay * o
-        norm_sum = math.sqrt(float(np.dot(weights, y * y))) \
-            + math.sqrt(float(np.dot(weights, o * o)))
-        if norm_sum <= thr:
+        if _keeps_drift(weights, y, o, thr):
             if drift_on:
                 y_next = y_next + phi * project_F(y, model.a, grid)
         else:
@@ -229,9 +236,11 @@ def trajectory_csv(model: ModelParams, d: DiscretizationParams,
     """CSV dump, one row per (grid time, mode); indicator re-evaluated at each
     time so the column can be cross-checked from the dumped coefficients."""
     h = model.T / d.M
+    weights = _gamma_weights(d.N, model.nu, d.gamma)
+    thr = d.threshold(model.T)
     lines = [TRAJECTORY_HEADER]
     for state in states:
-        ind = int(truncation_indicator(state.Y, state.O, d, model.T, model.nu))
+        ind = int(_keeps_drift(weights, state.Y, state.O, thr))
         t = state.m * h
         for k in range(d.N):
             lines.append("%.17g,%d,%.17g,%.17g,%d"

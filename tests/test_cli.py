@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +22,11 @@ def read_rows(path):
 
 
 def test_help_lists_subcommands():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     out = subprocess.run([sys.executable, "-m", "spde1d.cli", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     for name in ("heat-errors", "simulate", "converge", "check"):
         assert name in out.stdout
@@ -76,8 +81,13 @@ def test_unknown_section_exits_2(tmp_path):
     assert cli.main(["heat-errors", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
-def test_bad_study_values_exit_2(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"study": {"m_grid": [7], "M_ref": 64, "N_ref": 8}})
+@pytest.mark.parametrize("payload", [
+    {"study": {"m_grid": [7], "M_ref": 64, "N_ref": 8}},
+    {"study": {"m_grid": 5}},
+    {"study": 5},
+], ids=["m_not_dividing_master", "m_grid_not_a_list", "study_not_an_object"])
+def test_bad_study_values_exit_2(tmp_path, capsys, payload):
+    cfg = write_cfg(tmp_path, payload)
     rc = cli.main(["converge", "--config", cfg, "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
@@ -154,6 +164,21 @@ def test_converge_single_path_stderr_nan(tmp_path):
     assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
     _, rows = read_rows(tmp_path / "spde1d_errors.csv")
     assert all(math.isnan(float(r.split(",")[4])) for r in rows)
+
+
+def test_converge_write_survives_stale_temp_name(tmp_path):
+    # a directory squatting on "<name>.tmp" must not block the atomic write,
+    # and the outputs get the permissions a plain open() would give them
+    (tmp_path / "spde1d_errors.csv.tmp").mkdir()
+    cfg = converge_cfg(tmp_path, exact=True)
+    assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
+    probe = tmp_path / "probe"
+    probe.write_text("")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cfg.json", "probe", "spde1d_errors.csv", "spde1d_errors.csv.tmp",
+        "spde1d_rates.json"]
+    for name in ("spde1d_errors.csv", "spde1d_rates.json"):
+        assert (tmp_path / name).stat().st_mode == probe.stat().st_mode
 
 
 def test_seed_precedence_flag_env_file(tmp_path, monkeypatch):

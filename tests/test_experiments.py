@@ -159,6 +159,16 @@ def test_activation_fraction_regression():
     assert frac < 0.06
 
 
+def test_repeated_grid_entries_are_not_double_counted():
+    cfg = small_cfg(m_grid=(4, 4), n_grid=(8,), m_ref=16, n_ref=8, paths=8)
+    rows, _ = ex.moment_audit(cfg)
+    [single], _ = ex.moment_audit(small_cfg(m_grid=(4,), n_grid=(8,), m_ref=16,
+                                            n_ref=8, paths=8))
+    assert rows == [single, single]
+    assert ex.activation_fractions(cfg, [(16, 8), (16, 8)]) \
+        == 2 * ex.activation_fractions(cfg, [(16, 8)])
+
+
 def test_cells_guard_on_master_mismatch():
     cfg = small_cfg()
     with pytest.raises(ValueError):

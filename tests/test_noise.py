@@ -183,29 +183,6 @@ def test_bridge_scaling_flat_after_quarter_rate():
     assert max(scaled) / min(scaled) < 1.5
 
 
-def test_moment_diagnostics_gamma_zero_closed_form():
-    rows, _ = noise.ou_moment_diagnostics(seed=3, resolutions=[(16, 16)], T=1.0,
-                                          nu=1.0, gamma=0.0, p=2, paths=256)
-    _, _, moment, se, _, _ = rows[0]
-    exact = noise.ou_second_moment(16, 16, 1.0, 1.0)
-    assert abs(moment - exact) < 3 * se
-
-
-def test_moment_diagnostics_bounded_on_refinement():
-    rows, bounded = noise.ou_moment_diagnostics(
-        seed=11, resolutions=[(4, 4), (16, 16), (64, 64)], T=1.0, nu=1.0,
-        gamma=0.2, p=2, paths=64)
-    assert bounded
-    assert all(r[2] > 0 and r[4] > 0 for r in rows)
-
-
-def test_moment_diagnostics_validation():
-    with pytest.raises(ValueError):
-        noise.ou_moment_diagnostics(0, [(4, 4)], 1.0, 1.0, p=3)
-    with pytest.raises(ValueError):
-        noise.ou_moment_diagnostics(0, [(4, 4)], 1.0, 1.0, gamma=0.25)
-
-
 def test_generate_tape_defaults():
     tape = noise.generate_tape(17)
     assert (tape.M_master, tape.N_master, tape.T, tape.path) == (4096, 512, 1.0, 0)

@@ -112,6 +112,37 @@ def test_indicator_boundary_is_nonstrict():
     assert not scheme.truncation_indicator(up, up, d, 1.0, 1.0)
 
 
+def test_indicator_is_the_kernels_decision_at_the_boundary():
+    # the kernel's dot-product norm and the summed hr_norm can round to
+    # opposite sides of the threshold; hunt the ulp neighborhood of
+    # ||v||_{H_gamma} = 1/2 for such a state Y = O = v (M=T=1: threshold 1.0)
+    d = scheme.DiscretizationParams(M=1, N=8)
+    w = spectral.eigenvalues(8, 1.0) ** (2 * d.gamma)
+    hit = None
+    for seed in range(20):
+        u = np.random.default_rng(seed).standard_normal(8)
+        c = 0.5 / float(spectral.hr_norm(u, d.gamma, 1.0))
+        for _ in range(20):
+            c = np.nextafter(c, -np.inf)
+        for _ in range(40):
+            v = c * u
+            kernel_on = 2.0 * math.sqrt(float(np.dot(w, v * v))) <= 1.0
+            summed_on = 2.0 * float(spectral.hr_norm(v, d.gamma, 1.0)) <= 1.0
+            if kernel_on != summed_on:
+                hit = v
+                break
+            c = np.nextafter(c, np.inf)
+        if hit is not None:
+            break
+    assert hit is not None, "no straddling state within 20 ulps for 20 directions"
+    model = scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.allen_cahn(), xi=hit)
+    _, _, suppressed = scheme.run_scheme(model, d, np.zeros((1, 8)))
+    assert scheme.truncation_indicator(hit, hit, d, 1.0, 1.0) == (suppressed == 0)
+    states = scheme.simulate_trajectory(model, d, noise.NoiseTape(0, 1, 8, 1.0))
+    indicator_column = scheme.trajectory_csv(model, d, states).split("\n")[1].split(",")[-1]
+    assert indicator_column == str(int(suppressed == 0))
+
+
 def test_one_step_suppressed_is_bare_semigroup():
     # xi = e_1 exceeds every admissible threshold, so the drift must not fire
     model = scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.allen_cahn(),
