@@ -7,7 +7,8 @@ Subcommands:
   check         inequality and monotonicity audit suite
 
 Configuration is one JSON file with sections "model", "discretization",
-"study", "output"; all sections optional with documented defaults.  The
+"study", "output"; all sections optional with documented defaults, and each
+command rejects a key it does not read (CONFIG_KEYS).  The
 --seed/--paths/--out/--threads flags override the file, and the environment
 variables SPDE_SEED / SPDE_OUT sit between the two (flag > env > file).
 
@@ -37,11 +38,27 @@ DEFAULT_HEAT_GRID = (1, 2, 4, 8, 16, 32, 64)
 AUDIT_TOL = 1e-8
 
 
+# every config key each command reads, by section; any other key is rejected
+_MODEL_KEYS = {"T", "nu", "a", "initial"}
+_OUTPUT_KEYS = {"dir", "prefix"}
+CONFIG_KEYS = {
+    "heat-errors": {"model": {"T", "nu"}, "study": {"m_grid", "n_grid", "sandwich_tol"},
+                    "output": _OUTPUT_KEYS},
+    "simulate": {"model": _MODEL_KEYS, "discretization": {"M", "N", "gamma", "chi"},
+                 "study": {"seed", "path", "M_master", "N_master"}, "output": _OUTPUT_KEYS},
+    "converge": {"model": _MODEL_KEYS, "discretization": {"gamma", "chi"},
+                 "study": {"m_grid", "n_grid", "M_ref", "N_ref", "M_master", "N_master",
+                           "paths", "seed", "threads", "exact", "moment_p"},
+                 "output": _OUTPUT_KEYS},
+    "check": {"study": {"audit_trials", "seed"}},
+}
+
+
 class ConfigError(Exception):
     pass
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, command: str) -> dict:
     if path is None:
         return {}
     try:
@@ -58,6 +75,9 @@ def _load_config(path: str | None) -> dict:
         if not isinstance(section, dict):
             raise ConfigError(f"config section {name!r} must be an object, "
                               f"got {type(section).__name__}")
+        unknown = sorted(set(section) - CONFIG_KEYS[command].get(name, set()))
+        if unknown:
+            raise ConfigError(f"unknown keys in section {name!r} for {command}: {unknown}")
     return cfg
 
 
@@ -273,7 +293,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, args.command)
         return args.handler(cfg, args)
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

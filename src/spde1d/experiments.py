@@ -148,42 +148,105 @@ def _path_batch(job):
     """Power sums of one batch of paths: per target, the sum of a per-path
     sample and of its square, plus truncation counts.
 
-    Each path draws its master increments once and coarsens them to every
-    target.  A coupled study (targets keyed (kind, M, N)) also runs the
-    reference and samples the squared H distance to it at each target grid
-    time; a cell run (targets keyed (M, N)) samples ||Y_T||_{H_gamma}^p.
+    All paths of the batch step together through the master grid, one time
+    block at a time.  A block is the least common multiple of the master
+    steps per step of every resolution in the run (on power-of-two grids,
+    one step of the coarsest), so each resolution takes whole steps inside
+    it and memory grows with the block, not with M_master.  Per block the
+    paths draw their master increments for those rows only, and each
+    distinct (M, N) is coarsened and advanced once.  A coupled study
+    (targets keyed (kind, M, N)) also advances the reference and samples
+    the squared H distance to it at each target grid time; a cell run
+    (targets keyed (M, N)) samples ||Y_T||_{H_gamma}^p at the end.  Samples
+    are added path by path in path order, so the sums have the bits of
+    stepping one path at a time.
     """
     cfg, targets, coupled, start, stop = job
-    acc = {t: {"sum": 0.0, "sum_sq": 0.0, "suppressed": 0, "steps": 0} for t in targets}
-    weights = {N: spectral.eigenvalues(N, cfg.model.nu) ** (2 * cfg.gamma)
-               for N in {t[-1] for t in targets}}
-    half_p = cfg.moment_p / 2.0
+    tapes = [NoiseTape(seed=cfg.seed, M_master=cfg.m_master, N_master=cfg.n_master,
+                       T=cfg.model.T, path=path) for path in range(start, stop)]
+    by_resolution = {(cfg.m_ref, cfg.n_ref): []} if coupled else {}  # reference first
+    for target in targets:
+        by_resolution.setdefault(target[-2:], []).append(target)
+    states = {(M, N): (cfg.model.xi_projected(N),) * 2 for M, N in by_resolution}
+    suppressed = dict.fromkeys(by_resolution, 0)
+    samples = {t: np.empty((len(tapes), t[-2] + 1)) if coupled else None for t in targets}
 
-    def run(M, N):
-        return run_scheme(cfg.model, cfg.discretization(M, N),
-                          coarsen_increments(master[:, :N], M))
+    block = math.lcm(*(cfg.m_master // M for M, _ in by_resolution))
+    master = np.empty((len(tapes), block, max(N for _, N in by_resolution)))
+    for first in range(0, cfg.m_master, block):
+        for p, tape in enumerate(tapes):
+            master[p] = tape.master_increments(master.shape[2], rows=(first, first + block))
+        _step_block(cfg, coupled, by_resolution, master, first, states, suppressed,
+                    samples, start)
 
-    for path in range(start, stop):
-        tape = NoiseTape(seed=cfg.seed, M_master=cfg.m_master,
-                         N_master=cfg.n_master, T=cfg.model.T, path=path)
-        master = tape.master_increments(cfg.n_ref if coupled else None)
-        if coupled:
-            y_ref = run(cfg.m_ref, cfg.n_ref)[0]
-        for target in targets:
-            M, N = target[-2:]
-            y, _, suppressed = run(M, N)
-            if coupled:
-                diff = y_ref[:: cfg.m_ref // M].copy()
-                diff[:, :N] -= y
-                sample = np.einsum("ij,ij->i", diff, diff)
-            else:
-                sample = float(np.dot(weights[N], y[-1] * y[-1])) ** half_p
-            a = acc[target]
+    acc = {}
+    for target in targets:
+        a = acc[target] = {"sum": 0.0, "sum_sq": 0.0,
+                           "suppressed": int(np.sum(suppressed[target[-2:]])),
+                           "steps": target[-2] * len(tapes)}
+        for sample in samples[target]:  # path order
             a["sum"] += sample
             a["sum_sq"] += sample * sample
-            a["suppressed"] += suppressed
-            a["steps"] += M
     return acc
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the finite checks report these
+def _step_block(cfg: StudyConfig, coupled: bool, by_resolution, master, first: int,
+                states, suppressed, samples, first_path: int) -> None:
+    """Advance every resolution through one block of master increments
+    (paths, rows, modes) that starts at master step `first`, carry each
+    state on to the next block, and record the samples that fall in it."""
+    block = master.shape[1]
+    for (M, N), members in by_resolution.items():
+        group = cfg.m_master // M
+        y, o, off = run_scheme(cfg.model, cfg.discretization(M, N),
+                               coarsen_increments(master[..., :N], block // group),
+                               start=states[(M, N)])
+        is_reference = coupled and (M, N) == (cfg.m_ref, cfg.n_ref)
+        _require_finite(np.isfinite(y).all(axis=(1, 2)) & np.isfinite(o).all(axis=(1, 2)),
+                        "state of " + ("reference" if is_reference else _name(members[0])),
+                        first_path)
+        states[(M, N)] = (y[:, -1].copy(), o[:, -1].copy())  # copies free the block
+        suppressed[(M, N)] += off
+        del o  # before the next resolution allocates its rows
+        if is_reference:
+            y_ref = y
+        for target in members:
+            if coupled:
+                diff = y_ref[:, :: cfg.m_ref // M].copy()
+                diff[..., :N] -= y
+                rows = np.einsum("pij,pij->pi", diff, diff)
+                _require_finite(np.isfinite(rows * rows).all(axis=1),  # squares feed sum_sq
+                                f"squared-distance sample of {_name(target)}", first_path)
+                samples[target][:, first // group:first // group + y.shape[1]] = rows
+            elif first + block == cfg.m_master:
+                samples[target] = _final_moments(cfg, N, y[:, -1])
+                _require_finite(np.isfinite(np.square(samples[target])),
+                                f"moment sample of {_name(target)}", first_path)
+
+
+def _final_moments(cfg: StudyConfig, N: int, y_final) -> list:
+    """||Y_T||_{H_gamma}^p per path, one path's row at a time."""
+    weights = spectral.eigenvalues(N, cfg.model.nu) ** (2 * cfg.gamma)
+    out = []
+    for y in y_final:
+        try:
+            out.append(float(np.dot(weights, y * y)) ** (cfg.moment_p / 2.0))
+        except OverflowError:  # a finite norm whose power exceeds a float
+            out.append(math.inf)
+    return out
+
+
+def _name(target) -> str:
+    *kind, M, N = target
+    return f"{kind[0] if kind else 'cell'} M={M} N={N}"
+
+
+def _require_finite(finite_per_path, what: str, first_path: int) -> None:
+    """A non-finite value fails the run; it is never added to a sum."""
+    if not np.all(finite_per_path):
+        path = first_path + int(np.argmin(finite_per_path))
+        raise ValueError(f"non-finite {what} on path {path}")
 
 
 def _accumulate(cfg: StudyConfig, targets, coupled: bool, threads: int | None):
@@ -191,6 +254,13 @@ def _accumulate(cfg: StudyConfig, targets, coupled: bool, threads: int | None):
     totals do not depend on the number of worker processes."""
     threads = cfg.threads if threads is None else threads
     targets = list(dict.fromkeys(targets))  # a repeated target is sampled once
+    # every block must hold whole steps of each target, and a coupled
+    # target's grid times must be reference grid times
+    m_max, n_max = (cfg.m_ref, cfg.n_ref) if coupled else (cfg.m_master, cfg.n_master)
+    for *_, M, N in targets:
+        if not (M >= 1 and m_max % M == 0 and 1 <= N <= n_max):
+            raise ValueError(f"target M={M}, N={N} needs M dividing {m_max} "
+                             f"and N in [1, {n_max}]")
     jobs = [(cfg, targets, coupled, s, min(s + BATCH_PATHS, cfg.paths))
             for s in range(0, cfg.paths, BATCH_PATHS)]
     if threads <= 1 or len(jobs) == 1:
@@ -290,15 +360,6 @@ def fits_json(fits: dict) -> str:
 # ---------------------------------------------------------------------------
 # target-only runs: moment audits and truncation activation
 
-def _run_cells(cfg: StudyConfig, cells, threads):
-    for M, N in cells:
-        if cfg.m_master % M != 0:
-            raise ValueError(f"cell M={M} must divide master step count {cfg.m_master}")
-        if not (1 <= N <= cfg.n_master):
-            raise ValueError(f"cell N={N} exceeds master mode count {cfg.n_master}")
-    return _accumulate(cfg, list(cells), False, threads)
-
-
 @dataclass(frozen=True)
 class MomentRow:
     M: int
@@ -316,7 +377,7 @@ def moment_audit(cfg: StudyConfig, threads: int | None = None):
     a scale-free proxy for 'the moments do not blow up with resolution'.
     """
     cells = [(M, N) for M in cfg.m_grid for N in cfg.n_grid]
-    acc = _run_cells(cfg, cells, threads)
+    acc = _accumulate(cfg, cells, False, threads)
     rows = []
     for M, N in cells:
         a = acc[(M, N)]
@@ -332,7 +393,7 @@ def moment_audit(cfg: StudyConfig, threads: int | None = None):
 
 def activation_fractions(cfg: StudyConfig, cells, threads: int | None = None):
     """Drift-suppression fraction per (M, N) cell, [(M, N, fraction), ...]."""
-    acc = _run_cells(cfg, list(cells), threads)
+    acc = _accumulate(cfg, list(cells), False, threads)
     return [(M, N, _activation(acc[(M, N)])) for M, N in cells]
 
 

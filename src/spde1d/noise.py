@@ -81,14 +81,18 @@ class NoiseTape:
         Element (j, k) is a pure function of (seed, path, substream, j, k);
         requesting fewer rows or columns returns the identical leading block.
         """
-        rows = self.M_master if rows is None else rows
+        return self._block(substream, 0, self.M_master if rows is None else rows, cols)
+
+    def _block(self, substream: int, first: int, stop: int, cols: int | None) -> np.ndarray:
+        """Normals of rows first..stop-1 and the leading cols columns."""
         cols = self.N_master if cols is None else cols
-        if rows > self.M_master or cols > self.N_master:
+        if not 0 <= first <= stop <= self.M_master or cols > self.N_master:
             raise ValueError(
-                f"requested ({rows},{cols}) exceeds master ({self.M_master},{self.N_master})"
+                f"requested rows [{first},{stop}) x {cols} columns exceed master "
+                f"({self.M_master},{self.N_master})"
             )
-        raw = self._raw(substream, 0, rows * self.N_master)
-        block = raw.reshape(rows, self.N_master)[:, :cols]
+        raw = self._raw(substream, first * self.N_master, (stop - first) * self.N_master)
+        block = raw.reshape(stop - first, self.N_master)[:, :cols]
         return ndtri(_uniform_open(block))
 
     def normal_at(self, j: int, k: int, substream: int = SUBSTREAM_INCREMENTS) -> float:
@@ -98,9 +102,15 @@ class NoiseTape:
         raw = self._raw(substream, j * self.N_master + k, 1)
         return float(ndtri(_uniform_open(raw))[0])
 
-    def master_increments(self, n_modes: int | None = None) -> np.ndarray:
-        """Delta W at master resolution: normals scaled by sqrt(T/M_master)."""
-        z = self.normals(cols=n_modes)
+    def master_increments(self, n_modes: int | None = None,
+                          rows: tuple[int, int] | None = None) -> np.ndarray:
+        """Delta W at master resolution: normals scaled by sqrt(T/M_master).
+
+        rows=(first, stop) returns only master steps first..stop-1, bit for
+        bit the same rows as the full block, without drawing the others.
+        """
+        first, stop = (0, self.M_master) if rows is None else rows
+        z = self._block(SUBSTREAM_INCREMENTS, first, stop, n_modes)
         return z * np.sqrt(self.h_master)
 
     def increments(self, n_steps: int, n_modes: int) -> np.ndarray:
@@ -117,12 +127,16 @@ class NoiseTape:
 
 
 def coarsen_increments(master: np.ndarray, n_steps: int) -> np.ndarray:
-    """Group-sum master-resolution increments down to n_steps rows."""
-    m_master, n_modes = master.shape
+    """Group-sum master-resolution increments (..., m_master, n_modes) down to
+    n_steps rows; leading axes (paths) are kept.  With n_steps = m_master
+    there is nothing to sum and the input itself is returned."""
+    *lead, m_master, n_modes = master.shape
     if m_master % n_steps != 0:
         raise ValueError(f"{n_steps} does not divide master step count {m_master}")
     group = m_master // n_steps
-    return master.reshape(n_steps, group, n_modes).sum(axis=1)
+    if group == 1:
+        return master
+    return master.reshape(*lead, n_steps, group, n_modes).sum(axis=-2)
 
 
 def generate_tape(seed: int, M_master: int = 4096, N_master: int = 512,

@@ -128,17 +128,22 @@ def truncation_indicator(Y: np.ndarray, O: np.ndarray, d: DiscretizationParams,
 
     The comparison is non-strict; the boundary case keeps the drift.
     """
-    return _keeps_drift(_gamma_weights(len(Y), nu, d.gamma), Y, O, d.threshold(T))
+    return bool(_keeps_drift(_gamma_weights(len(Y), nu, d.gamma), Y, O, d.threshold(T)))
 
 
 def _gamma_weights(n_modes: int, nu: float, gamma: float) -> np.ndarray:
     return spectral.eigenvalues(n_modes, nu) ** (2 * gamma)
 
 
-def _keeps_drift(w: np.ndarray, Y: np.ndarray, O: np.ndarray, thr: float) -> bool:
+def _keeps_drift(w: np.ndarray, Y: np.ndarray, O: np.ndarray, thr: float):
     """The kernel's own indicator arithmetic, shared by every caller so that
-    a reported decision is the one the kernel made, to the last bit."""
-    return math.sqrt(float(np.dot(w, Y * Y))) + math.sqrt(float(np.dot(w, O * O))) <= thr
+    a reported decision is the one the kernel made, to the last bit.
+
+    Y and O are (..., N); each row's norms are reduced on their own, so a
+    row's decision does not depend on how many rows are stepped together.
+    """
+    return (np.sqrt((w * (Y * Y)).sum(axis=-1))
+            + np.sqrt((w * (O * O)).sum(axis=-1))) <= thr
 
 
 def euler_step(state: SchemeState, O_next: np.ndarray, h: float,
@@ -156,18 +161,28 @@ def euler_step(state: SchemeState, O_next: np.ndarray, h: float,
     return SchemeState(m=state.m + 1, Y=y_next, O=np.asarray(O_next, dtype=np.float64))
 
 
-def run_scheme(model: ModelParams, d: DiscretizationParams,
-               dw: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Whole-trajectory kernel on raw increment arrays.
+def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
+               start: tuple[np.ndarray, np.ndarray] | None = None):
+    """Trajectory kernel on raw increment arrays; the hot loop of every driver.
 
-    dw has shape (M, N).  Returns (Y_path, O_path, drift_suppressed) with
-    paths of shape (M+1, N) at grid times and the count of steps whose
-    indicator was false.  This is the hot loop shared by the drivers; the
-    recursion order matches euler_step / the OU step exactly.
+    dw has shape (k, N), or (P, k, N) for P paths that step together.
+    Without `start` the run begins at Y_0 = O_0 = P_N xi and takes all
+    k = M steps; start=(Y, O) resumes from that state (shape (N,) or
+    (P, N)) for any k <= M steps of size T/M.  Returns (Y rows, O rows,
+    suppressed): the states at the k+1 grid times from the start on, shape
+    (k+1, N) or (P, k+1, N), and per path the count of steps whose indicator
+    was false (an int for 2-D dw).  Each path's numbers are the same bits
+    whatever P is.
     """
     dw = np.asarray(dw, dtype=np.float64)
-    if dw.shape != (d.M, d.N):
-        raise ValueError(f"increments shape {dw.shape} does not match (M,N)=({d.M},{d.N})")
+    batched = dw.ndim == 3
+    if not batched:
+        dw = dw[None]
+    if (dw.ndim != 3 or dw.shape[2] != d.N
+            or (dw.shape[1] > d.M if start is not None else dw.shape[1] != d.M)):
+        raise ValueError(f"increments shape {dw.shape[-2:]} does not match "
+                         f"(M,N)=({d.M},{d.N})")
+    paths, steps = dw.shape[:2]
     h = model.T / d.M
     decay = spectral.semigroup_factors(d.N, model.nu, h)
     phi = spectral.phi1_factors(d.N, model.nu, h)
@@ -176,23 +191,30 @@ def run_scheme(model: ModelParams, d: DiscretizationParams,
     drift_on = any(v != 0 for v in model.a.as_tuple())
     grid = spectral.default_grid(d.N)
 
-    y_path = np.empty((d.M + 1, d.N))
-    o_path = np.empty((d.M + 1, d.N))
-    y_path[0] = o_path[0] = model.xi_projected(d.N)
-    suppressed = 0
-    y, o = y_path[0], o_path[0]
-    for m in range(d.M):
-        o_next = decay * (o + dw[m])
+    # time-major while stepping, so that each step writes contiguous rows
+    y_path = np.empty((steps + 1, paths, d.N))
+    o_path = np.empty((steps + 1, paths, d.N))
+    if start is None:
+        y_path[0] = o_path[0] = model.xi_projected(d.N)
+    else:
+        y_path[0], o_path[0] = start
+    kept = np.zeros(paths, dtype=np.int64)
+    for m in range(steps):
+        y, o = y_path[m], o_path[m]
+        o_next = decay * (o + dw[:, m])
         y_next = decay * y + o_next - decay * o
-        if _keeps_drift(weights, y, o, thr):
-            if drift_on:
-                y_next = y_next + phi * project_F(y, model.a, grid)
-        else:
-            suppressed += 1
+        on = _keeps_drift(weights, y, o, thr)
+        kept += on
+        if drift_on and on.any():
+            # masked, never multiplied by a 0/1 mask: 0*inf would be NaN
+            y_next[on] += phi * project_F(y[on], model.a, grid)
         y_path[m + 1] = y_next
         o_path[m + 1] = o_next
-        y, o = y_next, o_next
-    return y_path, o_path, suppressed
+    suppressed = steps - kept
+    y_path, o_path = y_path.transpose(1, 0, 2), o_path.transpose(1, 0, 2)
+    if batched:
+        return y_path, o_path, suppressed
+    return y_path[0], o_path[0], int(suppressed[0])
 
 
 def simulate_trajectory(model: ModelParams, d: DiscretizationParams,

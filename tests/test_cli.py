@@ -85,12 +85,32 @@ def test_unknown_section_exits_2(tmp_path):
     {"study": {"m_grid": [7], "M_ref": 64, "N_ref": 8}},
     {"study": {"m_grid": 5}},
     {"study": 5},
-], ids=["m_not_dividing_master", "m_grid_not_a_list", "study_not_an_object"])
+    {"study": {"m_gird": [4, 8], "M_ref": 64, "N_ref": 8, "n_grid": [2, 4]}},
+    {"model": {"initial": [1e160]},
+     "study": {"m_grid": [4, 8, 16], "n_grid": [2, 4, 8], "M_ref": 128, "N_ref": 16,
+               "paths": 2}},
+], ids=["m_not_dividing_master", "m_grid_not_a_list", "study_not_an_object",
+        "misspelled_key", "overflowing_initial_value"])
 def test_bad_study_values_exit_2(tmp_path, capsys, payload):
     cfg = write_cfg(tmp_path, payload)
     rc = cli.main(["converge", "--config", cfg, "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("converge", {"study": {"m_gird": [4, 8]}}, "m_gird"),
+    ("heat-errors", {"model": {"T": 1.0, "a": [0, 1, 0, -1]}}, "'a'"),
+    ("simulate", {"discretization": {"M": 4, "N": 2, "M_ref": 8}}, "M_ref"),
+    ("check", {"output": {"prefix": "x"}}, "prefix"),
+])
+def test_unknown_keys_are_named_and_exit_2(tmp_path, capsys, command, payload, key):
+    cfg = write_cfg(tmp_path, payload)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and err.count("\n") == 1
+    assert not list(tmp_path.glob("spde1d_*"))
 
 
 def simulate_cfg(tmp_path, **model):

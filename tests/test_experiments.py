@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,9 +171,70 @@ def test_repeated_grid_entries_are_not_double_counted():
         == 2 * ex.activation_fractions(cfg, [(16, 8)])
 
 
+def test_targets_off_the_reference_grid_are_rejected():
+    cfg = small_cfg(m_master=256, n_master=32)
+    for M, N in [(48, 4), (256, 4), (0, 4), (16, 32)]:
+        with pytest.raises(ValueError, match=f"target M={M}, N={N}"):
+            ex.strong_error_mc(cfg, M, N, enforce_ratios=False)
+
+
 def test_cells_guard_on_master_mismatch():
     cfg = small_cfg()
     with pytest.raises(ValueError):
         ex.activation_fractions(cfg, [(7, 4)])
     with pytest.raises(ValueError):
         ex.activation_fractions(cfg, [(8, 64)])
+
+
+def test_target_at_the_reference_resolution_is_exactly_zero():
+    # the reference and a target at its resolution share one state per block;
+    # stepping that resolution twice in a block would make this nonzero
+    cfg = small_cfg(model=scheme.allen_cahn_model(n_xi_modes=16), paths=70)
+    assert ex.strong_error_mc(cfg, cfg.m_ref, cfg.n_ref, enforce_ratios=False) \
+        == (0.0, 0.0, ex.strong_error_mc(cfg, cfg.m_ref, 8)[2])
+    rows, _ = ex.run_convergence_study(replace(cfg, m_grid=(4, 8, 16, 128)))
+    base, _ = ex.run_convergence_study(cfg)
+    assert [r for r in rows if r.M != 128 or r.kind != "temporal"] == base
+    [at_ref] = [r for r in rows if r.kind == "temporal" and r.M == 128]
+    assert at_ref.estimate == 0.0 and at_ref.stderr == 0.0
+
+
+def _blown_up_cfg(x):
+    xi = scheme.initial_coefficients("bump", 16)
+    xi[0] = x  # finite, so ModelParams accepts it
+    return small_cfg(model=scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.allen_cahn(),
+                                              xi=xi), paths=70)
+
+
+def test_non_finite_sample_fails_the_run():
+    with pytest.raises(ValueError, match=r"squared-distance sample of temporal M=4 N=16 "
+                                         r"on path 0"):
+        ex.run_convergence_study(_blown_up_cfg(1e160))
+
+
+def test_non_finite_state_or_moment_fails_the_run():
+    with pytest.raises(ValueError, match=r"non-finite state of reference on path 0"):
+        ex.strong_error_mc(_blown_up_cfg(1.7e308), 16, 8)
+    with pytest.raises(ValueError, match=r"non-finite state of cell M=128 N=8 on path 0"):
+        ex.activation_fractions(_blown_up_cfg(1.7e308), [(128, 8)])
+    with pytest.raises(ValueError, match=r"non-finite moment sample of cell M=4 N=8 on path 0"):
+        ex.moment_audit(replace(_blown_up_cfg(1.7e308), m_grid=(4,), n_grid=(8,)))
+    with pytest.raises(ValueError, match=r"non-finite moment sample of cell M=4 N=8 on path 0"):
+        ex.moment_audit(replace(_blown_up_cfg(1e60), m_grid=(4,), n_grid=(8,), moment_p=8))
+
+
+def test_batch_memory_stays_within_a_block():
+    # heat_mc shape of the benchmark: 16 zero-drift paths, M_ref=2048, N_ref=128.
+    # Stepping block by block peaks near 11 MB; one whole tape per path
+    # costs more than 14 MB.
+    cfg = ex.StudyConfig(model=ou_model(), m_grid=(16, 32, 64, 128), n_grid=(8, 16, 32, 64),
+                         m_ref=2048, n_ref=128, paths=16, seed=0)
+    targets = [("temporal", M, 128) for M in cfg.m_grid] \
+        + [("spatial", 2048, N) for N in cfg.n_grid]
+    tracemalloc.start()
+    try:
+        ex._accumulate(cfg, targets, True, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"

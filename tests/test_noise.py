@@ -50,6 +50,28 @@ def test_block_prefix_identity():
     np.testing.assert_array_equal(tape.normals(rows=8, cols=1), full[:, :1])
 
 
+def test_master_increment_rows_match_the_full_block():
+    # N_master=5 and odd row starts put blocks off the 4-word Philox boundary
+    tape = small_tape(M_master=12)
+    full = tape.master_increments()
+    for first, stop in [(0, 12), (0, 1), (3, 7), (5, 12), (11, 12), (6, 6)]:
+        np.testing.assert_array_equal(tape.master_increments(rows=(first, stop)),
+                                      full[first:stop])
+        np.testing.assert_array_equal(tape.master_increments(3, rows=(first, stop)),
+                                      full[first:stop, :3])
+    for bad in [(-1, 3), (4, 3), (0, 13)]:
+        with pytest.raises(ValueError):
+            tape.master_increments(rows=bad)
+
+
+def test_coarsening_keeps_leading_path_axis():
+    blocks = np.stack([small_tape(path=p).master_increments() for p in range(3)])
+    coarse = noise.coarsen_increments(blocks, 2)
+    for p in range(3):
+        np.testing.assert_array_equal(coarse[p], small_tape(path=p).increments(2, 5))
+    assert noise.coarsen_increments(blocks, 8) is blocks  # nothing to sum
+
+
 def test_substreams_are_distinct():
     tape = small_tape()
     assert not np.array_equal(tape.normals(substream=0), tape.normals(substream=1))

@@ -270,3 +270,57 @@ def test_allen_cahn_model_defaults():
     assert m.T == 1.0 and m.nu == 1.0
     assert m.a.as_tuple() == (0.0, 1.0, 0.0, -1.0)
     assert m.xi.shape == (512,)
+
+
+def _batch_inputs(paths=5, M=32, N=16):
+    model = scheme.allen_cahn_model(n_xi_modes=N)
+    d = scheme.DiscretizationParams(M=M, N=N)
+    dw = np.stack([noise.NoiseTape(seed=4, M_master=M, N_master=N, T=1.0, path=p)
+                   .increments(M, N) for p in range(paths)])
+    y0 = np.tile(model.xi_projected(N), (paths, 1))
+    y0[0, 0] = 5.0  # path 0 starts far above the threshold
+    return model, d, dw, (y0, y0.copy())
+
+
+def test_path_batch_equals_serial_runs_bit_for_bit():
+    model, d, dw, (y0, o0) = _batch_inputs()
+    # the first step's mask is mixed: drift off on path 0 only
+    on = [scheme.truncation_indicator(y0[p], o0[p], d, model.T, model.nu)
+          for p in range(len(y0))]
+    assert on == [False] + [True] * (len(y0) - 1)
+    y, o, suppressed = scheme.run_scheme(model, d, dw, start=(y0, o0))
+    assert y.shape == o.shape == (len(y0), d.M + 1, d.N)
+    for p in range(len(y0)):
+        ys, os_, sup = scheme.run_scheme(model, d, dw[p], start=(y0[p], o0[p]))
+        np.testing.assert_array_equal(y[p], ys)
+        np.testing.assert_array_equal(o[p], os_)
+        assert suppressed[p] == sup
+    assert suppressed[0] > 0 and suppressed[0] != suppressed[1]
+
+
+def test_run_in_pieces_through_start_equals_one_shot():
+    model, d, dw, _ = _batch_inputs()
+    y, o, suppressed = scheme.run_scheme(model, d, dw[1])
+    cut = 11
+    xi = model.xi_projected(d.N)
+    y1, o1, s1 = scheme.run_scheme(model, d, dw[1, :cut], start=(xi, xi))
+    y2, o2, s2 = scheme.run_scheme(model, d, dw[1, cut:], start=(y1[-1], o1[-1]))
+    np.testing.assert_array_equal(np.concatenate([y1, y2[1:]]), y)
+    np.testing.assert_array_equal(np.concatenate([o1, o2[1:]]), o)
+    assert s1 + s2 == suppressed
+    # the same with a path axis
+    yb1, ob1, sb1 = scheme.run_scheme(model, d, dw[:, :cut], start=(xi, xi))
+    yb2, ob2, sb2 = scheme.run_scheme(model, d, dw[:, cut:], start=(yb1[:, -1], ob1[:, -1]))
+    np.testing.assert_array_equal(np.concatenate([yb1[1], yb2[1, 1:]]), y)
+    assert sb1[1] + sb2[1] == suppressed
+
+
+def test_run_scheme_shape_guards():
+    model, d, dw, _ = _batch_inputs()
+    with pytest.raises(ValueError):
+        scheme.run_scheme(model, d, dw[0, :10])           # a whole run needs M rows
+    with pytest.raises(ValueError):
+        scheme.run_scheme(model, d, dw[:, :, :8])         # wrong mode count
+    xi = model.xi_projected(d.N)
+    with pytest.raises(ValueError):
+        scheme.run_scheme(model, d, np.zeros((d.M + 1, d.N)), start=(xi, xi))
