@@ -1,7 +1,7 @@
 """Golden bytes: fixed seeds must keep producing these exact outputs.
 
-The digests and reprs below pin what `converge` and `simulate` write, and
-what the moment and activation engines return, down to the last bit on
+The digests and reprs below pin what `converge`, `simulate` and
+`heat-errors` write, and what the moment and activation engines return, down to the last bit on
 IEEE double hardware with this repository's numpy/scipy.  A refactor that
 claims "same behaviour" must leave every value here unchanged; a change
 that alters numbers on purpose re-pins them and says why in CHANGES.md.
@@ -25,6 +25,15 @@ CONVERGE_SHA256 = {
 ZERO_DRIFT = {"a": [0.0, 0.0, 0.0, 0.0], "initial": "zero"}
 
 SIMULATE_SHA256 = "a52033c9917ca4e7dad63eb27404493e6ee5dfdf16da2621635d847093f9c451"
+
+# M and N reach past the series cutoff x = mu*h = 0.5 on both sides, and
+# repeat no entry; "all" takes the trigamma-tail path
+HEAT_GRID = {"m_grid": [1, 3, 16, 64, 4096], "n_grid": [1, 2, 7, 64, 4096, "all"]}
+HEAT_ERRORS_SHA256 = {
+    (1.0, 1.0): "b0c5319d2e4c3c26317ed23e44aecdfe66935fc57fed222534405bdca0593dfe",
+    (0.5, 2.0): "fb667f4cd2bceec503c0f978bffa68750d84f1b343c8db9c2c084c15aacc2d08",
+    "default": "6fc8db505fb1ca4585c7e2a3be87a132e84bf59bb45b6cb58a20ec755371c6a6",
+}
 
 MOMENT_REPRS = {
     "allen_cahn": [
@@ -71,6 +80,14 @@ def test_simulate_bytes(tmp_path):
     payload = {"discretization": {"M": 32, "N": 16}, "study": {"seed": 9, "path": 2}}
     got = _run(tmp_path, "simulate", payload, ["spde1d_trajectory.csv"])
     assert got == SIMULATE_SHA256
+
+
+@pytest.mark.parametrize("key", list(HEAT_ERRORS_SHA256))
+def test_heat_errors_bytes(tmp_path, key):
+    payload = {} if key == "default" else {"model": {"T": key[0], "nu": key[1]},
+                                           "study": HEAT_GRID}
+    got = _run(tmp_path, "heat-errors", payload, ["spde1d_heat_errors.csv"])
+    assert got == HEAT_ERRORS_SHA256[key]
 
 
 def _moment_reprs(model):
