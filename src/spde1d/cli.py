@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -159,25 +160,23 @@ def _prefix(cfg: dict) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _grid(study: dict, key: str) -> list:
+    grid = study.get(key, list(DEFAULT_HEAT_GRID))
+    if not (isinstance(grid, list) and grid):
+        raise ConfigError(f"study.{key} must be a non-empty list, got {grid!r}")
+    return grid
+
+
 def cmd_heat_errors(cfg: dict, args) -> int:
     study = cfg.get("study", {})
     model_section = cfg.get("model", {})
     T = float(model_section.get("T", 1.0))
     nu = float(model_section.get("nu", 1.0))
-    if not (T > 0 and nu > 0):
-        raise ConfigError(f"model.T and model.nu must be positive, got {T}, {nu}")
-    m_grid = [int(m) for m in study.get("m_grid", DEFAULT_HEAT_GRID)]
-    n_grid = list(study.get("n_grid", DEFAULT_HEAT_GRID))
+    if not (0 < T < math.inf and 0 < nu < math.inf):
+        raise ConfigError(f"model.T and model.nu must be positive and finite, got {T}, {nu}")
     tol = float(study.get("sandwich_tol", 1e-12))
+    reports = heat_errors.error_reports(_grid(study, "m_grid"), _grid(study, "n_grid"), T, nu)
     out = _out_dir(cfg, args) / f"{_prefix(cfg)}_heat_errors.csv"
-
-    reports = []
-    for kind in heat_errors.KINDS:
-        for M in m_grid:
-            for N in n_grid:
-                if N == heat_errors.ALL_MODES and kind != "temporal":
-                    continue  # the spatial remainder is zero with every mode kept
-                reports.append(heat_errors.error_report(kind, M, N, T, nu))
     lines = [heat_errors.REPORT_HEADER, *(r.as_csv_row() for r in reports)]
     experiments.write_text_atomic(out, "\n".join(lines) + "\n")
 

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import polygamma
 
 ALL_MODES = "all"
@@ -37,8 +36,17 @@ _J_SERIES_COEFFS = np.array(
 
 def _validate_positive(**kwargs) -> None:
     for name, value in kwargs.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _step_count(M) -> int:
+    if isinstance(M, float) and not math.isfinite(M):
+        raise ValueError(f"M must be a positive integer, got {M!r}")
+    m = int(M)
+    if m != M or m < 1:
+        raise ValueError(f"M must be a positive integer, got {M!r}")
+    return m
 
 
 def _mode_count(N) -> int | None:
@@ -101,6 +109,9 @@ def temporal_mode_integral(M: int, k: int, T: float, nu: float) -> float:
 
 def temporal_mode_integral_quadrature(M: int, k: int, T: float, nu: float) -> float:
     """Adaptive quadrature of the defining integral; oracle for the closed form."""
+    # imported here: nothing else needs scipy.integrate, which is slow to load
+    from scipy.integrate import quad
+
     _validate_positive(T=T, nu=nu)
     mu = nu * math.pi**2 * k * k
     h = T / M
@@ -135,9 +146,20 @@ def temporal_error_exact(M: int, N, T: float, nu: float) -> float:
         mu = nu * math.pi**2 * ks * ks
         tail = float(polygamma(1, cutoff + 1)) / (2 * nu * math.pi**2)
         return math.sqrt(_fsum(_temporal_mode_terms(mu, M, T)) + tail)
-    ks = np.arange(1, n + 1, dtype=np.float64)
+    return _temporal_errors(M, [n], T, nu)[0]
+
+
+def _temporal_errors(M: int, counts, T: float, nu: float) -> list[float]:
+    """temporal_error_exact(M, n, T, nu) for each positive integer n in counts.
+
+    One term vector up to max(counts) serves every prefix: the per-mode terms
+    are elementwise and fsum of a prefix is correctly rounded, so each value
+    is bit for bit the one a vector of exactly n terms gives.
+    """
+    ks = np.arange(1, max(counts) + 1, dtype=np.float64)
     mu = nu * math.pi**2 * ks * ks
-    return math.sqrt(_fsum(_temporal_mode_terms(mu, M, T)))
+    terms = _temporal_mode_terms(mu, M, T).tolist()
+    return [math.sqrt(math.fsum(terms[:n])) for n in counts]
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +403,7 @@ KINDS = ("temporal", "spatial", "full")
 @dataclass(frozen=True)
 class ErrorBoundsReport:
     kind: str
-    M: object  # int, or inf for the time-continuum limit
+    M: int
     N: object  # int, or "all"
     exact: float
     lower: float
@@ -396,19 +418,59 @@ class ErrorBoundsReport:
             self.M, n_txt, self.exact, self.lower, self.upper, self.kind)
 
 
+def error_reports(m_grid, n_grid, T: float, nu: float,
+                  kinds=KINDS) -> list[ErrorBoundsReport]:
+    """Exact values plus their bracketing bounds over an (M, N) grid.
+
+    Rows come kind by kind, then M, then N, in the order given, repeats
+    included; N = "all" gives a temporal row only, because the spatial
+    remainder is zero with every mode kept.  Exact values are shared between
+    cells: one temporal term vector per distinct M serves every integer N
+    (the "all" entry keeps its trigamma tail), one spatial series per
+    distinct N serves every M, and a full value is the hypot of the two, as
+    in full_error_exact.  Bounds are evaluated per cell.
+    """
+    _validate_positive(T=T, nu=nu)
+    for kind in kinds:
+        if kind not in KINDS:
+            raise ValueError(f"unknown report kind {kind!r}; expected one of {KINDS}")
+    ms = [_step_count(M) for M in m_grid]
+    ns = [_mode_count(N) for N in n_grid]
+    counts = sorted({n for n in ns if n is not None})
+
+    temporal = {}
+    for M in dict.fromkeys(ms):
+        if counts:
+            temporal.update(zip([(M, n) for n in counts], _temporal_errors(M, counts, T, nu)))
+        if None in ns:
+            temporal[M, None] = temporal_error_exact(M, ALL_MODES, T, nu)
+    spatial = {n: spatial_error_exact(n, T, nu) for n in counts}
+
+    reports = []
+    for kind in kinds:
+        for M in ms:
+            for N, n in zip(n_grid, ns):
+                if kind == "temporal":
+                    exact = temporal[M, n]
+                    lower = bound_lower_temporal(M, N, T, nu)
+                    upper = bound_upper_temporal(M, T, nu)
+                elif n is None:
+                    continue
+                elif kind == "spatial":
+                    exact = spatial[n]
+                    lower = bound_lower_spatial(N, T, nu)
+                    upper = bound_upper_spatial(N, T, nu)
+                else:
+                    exact = math.hypot(temporal[M, n], spatial[n])
+                    lower, upper = bounds_full(M, N, T, nu)
+                reports.append(ErrorBoundsReport(kind=kind, M=M, N=N, exact=exact,
+                                                 lower=lower, upper=upper))
+    return reports
+
+
 def error_report(kind: str, M, N, T: float, nu: float) -> ErrorBoundsReport:
     """Exact value plus its bracketing bounds for one grid cell."""
-    if kind == "temporal":
-        exact = temporal_error_exact(M, N, T, nu)
-        lower = bound_lower_temporal(M, N, T, nu)
-        upper = bound_upper_temporal(M, T, nu)
-    elif kind == "spatial":
-        exact = spatial_error_exact(N, T, nu)
-        lower = bound_lower_spatial(N, T, nu)
-        upper = bound_upper_spatial(N, T, nu)
-    elif kind == "full":
-        exact = full_error_exact(M, N, T, nu)
-        lower, upper = bounds_full(M, N, T, nu)
-    else:
-        raise ValueError(f"unknown report kind {kind!r}; expected one of {KINDS}")
-    return ErrorBoundsReport(kind=kind, M=M, N=N, exact=exact, lower=lower, upper=upper)
+    reports = error_reports([M], [N], T, nu, kinds=(kind,))
+    if not reports:
+        raise ValueError(f"a {kind} report needs an integer N, got {N!r}")
+    return reports[0]

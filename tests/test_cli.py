@@ -21,15 +21,24 @@ def read_rows(path):
     return lines[0], lines[1:]
 
 
-def test_help_lists_subcommands():
+def run_python(*argv):
+    """Run a fresh interpreter that imports this checkout's spde1d."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = subprocess.run([sys.executable, "-m", "spde1d.cli", "--help"],
-                         capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def test_help_lists_subcommands():
+    out = run_python("-m", "spde1d.cli", "--help")
     assert out.returncode == 0
     for name in ("heat-errors", "simulate", "converge", "check"):
         assert name in out.stdout
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    out = run_python("-c", "import sys, spde1d.cli; print('scipy.integrate' in sys.modules)")
+    assert out.returncode == 0 and out.stdout.strip() == "False"
 
 
 def test_heat_errors_default_grid(tmp_path, capsys):
@@ -64,6 +73,24 @@ def test_heat_errors_negative_tolerance_forces_exit_3(tmp_path, capsys):
     assert "sandwich violated" in capsys.readouterr().err
     # the report file is still written for inspection
     assert (tmp_path / "spde1d_heat_errors.csv").exists()
+
+
+@pytest.mark.parametrize("payload", [
+    {"model": {"T": "inf"}},
+    {"study": {"m_grid": [2.5]}},
+    {"study": {"m_grid": [math.inf]}},
+    {"study": {"m_grid": []}},
+    {"study": {"n_grid": []}},
+    {"study": {"m_grid": "12"}},
+], ids=["infinite_T", "fractional_M", "infinite_M", "empty_m_grid", "empty_n_grid",
+        "grid_not_a_list"])
+def test_bad_heat_errors_values_exit_2(tmp_path, capsys, payload):
+    cfg = write_cfg(tmp_path, payload)
+    rc = cli.main(["heat-errors", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1
+    assert not list(tmp_path.glob("spde1d_*"))
 
 
 def test_malformed_config_exits_2_without_output(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spde1d import heat_errors as he
 
@@ -205,3 +206,30 @@ def test_error_report_all_modes_row():
 def test_error_report_kind_guard():
     with pytest.raises(ValueError):
         he.error_report("mixed", 4, 4, 1.0, 1.0)
+
+
+_M = st.one_of(st.integers(1, 64), st.integers(65, 5000))
+_N = st.one_of(st.integers(1, 64), st.integers(65, 5000), st.just("all"))
+_SCALE = st.floats(0.25, 4.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_M, min_size=1, max_size=4), st.lists(_N, min_size=1, max_size=5),
+       _SCALE, _SCALE)
+def test_error_reports_equal_the_per_cell_functions(m_grid, n_grid, T, nu):
+    m_grid, n_grid = m_grid + m_grid[:1], n_grid + n_grid[:1]  # a repeat on each axis
+    rows = he.error_reports(m_grid, n_grid, T, nu)
+    assert [(r.kind, r.M, r.N) for r in rows] == [
+        (kind, M, N) for kind in he.KINDS for M in m_grid for N in n_grid
+        if N != "all" or kind == "temporal"]
+    for r in rows:
+        M, N = r.M, r.N
+        if r.kind == "temporal":
+            want = (he.temporal_error_exact(M, N, T, nu), he.bound_lower_temporal(M, N, T, nu),
+                    he.bound_upper_temporal(M, T, nu))
+        elif r.kind == "spatial":
+            want = (he.spatial_error_exact(N, T, nu), he.bound_lower_spatial(N, T, nu),
+                    he.bound_upper_spatial(N, T, nu))
+        else:
+            want = (he.full_error_exact(M, N, T, nu), *he.bounds_full(M, N, T, nu))
+        assert (r.exact, r.lower, r.upper) == want
