@@ -40,23 +40,18 @@ def _validate_positive(**kwargs) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _step_count(M) -> int:
-    if isinstance(M, float) and not math.isfinite(M):
-        raise ValueError(f"M must be a positive integer, got {M!r}")
-    m = int(M)
-    if m != M or m < 1:
-        raise ValueError(f"M must be a positive integer, got {M!r}")
-    return m
+def _positive_int(value, requirement: str) -> int:
+    n = int(value) if not isinstance(value, float) or math.isfinite(value) else 0
+    if n != value or n < 1:
+        raise ValueError(f"{requirement}, got {value!r}")
+    return n
 
 
 def _mode_count(N) -> int | None:
     """None means every mode ("all")."""
-    if N == ALL_MODES or N is None or (isinstance(N, float) and math.isinf(N)):
+    if N == ALL_MODES or N is None or N == math.inf:
         return None
-    n = int(N)
-    if n != N or n < 1:
-        raise ValueError(f"N must be a positive integer or 'all', got {N!r}")
-    return n
+    return _positive_int(N, "N must be a positive integer or 'all'")
 
 
 def _fsum(values) -> float:
@@ -434,7 +429,7 @@ def error_reports(m_grid, n_grid, T: float, nu: float,
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown report kind {kind!r}; expected one of {KINDS}")
-    ms = [_step_count(M) for M in m_grid]
+    ms = [_positive_int(M, "M must be a positive integer") for M in m_grid]
     ns = [_mode_count(N) for N in n_grid]
     counts = sorted({n for n in ns if n is not None})
 
