@@ -41,7 +41,10 @@ def _validate_positive(**kwargs) -> None:
 
 
 def _positive_int(value, requirement: str) -> int:
-    n = int(value) if not isinstance(value, float) or math.isfinite(value) else 0
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = 0
     if n != value or n < 1:
         raise ValueError(f"{requirement}, got {value!r}")
     return n
@@ -413,8 +416,7 @@ class ErrorBoundsReport:
             self.M, n_txt, self.exact, self.lower, self.upper, self.kind)
 
 
-def error_reports(m_grid, n_grid, T: float, nu: float,
-                  kinds=KINDS) -> list[ErrorBoundsReport]:
+def error_reports(m_grid, n_grid, T: float, nu: float) -> list[ErrorBoundsReport]:
     """Exact values plus their bracketing bounds over an (M, N) grid.
 
     Rows come kind by kind, then M, then N, in the order given, repeats
@@ -423,14 +425,14 @@ def error_reports(m_grid, n_grid, T: float, nu: float,
     cells: one temporal term vector per distinct M serves every integer N
     (the "all" entry keeps its trigamma tail), one spatial series per
     distinct N serves every M, and a full value is the hypot of the two, as
-    in full_error_exact.  Bounds are evaluated per cell.
+    in full_error_exact.  Bounds are evaluated per cell.  Only the string
+    "all" stands for every mode here; None and inf are rejected like any
+    other N that is not a positive integer.
     """
     _validate_positive(T=T, nu=nu)
-    for kind in kinds:
-        if kind not in KINDS:
-            raise ValueError(f"unknown report kind {kind!r}; expected one of {KINDS}")
     ms = [_positive_int(M, "M must be a positive integer") for M in m_grid]
-    ns = [_mode_count(N) for N in n_grid]
+    ns = [None if N == ALL_MODES
+          else _positive_int(N, "N must be a positive integer or 'all'") for N in n_grid]
     counts = sorted({n for n in ns if n is not None})
 
     temporal = {}
@@ -442,7 +444,7 @@ def error_reports(m_grid, n_grid, T: float, nu: float,
     spatial = {n: spatial_error_exact(n, T, nu) for n in counts}
 
     reports = []
-    for kind in kinds:
+    for kind in KINDS:
         for M in ms:
             for N, n in zip(n_grid, ns):
                 if kind == "temporal":
@@ -465,7 +467,9 @@ def error_reports(m_grid, n_grid, T: float, nu: float,
 
 def error_report(kind: str, M, N, T: float, nu: float) -> ErrorBoundsReport:
     """Exact value plus its bracketing bounds for one grid cell."""
-    reports = error_reports([M], [N], T, nu, kinds=(kind,))
+    if kind not in KINDS:
+        raise ValueError(f"unknown report kind {kind!r}; expected one of {KINDS}")
+    reports = [r for r in error_reports([M], [N], T, nu) if r.kind == kind]
     if not reports:
         raise ValueError(f"a {kind} report needs an integer N, got {N!r}")
     return reports[0]

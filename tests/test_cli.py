@@ -83,8 +83,10 @@ def test_heat_errors_negative_tolerance_forces_exit_3(tmp_path, capsys):
     {"study": {"n_grid": []}},
     {"study": {"m_grid": "12"}},
     {"study": {"n_grid": [-math.inf]}},
+    {"study": {"n_grid": [math.inf]}},
+    {"study": {"n_grid": [None]}},
 ], ids=["infinite_T", "fractional_M", "infinite_M", "empty_m_grid", "empty_n_grid",
-        "grid_not_a_list", "negative_infinite_N"])
+        "grid_not_a_list", "negative_infinite_N", "infinite_N", "null_N"])
 def test_bad_heat_errors_values_exit_2(tmp_path, capsys, payload):
     cfg = write_cfg(tmp_path, payload)
     rc = cli.main(["heat-errors", "--config", cfg, "--out", str(tmp_path)])
