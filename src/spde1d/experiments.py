@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import heat_errors, spectral
-from .noise import NoiseTape, coarsen_increments, mean_stderr
+from .noise import NoiseTape, coarsen_increments, mean_stderr, merge_m2, sum_and_m2
 from .scheme import DEFAULT_CHI, DEFAULT_GAMMA, DiscretizationParams, ModelParams, run_scheme
 
 BATCH_PATHS = 64
@@ -145,8 +145,9 @@ def _check_reference_ratios(cfg: StudyConfig, targets) -> None:
 
 
 def _path_batch(job):
-    """Power sums of one batch of paths: per target, the sum of a per-path
-    sample and of its square, plus truncation counts.
+    """Moments of one batch of paths: per target, the path count, the sum
+    of a per-path sample and its M2 (see noise.sum_and_m2), plus truncation
+    counts.
 
     All paths of the batch step together through the master grid, one time
     block at a time.  A block is the least common multiple of the master
@@ -181,12 +182,10 @@ def _path_batch(job):
 
     acc = {}
     for target in targets:
-        a = acc[target] = {"sum": 0.0, "sum_sq": 0.0,
-                           "suppressed": int(np.sum(suppressed[target[-2:]])),
-                           "steps": target[-2] * len(tapes)}
-        for sample in samples[target]:  # path order
-            a["sum"] += sample
-            a["sum_sq"] += sample * sample
+        total, m2 = sum_and_m2(samples[target])
+        acc[target] = {"paths": len(tapes), "sum": total, "m2": m2,
+                       "suppressed": int(np.sum(suppressed[target[-2:]])),
+                       "steps": target[-2] * len(tapes)}
     return acc
 
 
@@ -216,7 +215,7 @@ def _step_block(cfg: StudyConfig, coupled: bool, by_resolution, master, first: i
                 diff = y_ref[:, :: cfg.m_ref // M].copy()
                 diff[..., :N] -= y
                 rows = np.einsum("pij,pij->pi", diff, diff)
-                _require_finite(np.isfinite(rows * rows).all(axis=1),  # squares feed sum_sq
+                _require_finite(np.isfinite(rows * rows).all(axis=1),  # squares feed m2
                                 f"squared-distance sample of {_name(target)}", first_path)
                 samples[target][:, first // group:first // group + y.shape[1]] = rows
             elif first + block == cfg.m_master:
@@ -250,8 +249,8 @@ def _require_finite(finite_per_path, what: str, first_path: int) -> None:
 
 
 def _accumulate(cfg: StudyConfig, targets, coupled: bool, threads: int | None):
-    """Run every path batch and add the batch sums in batch order, so the
-    totals do not depend on the number of worker processes."""
+    """Run every path batch and merge the batch moments in batch order, so
+    the totals do not depend on the number of worker processes."""
     threads = cfg.threads if threads is None else threads
     targets = list(dict.fromkeys(targets))  # a repeated target is sampled once
     # every block must hold whole steps of each target, and a coupled
@@ -270,9 +269,11 @@ def _accumulate(cfg: StudyConfig, targets, coupled: bool, threads: int | None):
             parts = list(pool.map(_path_batch, jobs))  # map preserves job order
     total = parts[0]
     for part in parts[1:]:
-        for key, a in part.items():
-            for name, value in a.items():
-                total[key][name] = total[key][name] + value
+        for key, b in part.items():
+            a = total[key]
+            a["m2"] = merge_m2(a["paths"], a["sum"], a["m2"], b["paths"], b["sum"], b["m2"])
+            for name in ("paths", "sum", "suppressed", "steps"):
+                a[name] = a[name] + b[name]
     return total
 
 
@@ -283,7 +284,7 @@ def _activation(a) -> float:
 def _estimate(a, paths: int) -> tuple[float, float, float]:
     """Strong error at the grid time of largest mean squared error."""
     m_star = int(np.argmax(a["sum"] / paths))
-    est, se = mean_stderr(a["sum"][m_star], a["sum_sq"][m_star], paths, root=True)
+    est, se = mean_stderr(a["sum"][m_star], a["m2"][m_star], paths, root=True)
     return est, se, _activation(a)
 
 
@@ -381,7 +382,7 @@ def moment_audit(cfg: StudyConfig, threads: int | None = None):
     rows = []
     for M, N in cells:
         a = acc[(M, N)]
-        rows.append(MomentRow(M, N, *mean_stderr(a["sum"], a["sum_sq"], cfg.paths),
+        rows.append(MomentRow(M, N, *mean_stderr(a["sum"], a["m2"], cfg.paths),
                               _activation(a)))
     median = float(np.median([r.estimate for r in rows]))
     flagged = any(

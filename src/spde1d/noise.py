@@ -214,34 +214,56 @@ def bridge_estimate(seed: int, n_steps: int, n_modes: int, T: float, nu: float,
     Monte Carlo error is a two-sided validation of both constructions.
     """
     coef_z, beta = _bridge_coefficients(n_steps, n_modes, T, nu)
-    total = total_sq = 0.0
+    samples = []
     for p in range(paths):
         tape = NoiseTape(seed=seed, M_master=n_steps, N_master=n_modes, T=T, path=p)
         z = tape.normals(substream=SUBSTREAM_INCREMENTS)
         resid = tape.normals(substream=SUBSTREAM_AUX)
         gap = np.einsum("jk,jk->k", coef_z, z) + np.einsum("jk,jk->k", beta, resid)
-        ssq = float(np.dot(gap, gap))
-        total += ssq
-        total_sq += ssq * ssq
-    return mean_stderr(total, total_sq, paths, root=True)
+        samples.append(float(np.dot(gap, gap)))
+    return mean_stderr(*sum_and_m2(samples), paths, root=True)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo estimator
+#
+# A batch of samples is kept as its in-order sum and its M2, the sum of
+# squared deviations from the batch mean; batches merge with the pairwise
+# update of Chan, Golub & LeVeque (1979).  Unlike E[x^2] - mean^2 this does
+# not cancel when the spread is small against the mean.
 
-def mean_stderr(total, total_sq, n: int, root: bool = False) -> tuple[float, float]:
-    """(mean, stderr of the mean) of n samples from their sum and sum of squares.
+def sum_and_m2(samples):
+    """(sum, M2) of a sequence of samples, scalars or equal-shape arrays.
+
+    Both passes run in sample order: the sum first, then the squared
+    deviations from sum / n.
+    """
+    total = 0.0
+    for x in samples:
+        total = total + x
+    mean = total / len(samples)
+    m2 = 0.0
+    for x in samples:
+        d = x - mean
+        m2 = m2 + d * d
+    return total, m2
+
+
+def merge_m2(n_a: int, total_a, m2_a, n_b: int, total_b, m2_b):
+    """M2 of two batches joined, from each batch's count, sum and M2."""
+    delta = total_b / n_b - total_a / n_a
+    return m2_a + m2_b + delta * delta * (n_a * n_b / (n_a + n_b))
+
+
+def mean_stderr(total, m2, n: int, root: bool = False) -> tuple[float, float]:
+    """(mean, stderr of the mean) of n samples from their sum and M2.
 
     root=True returns sqrt(mean) with its delta-method stderr, the form used
     for L^2(P) norms estimated from squared samples.  One sample has no
     stderr (nan).
     """
     mean = total / n
-    if n < 2:
-        se = math.nan
-    else:
-        var = (total_sq / n - mean ** 2) * n / (n - 1)
-        se = math.sqrt(max(var, 0.0) / n)
+    se = math.sqrt(m2 / (n - 1) / n) if n >= 2 else math.nan
     if not root:
         return mean, se
     est = math.sqrt(max(mean, 0.0))

@@ -238,3 +238,21 @@ def test_batch_memory_stays_within_a_block():
     finally:
         tracemalloc.stop()
     assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_moment_stderr_survives_a_large_mean():
+    # ||Y_T||^2 of a zero-drift path started far out: the samples sit near
+    # 3e21 with a relative spread near 1e-11, so E[x^2] - mean^2 cancels
+    # every digit while the M2 merge keeps the spread.  70 paths: two batches.
+    xi = np.array([1e15, 0.0])
+    model = scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.CubicCoefficients(0, 0, 0, 0),
+                               xi=xi)
+    cfg = ex.StudyConfig(model=model, m_grid=(4,), n_grid=(2,), m_ref=4, n_ref=2,
+                         paths=70, seed=11)
+    (row,), _ = ex.moment_audit(cfg)
+    mu = scheme.spectral.eigenvalues(2, 1.0)
+    w = mu ** (2 * cfg.gamma)
+    mean = np.exp(-mu) * xi
+    var = noise.ou_variance_discrete(4, 2, 1.0, 1.0)
+    true_se = math.sqrt(np.sum(w * w * (4 * mean * mean * var + 2 * var * var)) / cfg.paths)
+    assert 0.7 < row.stderr / true_se < 1.4

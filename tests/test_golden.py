@@ -19,8 +19,8 @@ CONVERGE_STUDY = {"m_grid": [4, 8, 16], "n_grid": [2, 4, 8], "M_ref": 128,
                   "N_ref": 16, "paths": 70, "seed": 5}  # 70 paths: two batches
 
 CONVERGE_SHA256 = {
-    "allen_cahn": "eb47a806cb6403bfaa7220ba17fd3f8c111d9ec4b405d905badd0aded5a6bace",
-    "zero_drift": "b1c12633ed655b7c806ea4c21d57539f4e2a0072789cb0d47e0e304b04727d4f",
+    "allen_cahn": "221123d92eaf5a66306628eaaf487315a6428a7c949a5e8b357142fe11392652",
+    "zero_drift": "b79d2ae45cd13c12c233637c5ed7fc3422aa9c32a6f62106e9a8c48d088c6f22",
 }
 ZERO_DRIFT = {"a": [0.0, 0.0, 0.0, 0.0], "initial": "zero"}
 
@@ -37,18 +37,18 @@ HEAT_ERRORS_SHA256 = {
 
 MOMENT_REPRS = {
     "allen_cahn": [
-        "MomentRow(M=4, N=1, estimate=3.0238793645814856e-05, stderr=1.0202716788123153e-05, activation_fraction=0.0)",
-        "MomentRow(M=4, N=8, estimate=3.02386210183255e-05, stderr=1.0202643628790958e-05, activation_fraction=0.0)",
+        "MomentRow(M=4, N=1, estimate=3.0238793645814856e-05, stderr=1.0202716788123161e-05, activation_fraction=0.0)",
+        "MomentRow(M=4, N=8, estimate=3.02386210183255e-05, stderr=1.0202643628790955e-05, activation_fraction=0.0)",
         "MomentRow(M=16, N=1, estimate=0.005657560445405197, stderr=0.0016944440306185852, activation_fraction=0.048214285714285716)",
-        "MomentRow(M=16, N=8, estimate=0.0058148461605294745, stderr=0.0017162566038940457, activation_fraction=0.048214285714285716)",
+        "MomentRow(M=16, N=8, estimate=0.0058148461605294745, stderr=0.0017162566038940463, activation_fraction=0.048214285714285716)",
         "False",
         "(16, 1, 0.048214285714285716)",
         "(4, 8, 0.0)",
         "(8, 2, 0.0)",
     ],
     "zero_drift": [
-        "MomentRow(M=4, N=1, estimate=3.0389662178336005e-05, stderr=1.0329114136601585e-05, activation_fraction=0.0)",
-        "MomentRow(M=4, N=8, estimate=3.038968105892485e-05, stderr=1.0329115093719212e-05, activation_fraction=0.0)",
+        "MomentRow(M=4, N=1, estimate=3.0389662178336005e-05, stderr=1.0329114136601584e-05, activation_fraction=0.0)",
+        "MomentRow(M=4, N=8, estimate=3.038968105892485e-05, stderr=1.0329115093719207e-05, activation_fraction=0.0)",
         "MomentRow(M=16, N=1, estimate=0.0052261104261995435, stderr=0.0015818343206210849, activation_fraction=0.038392857142857145)",
         "MomentRow(M=16, N=8, estimate=0.005377149016089003, stderr=0.001602858424339576, activation_fraction=0.04017857142857143)",
         "False",
