@@ -17,10 +17,12 @@ disc = scheme.DiscretizationParams(M=M, N=N)
 tape = noise.NoiseTape(seed=42, M_master=M, N_master=N, T=model.T)
 y, o, suppressed = scheme.run_scheme(model, disc, tape.increments(M, N))
 
-G = spectral.default_grid(N)
+# u(x) = sum_k Y_k sqrt(2) sin(k pi x) at the 8 interior points x = i/9
+x = np.arange(1, 9) / 9
+basis = spectral.SQRT2 * np.sin(np.pi * np.outer(x, np.arange(1, N + 1)))
 for frac in (0.0, 0.25, 0.5, 1.0):
     m = int(frac * M)
-    profile = spectral.to_grid(y[m], G)[:: (G - 1) // 8]  # 8 interior samples
+    profile = basis @ y[m]
     vals = " ".join(f"{v:+.3f}" for v in profile)
     print(f"t={frac * model.T:4.2f}  u: {vals}")
 

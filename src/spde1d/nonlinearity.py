@@ -55,6 +55,11 @@ def allen_cahn() -> CubicCoefficients:
     return CubicCoefficients(0.0, 1.0, 0.0, -1.0)
 
 
+def _odd_part_on_grid(u: np.ndarray, a1: float, a3: float) -> np.ndarray:
+    """a1 u + a3 u^3 in multiply form; a libm power is far slower than a product."""
+    return u * (a1 + a3 * (u * u))
+
+
 def evaluate_on_grid(values: np.ndarray, a: CubicCoefficients) -> np.ndarray:
     a0, a1, a2, a3 = a.as_tuple()
     return a0 + values * (a1 + values * (a2 + values * a3))
@@ -123,7 +128,8 @@ def project_F(coeffs: np.ndarray, a: CubicCoefficients, grid: int | None = None)
     a : CubicCoefficients
     grid : int, optional
         Transform grid for the odd part; must satisfy grid-1 >= 3N+1
-        (alias-free analysis of the cubic), defaults to 4N+1.
+        (alias-free analysis of the cubic), defaults to
+        spectral.default_grid(N).
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     n = coeffs.shape[-1]
@@ -137,7 +143,7 @@ def project_F(coeffs: np.ndarray, a: CubicCoefficients, grid: int | None = None)
     out = np.zeros_like(coeffs)
     if a1 != 0.0 or a3 != 0.0:
         u = spectral.to_grid(coeffs, grid)
-        out += spectral.from_grid(a1 * u + a3 * u**3, n)
+        out += spectral.from_grid(_odd_part_on_grid(u, a1, a3), n)
     if a2 != 0.0:
         g = cos_to_sine_matrix(n, 2 * n + 1)
         flat = coeffs.reshape(-1, n)
@@ -185,7 +191,7 @@ def _f_difference_h_norm_sq(
     a0, a1, a2, a3 = a.as_tuple()
     uv = spectral.to_grid(v, grid)
     uw = spectral.to_grid(w, grid)
-    odd = (a1 * uv + a3 * uv**3) - (a1 * uw + a3 * uw**3)
+    odd = _odd_part_on_grid(uv, a1, a3) - _odd_part_on_grid(uw, a1, a3)
     s = spectral.from_grid(odd, 3 * n)             # normalized sine coeffs, exact
     total = float(np.dot(s, s))
     if a2 != 0.0:

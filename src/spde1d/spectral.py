@@ -82,8 +82,10 @@ def apply_phi1(coeffs: np.ndarray, h: float, nu: float) -> np.ndarray:
 
 
 def default_grid(n_modes: int) -> int:
-    """Smallest convenient dealiased grid: G = 4N + 1, so G-1 = 4N >= 3N+1."""
-    return 4 * n_modes + 1
+    """Smallest alias-free grid with a fast transform: the least G with
+    G-1 >= 3N+1 whose DST-I, an FFT of length 2G, has no prime factor
+    above 5 (G = 5, 27, 50, 100, 200, 400 for N = 1, 8, 16, 32, 64, 128)."""
+    return scipy.fft.next_fast_len(3 * n_modes + 2, real=True)
 
 
 def grid_nodes(grid: int) -> np.ndarray:

@@ -24,7 +24,7 @@ CONVERGE_SHA256 = {
 }
 ZERO_DRIFT = {"a": [0.0, 0.0, 0.0, 0.0], "initial": "zero"}
 
-SIMULATE_SHA256 = "a52033c9917ca4e7dad63eb27404493e6ee5dfdf16da2621635d847093f9c451"
+SIMULATE_SHA256 = "b9c18d99cb7b9b2d8a343d5c224295cb0bb6179797bafe0bdd04dd5a68411b07"
 
 # M and N reach past the series cutoff x = mu*h = 0.5 on both sides, and
 # repeat no entry; "all" takes the trigamma-tail path

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spde1d import nonlinearity as nl
 from spde1d import spectral
@@ -61,6 +62,29 @@ def test_project_matches_brute_force_oracle(n):
         want = project_cubic_oracle(coeffs, c)
         scale = np.max(np.abs(want)) + 1.0
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * scale)
+
+
+def _signed(lo, hi):
+    # zero, or a magnitude in [lo, hi]: keeps products clear of underflow
+    return st.one_of(st.just(0.0), st.floats(lo, hi), st.floats(-hi, -lo))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_signed(1e-6, 2.0), min_size=1, max_size=10),
+       st.tuples(_signed(1e-3, 3.0), _signed(1e-3, 3.0), _signed(1e-3, 3.0),
+                 st.floats(-3.0, -1e-3)))
+def test_project_on_default_grid_matches_oracle_and_4n_grid(c, coeffs):
+    c = np.array(c)
+    a = nl.CubicCoefficients(*coeffs)
+    got = nl.project_F(c, a)
+    want = project_cubic_oracle(coeffs, c)
+    scale = np.max(np.abs(want)) + 1.0
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * scale)
+    # relative to the a priori size of F: |v| <= sqrt(2) sum |c_k| on (0,1)
+    s = SQRT2 * np.sum(np.abs(c))
+    size = sum(abs(ai) * s**i for i, ai in enumerate(coeffs))
+    wide = nl.project_F(c, a, grid=4 * c.size + 1)
+    assert np.max(np.abs(got - wide)) <= 1e-13 * size
 
 
 def test_project_alias_guard():

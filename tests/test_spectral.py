@@ -141,9 +141,22 @@ def test_lq_and_sup_norms_of_first_mode():
     assert spectral.sup_norm_on_grid(vals) == pytest.approx(math.sqrt(2), rel=1e-4)
 
 
+def _is_5_smooth(g):
+    for p in (2, 3, 5):
+        while g % p == 0:
+            g //= p
+    return g == 1
+
+
 def test_default_grid_rule():
-    assert spectral.default_grid(16) == 65
-    assert spectral.default_grid(1) == 5
+    # least G with G-1 >= 3N+1 (alias-free cubic) and 5-smooth G (DST-I is an
+    # FFT of length 2G)
+    for n in range(1, 1025):
+        G = spectral.default_grid(n)
+        assert G - 1 >= 3 * n + 1 and _is_5_smooth(G), n
+        assert not any(_is_5_smooth(g) for g in range(3 * n + 2, G)), n
+    assert [spectral.default_grid(n) for n in (1, 8, 16, 32, 64, 128)] == \
+        [5, 27, 50, 100, 200, 400]
 
 
 def test_transform_batched_rows_match_single():
