@@ -23,6 +23,12 @@ from scipy.special import polygamma
 
 ALL_MODES = "all"
 
+# Most modes one exact evaluation may hold in a vector.  Every grid the
+# tests and benchmarks use stays under 5000; far above that, tiny nu or huge
+# N would otherwise ask for gigabytes (the series branch of the temporal
+# terms holds a (modes, 43) table).
+MAX_MODES = 100_000
+
 # x = mu*h below this uses the Taylor branch of the per-mode integral J;
 # branches agree to ~1e-15 at the crossover
 _J_SERIES_CUTOFF = 0.5
@@ -55,6 +61,13 @@ def _mode_count(N) -> int | None:
     if N == ALL_MODES or N is None or N == math.inf:
         return None
     return _positive_int(N, "N must be a positive integer or 'all'")
+
+
+def _check_modes(count: float, what: str) -> None:
+    """Refuse, before allocating, a mode vector longer than MAX_MODES."""
+    if not count <= MAX_MODES:  # inf and nan too
+        raise ValueError(f"{what} needs {count:.6g} modes, more than the limit "
+                         f"of {MAX_MODES}")
 
 
 def _fsum(values) -> float:
@@ -139,7 +152,9 @@ def temporal_error_exact(M: int, N, T: float, nu: float) -> float:
     n = _mode_count(N)
     h = T / M
     if n is None:
-        cutoff = max(8, math.ceil(math.sqrt(45.0 / (nu * math.pi**2 * h))))
+        k_max = math.sqrt(45.0 / (nu * math.pi**2 * h))
+        _check_modes(k_max, f"the temporal error at M={M}, N='all'")
+        cutoff = max(8, math.ceil(k_max))
         ks = np.arange(1, cutoff + 1, dtype=np.float64)
         mu = nu * math.pi**2 * ks * ks
         tail = float(polygamma(1, cutoff + 1)) / (2 * nu * math.pi**2)
@@ -154,6 +169,7 @@ def _temporal_errors(M: int, counts, T: float, nu: float) -> list[float]:
     are elementwise and fsum of a prefix is correctly rounded, so each value
     is bit for bit the one a vector of exactly n terms gives.
     """
+    _check_modes(max(counts), f"the temporal error at N={max(counts)}")
     ks = np.arange(1, max(counts) + 1, dtype=np.float64)
     mu = nu * math.pi**2 * ks * ks
     terms = _temporal_mode_terms(mu, M, T).tolist()
@@ -176,8 +192,11 @@ def spatial_error_exact(N: int, T: float, nu: float,
     if N < 0 or int(N) != N:
         raise ValueError(f"N must be a nonnegative integer, got {N}")
     N = int(N)
-    cutoff = max(N + 64, math.ceil(math.sqrt(22.5 / (nu * math.pi**2 * T))))
+    k_min = math.sqrt(22.5 / (nu * math.pi**2 * T))
+    _check_modes(k_min - N, f"the spatial error at N={N}")
+    cutoff = max(N + 64, math.ceil(k_min))
     while True:
+        _check_modes(cutoff - N, f"the spatial error at N={N}")
         ks = np.arange(N + 1, cutoff + 1, dtype=np.float64)
         mu = nu * math.pi**2 * ks * ks
         explicit = _fsum(-np.expm1(-2 * mu * T) / (2 * mu))

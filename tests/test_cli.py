@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spde1d import cli, nonlinearity
@@ -93,6 +94,31 @@ def test_bad_heat_errors_values_exit_2(tmp_path, capsys, payload):
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and err.count("\n") == 1
+    assert not list(tmp_path.glob("spde1d_*"))
+
+
+@pytest.mark.parametrize("payload", [
+    {"model": {"nu": 1e-12}, "study": {"m_grid": [4096], "n_grid": ["all"]}},
+    {"study": {"m_grid": [4], "n_grid": [1e9]}},
+    {"model": {"nu": 1e-12}, "study": {"m_grid": [4], "n_grid": [8]}},
+    {"model": {"nu": 1e-320}, "study": {"m_grid": [4], "n_grid": ["all"]}},
+], ids=["tiny_nu_all_modes", "huge_N", "tiny_nu_spatial_series", "subnormal_nu"])
+def test_heat_errors_mode_cap_exits_2_before_allocating(tmp_path, capsys, monkeypatch,
+                                                        payload):
+    arange = np.arange
+
+    def small_arange(*args, **kwargs):
+        # every mode vector is an arange; fail the test instead of allocating
+        length = args[1] - args[0] if len(args) > 1 else args[0]
+        assert length <= 10**6, f"asked for {length:.3g} modes"
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", small_arange)
+    cfg = write_cfg(tmp_path, payload)
+    rc = cli.main(["heat-errors", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "modes, more than the limit" in err and err.count("\n") == 1
     assert not list(tmp_path.glob("spde1d_*"))
 
 
