@@ -281,10 +281,10 @@ def _activation(a) -> float:
     return a["suppressed"] / a["steps"]
 
 
-def _estimate(a, paths: int) -> tuple[float, float, float]:
+def _estimate(a) -> tuple[float, float, float]:
     """Strong error at the grid time of largest mean squared error."""
-    m_star = int(np.argmax(a["sum"] / paths))
-    est, se = mean_stderr(a["sum"][m_star], a["m2"][m_star], paths, root=True)
+    m_star = int(np.argmax(a["sum"] / a["paths"]))
+    est, se = mean_stderr(a["sum"][m_star], a["m2"][m_star], a["paths"], root=True)
     return est, se, _activation(a)
 
 
@@ -298,7 +298,7 @@ def strong_error_mc(cfg: StudyConfig, M: int, N: int, threads: int | None = None
     target = ("single", M, N)
     if enforce_ratios:
         _check_reference_ratios(cfg, [target])
-    return _estimate(_accumulate(cfg, [target], True, threads)[target], cfg.paths)
+    return _estimate(_accumulate(cfg, [target], True, threads)[target])
 
 
 def run_convergence_study(cfg: StudyConfig, threads: int | None = None):
@@ -340,7 +340,7 @@ def run_convergence_study(cfg: StudyConfig, threads: int | None = None):
     targets = temporal_targets + spatial_targets
     _check_reference_ratios(cfg, targets)
     acc = _accumulate(cfg, targets, True, threads)
-    rows = [ErrorTableRow(kind, M, N, *_estimate(acc[(kind, M, N)], cfg.paths),
+    rows = [ErrorTableRow(kind, M, N, *_estimate(acc[(kind, M, N)]),
                           cfg.paths, cfg.seed) for kind, M, N in targets]
     fits = {}
     for axis, resolution_of in (("temporal", lambda r: r.M), ("spatial", lambda r: r.N)):
@@ -382,7 +382,7 @@ def moment_audit(cfg: StudyConfig, threads: int | None = None):
     rows = []
     for M, N in cells:
         a = acc[(M, N)]
-        rows.append(MomentRow(M, N, *mean_stderr(a["sum"], a["m2"], cfg.paths),
+        rows.append(MomentRow(M, N, *mean_stderr(a["sum"], a["m2"], a["paths"]),
                               _activation(a)))
     median = float(np.median([r.estimate for r in rows]))
     flagged = any(

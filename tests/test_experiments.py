@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spde1d import experiments as ex
-from spde1d import heat_errors, noise, nonlinearity, scheme
+from spde1d import heat_errors, noise, nonlinearity, scheme, spectral
 
 
 def ou_model(n_xi=1):
@@ -250,7 +250,7 @@ def test_moment_stderr_survives_a_large_mean():
     cfg = ex.StudyConfig(model=model, m_grid=(4,), n_grid=(2,), m_ref=4, n_ref=2,
                          paths=70, seed=11)
     (row,), _ = ex.moment_audit(cfg)
-    mu = scheme.spectral.eigenvalues(2, 1.0)
+    mu = spectral.eigenvalues(2, 1.0)
     w = mu ** (2 * cfg.gamma)
     mean = np.exp(-mu) * xi
     var = noise.ou_variance_discrete(4, 2, 1.0, 1.0)
