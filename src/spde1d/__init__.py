@@ -4,7 +4,7 @@ reaction-diffusion equations on (0,1) with Dirichlet boundaries.
 Layout:
   spectral      sine eigenbasis, semigroup/phi1 factors, H_r norms, DST grids
   nonlinearity  cubic drift, dealiased spectral projection, inequality audits
-  noise         counter-based white-noise tape and the discretized OU process
+  noise         counter-based white-noise tape, OU moments, Monte Carlo estimator
   heat_errors   exact linear strong errors with sharp lower/upper bounds
   scheme        the truncated exponential Euler scheme itself
   experiments   coupled Monte Carlo convergence studies and moment audits
@@ -19,12 +19,11 @@ from .heat_errors import (
     spatial_error_exact,
     temporal_error_exact,
 )
-from .noise import NoiseTape, generate_tape
+from .noise import NoiseTape
 from .nonlinearity import CubicCoefficients, allen_cahn, project_F
 from .scheme import (
     DiscretizationParams,
     ModelParams,
-    SchemeState,
     simulate_trajectory,
     truncation_indicator,
 )
@@ -36,14 +35,12 @@ __all__ = [
     "DiscretizationParams",
     "ModelParams",
     "NoiseTape",
-    "SchemeState",
     "StudyConfig",
     "allen_cahn",
     "cli",
     "experiments",
     "fit_rate",
     "full_error_exact",
-    "generate_tape",
     "heat_errors",
     "noise",
     "nonlinearity",

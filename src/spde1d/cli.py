@@ -98,6 +98,17 @@ def _pick(flag, env, file_value, default):
     return default
 
 
+def _int(value, key: str, least: int = 1) -> int:
+    return heat_errors._int_at_least(value, f"{key} must be an integer >= {least}", least)
+
+
+def _grid(study: dict, key: str, default=DEFAULT_HEAT_GRID) -> list:
+    grid = study.get(key, list(default))
+    if not (isinstance(grid, list) and grid):
+        raise ConfigError(f"study.{key} must be a non-empty list, got {grid!r}")
+    return grid
+
+
 def _build_model(cfg: dict, n_xi: int) -> scheme.ModelParams:
     section = cfg.get("model", {})
     coeffs = section.get("a", [0.0, 1.0, 0.0, -1.0])
@@ -121,26 +132,26 @@ def _build_model(cfg: dict, n_xi: int) -> scheme.ModelParams:
 def _build_study(cfg: dict, args) -> experiments.StudyConfig:
     study = cfg.get("study", {})
     disc = cfg.get("discretization", {})
-    n_master = int(study.get("N_master", 0)) or int(study.get("N_ref", 128))
-    model = _build_model(cfg, n_xi=max(n_master, 512))
-    seed = _pick(args.seed, _env_int("SPDE_SEED"), study.get("seed"), 0)
-    paths = _pick(args.paths, None, study.get("paths"), 200)
-    threads = _pick(args.threads, None, study.get("threads"), 1)
+    n_ref = _int(study.get("N_ref", 128), "N_ref")
+    n_master = _int(study.get("N_master", 0), "N_master", 0)
+    exact = study.get("exact", False)
+    if not isinstance(exact, bool):
+        raise ConfigError(f"study.exact must be true or false, got {exact!r}")
     return experiments.StudyConfig(
-        model=model,
-        m_grid=tuple(study.get("m_grid", (16, 32, 64, 128))),
-        n_grid=tuple(study.get("n_grid", (8, 16, 32, 64))),
-        m_ref=int(study.get("M_ref", 2048)),
-        n_ref=int(study.get("N_ref", 128)),
-        paths=int(paths),
-        seed=int(seed),
+        model=_build_model(cfg, n_xi=max(n_master or n_ref, 512)),
+        m_grid=[_int(m, "m_grid entries") for m in _grid(study, "m_grid", (16, 32, 64, 128))],
+        n_grid=[_int(n, "n_grid entries") for n in _grid(study, "n_grid", (8, 16, 32, 64))],
+        m_ref=_int(study.get("M_ref", 2048), "M_ref"),
+        n_ref=n_ref,
+        paths=_int(_pick(args.paths, None, study.get("paths"), 200), "paths"),
+        seed=_int(_pick(args.seed, _env_int("SPDE_SEED"), study.get("seed"), 0), "seed", 0),
         gamma=float(disc.get("gamma", scheme.DEFAULT_GAMMA)),
         chi=float(disc.get("chi", scheme.DEFAULT_CHI)),
-        m_master=int(study.get("M_master", 0)),
-        n_master=int(study.get("N_master", 0)),
-        exact=bool(study.get("exact", False)),
-        threads=int(threads),
-        moment_p=int(study.get("moment_p", 2)),
+        m_master=_int(study.get("M_master", 0), "M_master", 0),
+        n_master=n_master,
+        exact=exact,
+        threads=_int(_pick(args.threads, None, study.get("threads"), 1), "threads"),
+        moment_p=_int(study.get("moment_p", 2), "moment_p"),
     )
 
 
@@ -158,13 +169,6 @@ def _prefix(cfg: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-def _grid(study: dict, key: str) -> list:
-    grid = study.get(key, list(DEFAULT_HEAT_GRID))
-    if not (isinstance(grid, list) and grid):
-        raise ConfigError(f"study.{key} must be a non-empty list, got {grid!r}")
-    return grid
-
 
 def cmd_heat_errors(cfg: dict, args) -> int:
     study = cfg.get("study", {})
@@ -191,23 +195,23 @@ def cmd_heat_errors(cfg: dict, args) -> int:
 def cmd_simulate(cfg: dict, args) -> int:
     disc_section = cfg.get("discretization", {})
     study = cfg.get("study", {})
-    M = int(disc_section.get("M", 64))
-    N = int(disc_section.get("N", 64))
+    M = _int(disc_section.get("M", 64), "M")
+    N = _int(disc_section.get("N", 64), "N")
     d = scheme.DiscretizationParams(
         M=M, N=N,
         gamma=float(disc_section.get("gamma", scheme.DEFAULT_GAMMA)),
         chi=float(disc_section.get("chi", scheme.DEFAULT_CHI)),
     )
     model = _build_model(cfg, n_xi=max(N, 512))
-    seed = int(_pick(args.seed, _env_int("SPDE_SEED"), study.get("seed"), 0))
-    m_master = int(study.get("M_master", 0)) or M
-    n_master = int(study.get("N_master", 0)) or N
+    seed = _int(_pick(args.seed, _env_int("SPDE_SEED"), study.get("seed"), 0), "seed", 0)
+    m_master = _int(study.get("M_master", 0), "M_master", 0) or M
+    n_master = _int(study.get("N_master", 0), "N_master", 0) or N
     tape = NoiseTape(seed=seed, M_master=m_master, N_master=n_master,
-                     T=model.T, path=int(study.get("path", 0)))
-    states = scheme.simulate_trajectory(model, d, tape)
+                     T=model.T, path=_int(study.get("path", 0), "path", 0))
+    Y, O = scheme.simulate_trajectory(model, d, tape)
     out = _out_dir(cfg, args) / f"{_prefix(cfg)}_trajectory.csv"
-    experiments.write_text_atomic(out, scheme.trajectory_csv(model, d, states))
-    print(f"wrote {out} ({len(states)} grid times x {N} modes)")
+    experiments.write_text_atomic(out, scheme.trajectory_csv(model, d, Y, O))
+    print(f"wrote {out} ({len(Y)} grid times x {N} modes)")
     return EXIT_OK
 
 
@@ -227,8 +231,8 @@ def cmd_converge(cfg: dict, args) -> int:
 
 def cmd_check(cfg: dict, args) -> int:
     study = cfg.get("study", {})
-    trials = int(study.get("audit_trials", 300))
-    seed = int(_pick(args.seed, _env_int("SPDE_SEED"), study.get("seed"), 0))
+    trials = _int(study.get("audit_trials", 300), "audit_trials")
+    seed = _int(_pick(args.seed, _env_int("SPDE_SEED"), study.get("seed"), 0), "seed", 0)
 
     results = []
     for name in ("monotonicity", "lipschitz", "coercivity"):

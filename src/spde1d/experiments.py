@@ -22,7 +22,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -248,10 +248,10 @@ def _require_finite(finite_per_path, what: str, first_path: int) -> None:
         raise ValueError(f"non-finite {what} on path {path}")
 
 
-def _accumulate(cfg: StudyConfig, targets, coupled: bool, threads: int | None):
-    """Run every path batch and merge the batch moments in batch order, so
-    the totals do not depend on the number of worker processes."""
-    threads = cfg.threads if threads is None else threads
+def _accumulate(cfg: StudyConfig, targets, coupled: bool):
+    """Run every path batch, on up to cfg.threads worker processes, and merge
+    the batch moments in batch order, so the totals do not depend on the
+    number of workers."""
     targets = list(dict.fromkeys(targets))  # a repeated target is sampled once
     # every block must hold whole steps of each target, and a coupled
     # target's grid times must be reference grid times
@@ -262,10 +262,10 @@ def _accumulate(cfg: StudyConfig, targets, coupled: bool, threads: int | None):
                              f"and N in [1, {n_max}]")
     jobs = [(cfg, targets, coupled, s, min(s + BATCH_PATHS, cfg.paths))
             for s in range(0, cfg.paths, BATCH_PATHS)]
-    if threads <= 1 or len(jobs) == 1:
+    if cfg.threads <= 1 or len(jobs) == 1:
         parts = [_path_batch(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
             parts = list(pool.map(_path_batch, jobs))  # map preserves job order
     total = parts[0]
     for part in parts[1:]:
@@ -288,7 +288,7 @@ def _estimate(a) -> tuple[float, float, float]:
     return est, se, _activation(a)
 
 
-def strong_error_mc(cfg: StudyConfig, M: int, N: int, threads: int | None = None,
+def strong_error_mc(cfg: StudyConfig, M: int, N: int,
                     enforce_ratios: bool = True) -> tuple[float, float, float]:
     """(estimate, stderr, activation_fraction) for one target resolution.
 
@@ -298,10 +298,10 @@ def strong_error_mc(cfg: StudyConfig, M: int, N: int, threads: int | None = None
     target = ("single", M, N)
     if enforce_ratios:
         _check_reference_ratios(cfg, [target])
-    return _estimate(_accumulate(cfg, [target], True, threads)[target])
+    return _estimate(_accumulate(cfg, [target], True)[target])
 
 
-def run_convergence_study(cfg: StudyConfig, threads: int | None = None):
+def run_convergence_study(cfg: StudyConfig):
     """Full study: ErrorTable rows plus temporal and spatial rate fits.
 
     The temporal axis varies M at the largest available mode count (the
@@ -339,7 +339,7 @@ def run_convergence_study(cfg: StudyConfig, threads: int | None = None):
 
     targets = temporal_targets + spatial_targets
     _check_reference_ratios(cfg, targets)
-    acc = _accumulate(cfg, targets, True, threads)
+    acc = _accumulate(cfg, targets, True)
     rows = [ErrorTableRow(kind, M, N, *_estimate(acc[(kind, M, N)]),
                           cfg.paths, cfg.seed) for kind, M, N in targets]
     fits = {}
@@ -370,7 +370,7 @@ class MomentRow:
     activation_fraction: float
 
 
-def moment_audit(cfg: StudyConfig, threads: int | None = None):
+def moment_audit(cfg: StudyConfig):
     """Empirical E||Y_T||_{H_gamma}^p over the m_grid x n_grid product.
 
     Returns (rows, flagged): flagged is True when some estimate exceeds
@@ -378,7 +378,7 @@ def moment_audit(cfg: StudyConfig, threads: int | None = None):
     a scale-free proxy for 'the moments do not blow up with resolution'.
     """
     cells = [(M, N) for M in cfg.m_grid for N in cfg.n_grid]
-    acc = _accumulate(cfg, cells, False, threads)
+    acc = _accumulate(cfg, cells, False)
     rows = []
     for M, N in cells:
         a = acc[(M, N)]
@@ -392,11 +392,7 @@ def moment_audit(cfg: StudyConfig, threads: int | None = None):
     return rows, flagged
 
 
-def activation_fractions(cfg: StudyConfig, cells, threads: int | None = None):
+def activation_fractions(cfg: StudyConfig, cells):
     """Drift-suppression fraction per (M, N) cell, [(M, N, fraction), ...]."""
-    acc = _accumulate(cfg, list(cells), False, threads)
+    acc = _accumulate(cfg, list(cells), False)
     return [(M, N, _activation(acc[(M, N)])) for M, N in cells]
-
-
-def with_threads(cfg: StudyConfig, threads: int) -> StudyConfig:
-    return replace(cfg, threads=threads)

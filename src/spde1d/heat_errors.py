@@ -46,12 +46,13 @@ def _validate_positive(**kwargs) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _positive_int(value, requirement: str) -> int:
+def _int_at_least(value, requirement: str, least: int = 1) -> int:
+    """value as an int, if it is a number (not a bool) with an integral value >= least."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
-        n = 0
-    if n != value or n < 1:
+        n = least - 1
+    if n != value or n < least or isinstance(value, bool):
         raise ValueError(f"{requirement}, got {value!r}")
     return n
 
@@ -60,7 +61,7 @@ def _mode_count(N) -> int | None:
     """None means every mode ("all")."""
     if N == ALL_MODES or N is None or N == math.inf:
         return None
-    return _positive_int(N, "N must be a positive integer or 'all'")
+    return _int_at_least(N, "N must be a positive integer or 'all'")
 
 
 def _check_modes(count: float, what: str) -> None:
@@ -449,9 +450,9 @@ def error_reports(m_grid, n_grid, T: float, nu: float) -> list[ErrorBoundsReport
     other N that is not a positive integer.
     """
     _validate_positive(T=T, nu=nu)
-    ms = [_positive_int(M, "M must be a positive integer") for M in m_grid]
+    ms = [_int_at_least(M, "M must be a positive integer") for M in m_grid]
     ns = [None if N == ALL_MODES
-          else _positive_int(N, "N must be a positive integer or 'all'") for N in n_grid]
+          else _int_at_least(N, "N must be a positive integer or 'all'") for N in n_grid]
     counts = sorted({n for n in ns if n is not None})
 
     temporal = {}
@@ -483,12 +484,3 @@ def error_reports(m_grid, n_grid, T: float, nu: float) -> list[ErrorBoundsReport
                                                  lower=lower, upper=upper))
     return reports
 
-
-def error_report(kind: str, M, N, T: float, nu: float) -> ErrorBoundsReport:
-    """Exact value plus its bracketing bounds for one grid cell."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown report kind {kind!r}; expected one of {KINDS}")
-    reports = [r for r in error_reports([M], [N], T, nu) if r.kind == kind]
-    if not reports:
-        raise ValueError(f"a {kind} report needs an integer N, got {N!r}")
-    return reports[0]

@@ -1,4 +1,4 @@
-"""Space-time white noise tape and the discretized Ornstein-Uhlenbeck process.
+"""Space-time white noise tape, closed-form OU moments and the Monte Carlo estimator.
 
 The tape hands out the Brownian coefficient increments Delta W[j][k] of the
 first N_master sine modes on a master grid of M_master steps.  Generation is
@@ -7,7 +7,8 @@ position and normals come from the inverse CDF of 53-bit uniforms, so any
 element can be regenerated independently, bit-identically, in any order and
 under any parallel schedule.  Coarser resolutions are produced by summing
 master increments in fixed groups, which is what couples refinements in the
-convergence studies.
+convergence studies.  The discretized OU process itself is stepped by
+scheme.run_scheme; this module holds its closed-form variance.
 """
 
 from __future__ import annotations
@@ -139,36 +140,16 @@ def coarsen_increments(master: np.ndarray, n_steps: int) -> np.ndarray:
     return master.reshape(*lead, n_steps, group, n_modes).sum(axis=-2)
 
 
-def generate_tape(seed: int, M_master: int = 4096, N_master: int = 512,
-                  T: float = 1.0, path: int = 0) -> NoiseTape:
-    return NoiseTape(seed=seed, M_master=M_master, N_master=N_master, T=T, path=path)
-
-
 # ---------------------------------------------------------------------------
-# discretized OU process O^{M,N}
-
-def ou_step(coeffs: np.ndarray, dw: np.ndarray, decay: np.ndarray) -> np.ndarray:
-    """One step O -> e^{hA}(O + Delta W); exact in distribution at grid times."""
-    return decay * (coeffs + dw)
-
-
-def simulate_ou(tape: NoiseTape, n_steps: int, n_modes: int, nu: float,
-                xi: np.ndarray | None = None) -> np.ndarray:
-    """Grid-time OU trajectory, shape (n_steps+1, n_modes), O_0 = P_N xi."""
-    h = tape.T / n_steps
-    decay = spectral.semigroup_factors(n_modes, nu, h)
-    dw = tape.increments(n_steps, n_modes)
-    out = np.empty((n_steps + 1, n_modes))
-    out[0] = 0.0 if xi is None else np.asarray(xi, dtype=np.float64)[:n_modes]
-    for m in range(n_steps):
-        out[m + 1] = ou_step(out[m], dw[m], decay)
-    return out
-
+# moments of the discretized OU process O^{M,N}
 
 def ou_variance_discrete(n_steps: int, n_modes: int, T: float, nu: float) -> np.ndarray:
     """Per-mode Var(O_T) for the zero-initial discretized OU after n_steps steps.
 
-    Closed form of sum_{j=1..M} h e^{-2 mu j h}.
+    Closed form of sum_{j=1..M} h e^{-2 mu j h}.  The step O -> e^{hA}(O +
+    Delta W) is the exponential Euler OU, not exact in law: this is the
+    continuum (1 - e^{-2 mu T})/(2 mu) times 2 mu h/(e^{2 mu h} - 1) < 1,
+    so a mode with mu h >> 1 keeps almost none of its variance.
     """
     h = T / n_steps
     mu = spectral.eigenvalues(n_modes, nu)

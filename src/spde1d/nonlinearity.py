@@ -44,11 +44,6 @@ class CubicCoefficients:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (float(self.a0), float(self.a1), float(self.a2), float(self.a3))
 
-    @property
-    def is_odd(self) -> bool:
-        """True when F maps sine polynomials to sine polynomials (a0 = a2 = 0)."""
-        return self.a0 == 0.0 and self.a2 == 0.0
-
 
 def allen_cahn() -> CubicCoefficients:
     """F(v) = v - v^3."""
@@ -58,11 +53,6 @@ def allen_cahn() -> CubicCoefficients:
 def _odd_part_on_grid(u: np.ndarray, a1: float, a3: float) -> np.ndarray:
     """a1 u + a3 u^3 in multiply form; a libm power is far slower than a product."""
     return u * (a1 + a3 * (u * u))
-
-
-def evaluate_on_grid(values: np.ndarray, a: CubicCoefficients) -> np.ndarray:
-    a0, a1, a2, a3 = a.as_tuple()
-    return a0 + values * (a1 + values * (a2 + values * a3))
 
 
 # ---------------------------------------------------------------------------

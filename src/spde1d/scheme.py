@@ -16,7 +16,7 @@ deterministic function of (model, discretization, tape).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,18 +90,6 @@ class DiscretizationParams:
         return (self.M / T) ** self.chi
 
 
-@dataclass(frozen=True)
-class SchemeState:
-    m: int
-    Y: np.ndarray
-    O: np.ndarray
-
-    def __post_init__(self):
-        if self.Y.shape != self.O.shape or self.Y.ndim != 1:
-            raise ValueError(
-                f"Y and O must be vectors of equal length, got {self.Y.shape} vs {self.O.shape}")
-
-
 def initial_coefficients(preset: str, n_modes: int) -> np.ndarray:
     """Named initial conditions as sine coefficient vectors of length n_modes.
 
@@ -146,21 +134,6 @@ def _keeps_drift(w: np.ndarray, Y: np.ndarray, O: np.ndarray, thr: float):
             + np.sqrt((w * (O * O)).sum(axis=-1))) <= thr
 
 
-def euler_step(state: SchemeState, O_next: np.ndarray, h: float,
-               model: ModelParams, d: DiscretizationParams) -> SchemeState:
-    """Single exponential Euler update; O_next must come from the same tape."""
-    if O_next.shape != state.Y.shape:
-        raise ValueError(
-            f"O_next has {O_next.shape[0]} modes, state has {state.Y.shape[0]}")
-    n = state.Y.shape[0]
-    decay = spectral.semigroup_factors(n, model.nu, h)
-    y_next = decay * state.Y + O_next - decay * state.O
-    if truncation_indicator(state.Y, state.O, d, model.T, model.nu):
-        phi = spectral.phi1_factors(n, model.nu, h)
-        y_next = y_next + phi * project_F(state.Y, model.a)
-    return SchemeState(m=state.m + 1, Y=y_next, O=np.asarray(O_next, dtype=np.float64))
-
-
 def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
                start: tuple[np.ndarray, np.ndarray] | None = None):
     """Trajectory kernel on raw increment arrays; the hot loop of every driver.
@@ -173,6 +146,11 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     (k+1, N) or (P, k+1, N), and per path the count of steps whose indicator
     was false (an int for 2-D dw).  Each path's numbers are the same bits
     whatever P is.
+
+    O steps as O_{m+1} = e^{hA}(O_m + Delta W_m), the exponential Euler OU.
+    It is not exact in law: per mode its variance at T is the continuum
+    (1 - e^{-2 mu T})/(2 mu) times 2 mu h/(e^{2 mu h} - 1), far below it
+    when mu h >> 1 (see noise.ou_variance_discrete).
     """
     dw = np.asarray(dw, dtype=np.float64)
     batched = dw.ndim == 3
@@ -218,55 +196,32 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
 
 
 def simulate_trajectory(model: ModelParams, d: DiscretizationParams,
-                        tape: NoiseTape) -> list[SchemeState]:
-    """States at grid times 0, h, ..., T; Y_0 = O_0 = P_N xi."""
+                        tape: NoiseTape) -> tuple[np.ndarray, np.ndarray]:
+    """(Y rows, O rows) at grid times 0, h, ..., T, each (M+1, N); Y_0 = O_0 = P_N xi."""
     if tape.M_master % d.M != 0:
         raise ValueError(f"tape steps {tape.M_master} not divisible by M={d.M}")
     if tape.N_master < d.N:
         raise ValueError(f"tape holds {tape.N_master} modes, need {d.N}")
     if tape.T != model.T:
         raise ValueError(f"tape horizon {tape.T} differs from model horizon {model.T}")
-    dw = tape.increments(d.M, d.N)
-    y_path, o_path, _ = run_scheme(model, d, dw)
-    return [SchemeState(m=m, Y=y_path[m], O=o_path[m]) for m in range(d.M + 1)]
-
-
-def reference_solution(model: ModelParams, tape: NoiseTape, M_ref: int, N_ref: int,
-                       gamma: float = DEFAULT_GAMMA, chi: float = DEFAULT_CHI,
-                       max_target_M: int | None = None,
-                       max_target_N: int | None = None) -> list[SchemeState]:
-    """Fine-resolution stand-in for the exact solution, on the shared tape.
-
-    Coarser targets are compared against it at their grid times.  Targets
-    must keep a ratio of at least 8 in time and 2 in space, except when they
-    sit exactly at the reference resolution (self-comparison along one axis).
-    """
-    for name, ref, target, ratio in (("M", M_ref, max_target_M, 8),
-                                     ("N", N_ref, max_target_N, 2)):
-        if target is not None and target != ref and ref < ratio * target:
-            raise ValueError(
-                f"reference {name}={ref} must be >= {ratio}x the largest target {target}")
-    d = DiscretizationParams(M=M_ref, N=N_ref, gamma=gamma, chi=chi)
-    return simulate_trajectory(model, d, tape)
+    y_path, o_path, _ = run_scheme(model, d, tape.increments(d.M, d.N))
+    return y_path, o_path
 
 
 TRAJECTORY_HEADER = "t,mode_index,Y_coeff,O_coeff,indicator"
 
 
 def trajectory_csv(model: ModelParams, d: DiscretizationParams,
-                   states: list[SchemeState]) -> str:
-    """CSV dump, one row per (grid time, mode); indicator re-evaluated at each
-    time so the column can be cross-checked from the dumped coefficients."""
+                   Y: np.ndarray, O: np.ndarray) -> str:
+    """CSV dump of the (M+1, N) rows, one line per (grid time, mode); the
+    indicator is re-evaluated at each time so the column can be cross-checked
+    from the dumped coefficients."""
     h = model.T / d.M
-    weights = _gamma_weights(d.N, model.nu, d.gamma)
-    thr = d.threshold(model.T)
+    on = _keeps_drift(_gamma_weights(d.N, model.nu, d.gamma), Y, O, d.threshold(model.T))
     lines = [TRAJECTORY_HEADER]
-    for state in states:
-        ind = int(_keeps_drift(weights, state.Y, state.O, thr))
-        t = state.m * h
+    for m, (y, o, ind) in enumerate(zip(Y, O, on.tolist())):
         for k in range(d.N):
-            lines.append("%.17g,%d,%.17g,%.17g,%d"
-                         % (t, k + 1, state.Y[k], state.O[k], ind))
+            lines.append("%.17g,%d,%.17g,%.17g,%d" % (m * h, k + 1, y[k], o[k], ind))
     return "\n".join(lines) + "\n"
 
 

@@ -52,11 +52,6 @@ def semigroup_factors(n_modes: int, nu: float, t: float) -> np.ndarray:
     return np.exp(-eigenvalues(n_modes, nu) * t)
 
 
-def apply_semigroup(coeffs: np.ndarray, t: float, nu: float) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    return coeffs * semigroup_factors(coeffs.shape[-1], nu, t)
-
-
 def phi1_factors(n_modes: int, nu: float, h: float) -> np.ndarray:
     """Mode multipliers of phi1(h) = A^{-1}(e^{hA} - Id), i.e. (1 - e^{-mu h})/mu.
 
@@ -76,23 +71,11 @@ def phi1_factors(n_modes: int, nu: float, h: float) -> np.ndarray:
     return out
 
 
-def apply_phi1(coeffs: np.ndarray, h: float, nu: float) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    return coeffs * phi1_factors(coeffs.shape[-1], nu, h)
-
-
 def default_grid(n_modes: int) -> int:
     """Smallest alias-free grid with a fast transform: the least G with
     G-1 >= 3N+1 whose DST-I, an FFT of length 2G, has no prime factor
     above 5 (G = 5, 27, 50, 100, 200, 400 for N = 1, 8, 16, 32, 64, 128)."""
     return scipy.fft.next_fast_len(3 * n_modes + 2, real=True)
-
-
-def grid_nodes(grid: int) -> np.ndarray:
-    """Interior nodes x_j = j/G, j = 1..G-1."""
-    if grid < 2:
-        raise ValueError(f"grid size must be >= 2, got {grid}")
-    return np.arange(1, grid) / grid
 
 
 def to_grid(coeffs: np.ndarray, grid: int) -> np.ndarray:
@@ -136,8 +119,3 @@ def lq_norm_on_grid(values: np.ndarray, q: float) -> float | np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     grid = values.shape[-1] + 1
     return (np.sum(np.abs(values) ** q, axis=-1) / grid) ** (1.0 / q)
-
-
-def sup_norm_on_grid(values: np.ndarray) -> float | np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    return np.max(np.abs(values), axis=-1)

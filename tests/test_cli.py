@@ -137,22 +137,37 @@ def test_unknown_section_exits_2(tmp_path):
     assert cli.main(["heat-errors", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
-@pytest.mark.parametrize("payload", [
-    {"study": {"m_grid": [7], "M_ref": 64, "N_ref": 8}},
-    {"study": {"m_grid": 5}},
-    {"study": 5},
-    {"study": {"m_gird": [4, 8], "M_ref": 64, "N_ref": 8, "n_grid": [2, 4]}},
-    {"model": {"initial": [1e160]},
-     "study": {"m_grid": [4, 8, 16], "n_grid": [2, 4, 8], "M_ref": 128, "N_ref": 16,
-               "paths": 2}},
+_SMALL_STUDY = {"m_grid": [4, 8, 16], "n_grid": [2, 4, 8], "M_ref": 128, "N_ref": 16,
+                "paths": 2}
+_ZERO_DRIFT = {"a": [0.0, 0.0, 0.0, 0.0], "initial": "zero"}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("converge", {"study": {"m_grid": [7], "M_ref": 64, "N_ref": 8}}),
+    ("converge", {"study": {"m_grid": 5}}),
+    ("converge", {"study": 5}),
+    ("converge", {"study": {"m_gird": [4, 8], "M_ref": 64, "N_ref": 8, "n_grid": [2, 4]}}),
+    ("converge", {"model": {"initial": [1e160]}, "study": _SMALL_STUDY}),
+    ("converge", {"model": _ZERO_DRIFT, "study": dict(_SMALL_STUDY, m_grid=[4, 8, 16.9])}),
+    ("converge", {"model": _ZERO_DRIFT, "study": dict(_SMALL_STUDY, paths=4.7)}),
+    ("converge", {"model": _ZERO_DRIFT, "study": dict(_SMALL_STUDY, exact="false")}),
+    ("converge", {"model": _ZERO_DRIFT, "study": dict(_SMALL_STUDY, seed=True)}),
+    ("converge", {"model": _ZERO_DRIFT, "study": dict(_SMALL_STUDY, M_master="256")}),
+    ("simulate", {"discretization": {"M": 8.5, "N": 4}}),
+    ("simulate", {"discretization": {"M": 8, "N": 4}, "study": {"path": 0.5}}),
+    ("simulate", {"discretization": {"M": 8, "N": 4}, "study": {"seed": 1.5}}),
+    ("check", {"study": {"audit_trials": 2.5}}),
 ], ids=["m_not_dividing_master", "m_grid_not_a_list", "study_not_an_object",
-        "misspelled_key", "overflowing_initial_value"])
-def test_bad_study_values_exit_2(tmp_path, capsys, payload):
+        "misspelled_key", "overflowing_initial_value", "fractional_M", "fractional_paths",
+        "exact_as_string", "seed_as_bool", "master_as_string", "simulate_fractional_M",
+        "simulate_fractional_path", "simulate_fractional_seed", "check_fractional_trials"])
+def test_bad_study_values_exit_2(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
-    rc = cli.main(["converge", "--config", cfg, "--out", str(tmp_path)])
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and err.count("\n") == 1
+    assert not list(tmp_path.glob("spde1d_*"))
 
 
 @pytest.mark.parametrize("command, payload, key", [

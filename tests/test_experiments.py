@@ -88,9 +88,9 @@ def test_study_rows_and_fits_mc():
 
 def test_study_threads_do_not_change_bytes():
     cfg = small_cfg(paths=96)
-    rows1, fits1 = ex.run_convergence_study(cfg, threads=1)
-    rows2, fits2 = ex.run_convergence_study(cfg, threads=2)
-    rows3, fits3 = ex.run_convergence_study(ex.with_threads(cfg, 3))
+    rows1, fits1 = ex.run_convergence_study(cfg)
+    rows2, fits2 = ex.run_convergence_study(replace(cfg, threads=2))
+    rows3, fits3 = ex.run_convergence_study(replace(cfg, threads=3))
     assert ex.error_table_csv(rows1) == ex.error_table_csv(rows2) == ex.error_table_csv(rows3)
     assert ex.fits_json(fits1) == ex.fits_json(fits2) == ex.fits_json(fits3)
 
@@ -233,7 +233,7 @@ def test_batch_memory_stays_within_a_block():
         + [("spatial", 2048, N) for N in cfg.n_grid]
     tracemalloc.start()
     try:
-        ex._accumulate(cfg, targets, True, 1)
+        ex._accumulate(cfg, targets, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -188,7 +188,7 @@ def test_exact_rate_windows():
 
 
 def test_error_report_row_roundtrip():
-    rep = he.error_report("temporal", 16, 64, 1.0, 1.0)
+    rep = he.error_reports([16], [64], 1.0, 1.0)[0]
     assert rep.sandwiched(1e-12)
     row = rep.as_csv_row()
     m, n, exact, lower, upper, kind = row.split(",")
@@ -198,18 +198,14 @@ def test_error_report_row_roundtrip():
 
 
 def test_error_report_all_modes_row():
-    rep = he.error_report("temporal", 16, "all", 1.0, 1.0)
-    assert rep.N == "all"
+    [rep] = he.error_reports([16], ["all"], 1.0, 1.0)
+    assert (rep.kind, rep.N) == ("temporal", "all")
     assert "all" in rep.as_csv_row()
 
 
-def test_error_report_kind_guard():
-    with pytest.raises(ValueError):
-        he.error_report("mixed", 4, 4, 1.0, 1.0)
-
-
-_M = st.one_of(st.integers(1, 64), st.integers(65, 5000))
-_N = st.one_of(st.integers(1, 64), st.integers(65, 5000), st.just("all"))
+_M = st.one_of(st.integers(1, 64), st.integers(65, 5000), st.integers(5001, he.MAX_MODES))
+_N = st.one_of(st.integers(1, 64), st.integers(65, 5000), st.integers(5001, he.MAX_MODES),
+               st.just("all"))
 _SCALE = st.floats(0.25, 4.0)
 
 
@@ -233,3 +229,4 @@ def test_error_reports_equal_the_per_cell_functions(m_grid, n_grid, T, nu):
         else:
             want = (he.full_error_exact(M, N, T, nu), *he.bounds_full(M, N, T, nu))
         assert (r.exact, r.lower, r.upper) == want
+        assert r.sandwiched(1e-12)

@@ -3,13 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from spde1d import heat_errors, noise, spectral
+from spde1d import heat_errors, noise, nonlinearity, scheme, spectral
 
 
 def small_tape(**kw):
     args = dict(seed=42, M_master=8, N_master=5, T=1.0, path=0)
     args.update(kw)
     return noise.NoiseTape(**args)
+
+
+def ou_run(dw, nu=1.0, xi=(), T=1.0):
+    """O rows of zero-drift run_scheme on increments (..., M, N), O_0 = P_N xi."""
+    *_, M, N = np.shape(dw)
+    model = scheme.ModelParams(T=T, nu=nu, a=nonlinearity.CubicCoefficients(0, 0, 0, 0),
+                               xi=np.asarray(xi, dtype=np.float64))
+    return scheme.run_scheme(model, scheme.DiscretizationParams(M=M, N=N), dw)[1]
 
 
 def test_tape_validation():
@@ -115,9 +123,8 @@ def test_coarsen_rejects_nondivisor():
         small_tape().increments(3, 5)
 
 
-def test_ou_step_pure_decay():
-    decay = spectral.semigroup_factors(1, 1.0, 0.25)
-    out = noise.ou_step(np.array([1.0]), np.array([0.0]), decay)
+def test_ou_pure_decay():
+    out = ou_run(np.zeros((1, 1)), xi=[1.0], T=0.25)[1]
     assert out[0] == pytest.approx(math.exp(-0.25 * math.pi**2), rel=1e-15)
 
 
@@ -137,10 +144,9 @@ def test_ou_one_step_variance_mc():
 
 def test_ou_terminal_variance_closed_form_mc():
     M, N, T, nu, paths = 8, 3, 1.0, 1.0, 600
-    samples = np.empty((paths, N))
-    for p in range(paths):
-        tape = noise.NoiseTape(seed=21, M_master=M, N_master=N, T=T, path=p)
-        samples[p] = noise.simulate_ou(tape, M, N, nu)[-1]
+    dw = np.stack([noise.NoiseTape(seed=21, M_master=M, N_master=N, T=T, path=p)
+                   .increments(M, N) for p in range(paths)])
+    samples = ou_run(dw, nu, T=T)[:, -1]
     want = noise.ou_variance_discrete(M, N, T, nu)
     got = samples.var(axis=0, ddof=1)
     se = want * math.sqrt(2.0 / (paths - 1))
@@ -164,13 +170,13 @@ def test_ou_modes_uncorrelated():
             assert abs(cov[i, j]) < 3 * se
 
 
-def test_simulate_ou_initial_row():
-    tape = small_tape()
+def test_ou_initial_row():
+    dw = small_tape().increments(8, 5)
     xi = np.array([0.5, -0.25, 0.0, 1.0, 2.0])
-    path = noise.simulate_ou(tape, 8, 5, 1.0, xi=xi)
+    path = ou_run(dw, xi=xi)
     np.testing.assert_array_equal(path[0], xi)
     assert path.shape == (9, 5)
-    assert np.all(noise.simulate_ou(tape, 8, 5, 1.0)[0] == 0.0)
+    assert np.all(ou_run(dw)[0] == 0.0)
 
 
 def test_ou_second_moment_sums_mode_variances():
@@ -203,8 +209,3 @@ def test_bridge_scaling_flat_after_quarter_rate():
                                        T=1.0, nu=1.0, paths=200)
         scaled.append(M**0.24 * est)
     assert max(scaled) / min(scaled) < 1.5
-
-
-def test_generate_tape_defaults():
-    tape = noise.generate_tape(17)
-    assert (tape.M_master, tape.N_master, tape.T, tape.path) == (4096, 512, 1.0, 0)

@@ -15,7 +15,6 @@ SQRT2 = math.sqrt(2.0)
 def test_allen_cahn_coefficients():
     a = nl.allen_cahn()
     assert a.as_tuple() == (0.0, 1.0, 0.0, -1.0)
-    assert a.is_odd
 
 
 def test_coefficients_reject_unstable_cubic():
@@ -23,13 +22,6 @@ def test_coefficients_reject_unstable_cubic():
         nl.CubicCoefficients(0.0, 1.0, 0.0, 1.0)   # a3 > 0
     with pytest.raises(ValueError):
         nl.CubicCoefficients(0.0, 1.0, 0.5, 0.0)   # quadratic with no cubic
-
-
-def test_evaluate_on_grid_pointwise():
-    a = nl.CubicCoefficients(2.0, -1.0, 3.0, -0.5)
-    x = np.array([-1.0, 0.0, 0.3, 2.0])
-    want = 2.0 - x + 3.0 * x**2 - 0.5 * x**3
-    np.testing.assert_allclose(nl.evaluate_on_grid(x, a), want, rtol=1e-15)
 
 
 def test_project_identity_drift():

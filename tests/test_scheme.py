@@ -71,7 +71,7 @@ def test_initial_presets():
 def test_bump_preset_reconstructs_parabola():
     c = scheme.initial_coefficients("bump", 256)
     G = spectral.default_grid(256)
-    x = spectral.grid_nodes(G)
+    x = np.arange(1, G) / G
     err = np.max(np.abs(spectral.to_grid(c, G) - x * (1 - x)))
     assert err < 1e-6
 
@@ -138,8 +138,8 @@ def test_indicator_is_the_kernels_decision_at_the_boundary():
     model = scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.allen_cahn(), xi=hit)
     _, _, suppressed = scheme.run_scheme(model, d, np.zeros((1, 8)))
     assert scheme.truncation_indicator(hit, hit, d, 1.0, 1.0) == (suppressed == 0)
-    states = scheme.simulate_trajectory(model, d, noise.NoiseTape(0, 1, 8, 1.0))
-    indicator_column = scheme.trajectory_csv(model, d, states).split("\n")[1].split(",")[-1]
+    Y, O = scheme.simulate_trajectory(model, d, noise.NoiseTape(0, 1, 8, 1.0))
+    indicator_column = scheme.trajectory_csv(model, d, Y, O).split("\n")[1].split(",")[-1]
     assert indicator_column == str(int(suppressed == 0))
 
 
@@ -169,28 +169,34 @@ def test_one_step_closed_form_when_drift_active():
 
 
 def test_euler_step_matches_run_scheme():
+    # the one-step recursion of the module docstring, written out per state
     model = scheme.allen_cahn_model(n_xi_modes=8)
     d = scheme.DiscretizationParams(M=4, N=8)
     tape = noise.NoiseTape(seed=3, M_master=4, N_master=8, T=1.0)
-    states = scheme.simulate_trajectory(model, d, tape)
+    Y, O = scheme.simulate_trajectory(model, d, tape)
     dw = tape.increments(4, 8)
     decay = spectral.semigroup_factors(8, model.nu, 0.25)
+    phi = spectral.phi1_factors(8, model.nu, 0.25)
     for m in range(4):
-        o_next = noise.ou_step(states[m].O, dw[m], decay)
-        nxt = scheme.euler_step(states[m], o_next, 0.25, model, d)
-        np.testing.assert_allclose(nxt.Y, states[m + 1].Y, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(nxt.O, states[m + 1].O)
+        o_next = decay * (O[m] + dw[m])
+        y_next = decay * Y[m] + o_next - decay * O[m]
+        if scheme.truncation_indicator(Y[m], O[m], d, model.T, model.nu):
+            y_next = y_next + phi * nonlinearity.project_F(Y[m], model.a)
+        np.testing.assert_allclose(y_next, Y[m + 1], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(o_next, O[m + 1])
 
 
 def test_zero_drift_reduces_to_ou():
     model = zero_model(n_xi=16)
     d = scheme.DiscretizationParams(M=32, N=16)
     tape = noise.NoiseTape(seed=11, M_master=32, N_master=16, T=1.0)
-    states = scheme.simulate_trajectory(model, d, tape)
-    ou = noise.simulate_ou(tape, 32, 16, 1.0)
-    for m, s in enumerate(states):
-        np.testing.assert_allclose(s.Y, ou[m], rtol=0, atol=1e-14)
-        np.testing.assert_allclose(s.O, ou[m], rtol=0, atol=1e-14)
+    Y, O = scheme.simulate_trajectory(model, d, tape)
+    decay = spectral.semigroup_factors(16, 1.0, 1.0 / 32)
+    ou = np.zeros((33, 16))
+    for m, dw in enumerate(tape.increments(32, 16)):
+        ou[m + 1] = decay * (ou[m] + dw)
+    np.testing.assert_allclose(Y, ou, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(O, ou, rtol=0, atol=1e-14)
 
 
 def test_trajectory_reproducible_across_tape_objects():
@@ -198,11 +204,9 @@ def test_trajectory_reproducible_across_tape_objects():
     d = scheme.DiscretizationParams(M=8, N=8)
     t1 = noise.NoiseTape(seed=5, M_master=64, N_master=16, T=1.0)
     t2 = noise.NoiseTape(seed=5, M_master=64, N_master=16, T=1.0)
-    s1 = scheme.simulate_trajectory(model, d, t1)
-    s2 = scheme.simulate_trajectory(model, d, t2)
-    for a, b in zip(s1, s2):
-        np.testing.assert_array_equal(a.Y, b.Y)
-        np.testing.assert_array_equal(a.O, b.O)
+    for a, b in zip(scheme.simulate_trajectory(model, d, t1),
+                    scheme.simulate_trajectory(model, d, t2)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_suppression_counter_counts_indicator_offs():
@@ -210,11 +214,11 @@ def test_suppression_counter_counts_indicator_offs():
                                xi=np.array([2.0, 0.0, 0.0, 0.0]))
     d = scheme.DiscretizationParams(M=16, N=4)
     tape = noise.NoiseTape(seed=1, M_master=16, N_master=4, T=1.0)
-    states = scheme.simulate_trajectory(model, d, tape)
+    Y, O = scheme.simulate_trajectory(model, d, tape)
     _, _, suppressed = scheme.run_scheme(model, d, tape.increments(16, 4))
     manual = sum(
-        0 if scheme.truncation_indicator(s.Y, s.O, d, model.T, model.nu) else 1
-        for s in states[:-1])
+        0 if scheme.truncation_indicator(y, o, d, model.T, model.nu) else 1
+        for y, o in zip(Y[:-1], O[:-1]))
     assert suppressed == manual
     assert 0 < suppressed <= 16  # the large first mode suppresses at least once
 
@@ -231,25 +235,12 @@ def test_simulate_trajectory_guards():
                                    scheme.DiscretizationParams(M=8, N=4), tape)
 
 
-def test_reference_solution_ratio_guards():
-    model = zero_model()
-    tape = noise.NoiseTape(seed=0, M_master=64, N_master=8, T=1.0)
-    with pytest.raises(ValueError):
-        scheme.reference_solution(model, tape, 64, 8, max_target_M=16)
-    with pytest.raises(ValueError):
-        scheme.reference_solution(model, tape, 64, 8, max_target_N=5)
-    # equality escapes: self-comparison along an axis stays legal
-    states = scheme.reference_solution(model, tape, 64, 8,
-                                       max_target_M=64, max_target_N=4)
-    assert len(states) == 65
-
-
 def test_trajectory_csv_roundtrip_and_indicator():
     model = scheme.allen_cahn_model(n_xi_modes=4)
     d = scheme.DiscretizationParams(M=4, N=4)
     tape = noise.NoiseTape(seed=13, M_master=4, N_master=4, T=1.0)
-    states = scheme.simulate_trajectory(model, d, tape)
-    text = scheme.trajectory_csv(model, d, states)
+    Y, O = scheme.simulate_trajectory(model, d, tape)
+    text = scheme.trajectory_csv(model, d, Y, O)
     lines = text.strip().split("\n")
     assert lines[0] == scheme.TRAJECTORY_HEADER
     assert len(lines) == 1 + 5 * 4
@@ -258,10 +249,9 @@ def test_trajectory_csv_roundtrip_and_indicator():
         m = round(float(t) * d.M / model.T)
         k = int(k) - 1
         # %.17g serialization is lossless for doubles
-        assert float(yc) == states[m].Y[k]
-        assert float(oc) == states[m].O[k]
-        want = int(scheme.truncation_indicator(states[m].Y, states[m].O, d,
-                                               model.T, model.nu))
+        assert float(yc) == Y[m, k]
+        assert float(oc) == O[m, k]
+        want = int(scheme.truncation_indicator(Y[m], O[m], d, model.T, model.nu))
         assert int(ind) == want
 
 
