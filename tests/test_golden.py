@@ -29,10 +29,16 @@ SIMULATE_SHA256 = "b9c18d99cb7b9b2d8a343d5c224295cb0bb6179797bafe0bdd04dd5a68411
 # M and N reach past the series cutoff x = mu*h = 0.5 on both sides, and
 # repeat no entry; "all" takes the trigamma-tail path
 HEAT_GRID = {"m_grid": [1, 3, 16, 64, 4096], "n_grid": [1, 2, 7, 64, 4096, "all"]}
+# the benchmark's heat_exact grid (14352 rows), where most lower bounds are
+# cut by min(1, T N^2 / 2M) and the bounds are shared along each axis
+_BENCH_AXIS = list(range(1, 65)) + [128, 256, 512, 1024, 4096]
+BENCH_HEAT = {"model": {"T": 2.0, "nu": 0.5},
+              "study": {"m_grid": _BENCH_AXIS, "n_grid": _BENCH_AXIS + ["all"]}}
 HEAT_ERRORS_SHA256 = {
     (1.0, 1.0): "b0c5319d2e4c3c26317ed23e44aecdfe66935fc57fed222534405bdca0593dfe",
     (0.5, 2.0): "fb667f4cd2bceec503c0f978bffa68750d84f1b343c8db9c2c084c15aacc2d08",
     "default": "6fc8db505fb1ca4585c7e2a3be87a132e84bf59bb45b6cb58a20ec755371c6a6",
+    "bench": "eabe9186e036c1699bb8d62c37f39ae05a79fecba13caafe83010abfc17c818e",
 }
 
 MOMENT_REPRS = {
@@ -84,8 +90,10 @@ def test_simulate_bytes(tmp_path):
 
 @pytest.mark.parametrize("key", list(HEAT_ERRORS_SHA256))
 def test_heat_errors_bytes(tmp_path, key):
-    payload = {} if key == "default" else {"model": {"T": key[0], "nu": key[1]},
-                                           "study": HEAT_GRID}
+    if key in ("default", "bench"):
+        payload = {"default": {}, "bench": BENCH_HEAT}[key]
+    else:
+        payload = {"model": {"T": key[0], "nu": key[1]}, "study": HEAT_GRID}
     got = _run(tmp_path, "heat-errors", payload, ["spde1d_heat_errors.csv"])
     assert got == HEAT_ERRORS_SHA256[key]
 
