@@ -37,6 +37,9 @@ BENCH_HEAT = {"model": {"T": 2.0, "nu": 0.5},
 HEAT_ERRORS_SHA256 = {
     (1.0, 1.0): "b0c5319d2e4c3c26317ed23e44aecdfe66935fc57fed222534405bdca0593dfe",
     (0.5, 2.0): "fb667f4cd2bceec503c0f978bffa68750d84f1b343c8db9c2c084c15aacc2d08",
+    # nu = 0.15: numpy's SIMD expm1 differs from libm's in the last bit on
+    # some lower-bound damping factors here (AVX-512), and these bytes are libm's
+    (1.0, 0.15): "f494b65e12d8249153c186a76c8327322c0e33a54a3d1f7df05a64edabaa4258",
     "default": "6fc8db505fb1ca4585c7e2a3be87a132e84bf59bb45b6cb58a20ec755371c6a6",
     "bench": "eabe9186e036c1699bb8d62c37f39ae05a79fecba13caafe83010abfc17c818e",
 }
