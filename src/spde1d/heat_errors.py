@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import polygamma
@@ -55,6 +56,16 @@ def _int_at_least(value, requirement: str, least: int = 1) -> int:
     if n != value or n < least or isinstance(value, bool):
         raise ValueError(f"{requirement}, got {value!r}")
     return n
+
+
+def _number(value, name: str) -> float:
+    """value as a float, if it is an int or a float (not a bool or a string)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _mode_count(N) -> int | None:
@@ -108,35 +119,6 @@ def _temporal_mode_terms(mu: np.ndarray, M: int, T: float) -> np.ndarray:
             + xb * np.exp(-2 * xb)
         ) / mu[big]
     return G * J
-
-
-def temporal_mode_integral(M: int, k: int, T: float, nu: float) -> float:
-    """Exact squared temporal error carried by mode k after M steps."""
-    _validate_positive(T=T, nu=nu)
-    if M < 1 or k < 1:
-        raise ValueError(f"need M, k >= 1, got M={M}, k={k}")
-    mu = np.array([nu * math.pi**2 * k * k])
-    return float(_temporal_mode_terms(mu, M, T)[0])
-
-
-def temporal_mode_integral_quadrature(M: int, k: int, T: float, nu: float) -> float:
-    """Adaptive quadrature of the defining integral; oracle for the closed form."""
-    # imported here: nothing else needs scipy.integrate, which is slow to load
-    from scipy.integrate import quad
-
-    _validate_positive(T=T, nu=nu)
-    mu = nu * math.pi**2 * k * k
-    h = T / M
-    pieces = []
-    for j in range(M):
-        t0 = j * h
-
-        def integrand(s, t0=t0):
-            return math.exp(-2 * mu * (T - s)) * (-math.expm1(-mu * (s - t0))) ** 2
-
-        val, _ = quad(integrand, t0, t0 + h, epsabs=1e-16, epsrel=1e-13, limit=200)
-        pieces.append(val)
-    return math.fsum(pieces)
 
 
 def temporal_error_exact(M: int, N, T: float, nu: float) -> float:
@@ -244,18 +226,25 @@ def bound_upper_temporal(M: int, T: float, nu: float) -> float:
     return M ** -0.25 * math.sqrt(const)
 
 
-def _lower_temporal_sq(M: int, N, T: float, nu: float, denom_factor: float) -> float:
-    """Closed form of M^{-1/2} int_0^X c / (x+a)^{3/2} dx via -2(x+a)^{-1/2}."""
-    n = _mode_count(N)
-    n_eff = math.inf if n is None else n
-    ratio_n2 = math.inf if n is None else T * n_eff**2 / (2 * M)
-    ratio_np1 = math.inf if n is None else T * (n_eff + 1) ** 2 / (2 * M)
-    damp = -math.expm1(-nu * math.pi**2 * min(1.0, ratio_n2))
-    c = math.sqrt(T) * -math.expm1(-nu * math.pi**2 * T) * damp**2 \
+def _lower_temporal_sq(M: int, n, T: float, nu: float, denom_factor: float) -> np.ndarray:
+    """Closed form of M^{-1/2} int_0^X c / (x+a)^{3/2} dx via -2(x+a)^{-1/2}.
+
+    One value per entry of n, the mode counts as floats (inf for every
+    mode).  The damping factor takes math.expm1 and a Python square entry by
+    entry: numpy's SIMD expm1 and its x*x square differ from libm in the
+    last bit on some of these inputs, and the CSV bytes are libm's.
+    """
+    n = np.asarray(n, dtype=np.float64)
+    ratio_n2 = T * n**2 / (2 * M)
+    ratio_np1 = T * (n + 1) ** 2 / (2 * M)
+    rate = -nu * math.pi**2
+    damp_sq = np.array([(-math.expm1(rate * r)) ** 2
+                        for r in np.minimum(1.0, ratio_n2).tolist()])
+    c = math.sqrt(T) * -math.expm1(-nu * math.pi**2 * T) * damp_sq \
         / (denom_factor * nu * math.pi**2 * math.sqrt(2))
     a = (1 + math.sqrt(T)) ** 2
-    upper_limit = max(0.0, ratio_np1 - (1 + math.sqrt(T / (2 * M))) ** 2)
-    integral = 2 * c * (1 / math.sqrt(a) - 1 / math.sqrt(upper_limit + a))
+    upper_limit = np.maximum(0.0, ratio_np1 - (1 + math.sqrt(T / (2 * M))) ** 2)
+    integral = 2 * c * (1 / math.sqrt(a) - 1 / np.sqrt(upper_limit + a))
     return integral / math.sqrt(M)
 
 
@@ -263,7 +252,8 @@ def bound_lower_temporal(M: int, N, T: float, nu: float) -> float:
     _validate_positive(T=T, nu=nu)
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
-    return math.sqrt(_lower_temporal_sq(M, N, T, nu, denom_factor=8.0))
+    n = _mode_count(N)
+    return math.sqrt(_lower_temporal_sq(M, [math.inf if n is None else n], T, nu, 8.0)[0])
 
 
 def bound_lower_spatial(N: int, T: float, nu: float) -> float:
@@ -278,10 +268,12 @@ def bound_upper_spatial(N: int, T: float, nu: float) -> float:
 
 def bounds_full(M: int, N: int, T: float, nu: float) -> tuple[float, float]:
     """(lower, upper) for the combined space-time error; same structure as the
-    one-axis bounds but with the temporal lower constant weakened 8 -> 32."""
+    one-axis bounds but with the temporal lower constant weakened 8 -> 32
+    and the spatial one halved."""
     _validate_positive(N=N, T=T, nu=nu)
-    lower = math.sqrt(_lower_temporal_sq(M, N, T, nu, denom_factor=32.0)) \
-        + math.sqrt(-math.expm1(-nu * T)) / (4 * math.pi * math.sqrt(nu) * math.sqrt(N))
+    # halving the spatial lower bound gives its 1/(4 pi ...) form bit for bit
+    lower = math.sqrt(_lower_temporal_sq(M, [_mode_count(N)], T, nu, 32.0)[0]) \
+        + bound_lower_spatial(N, T, nu) / 2
     upper = bound_upper_temporal(M, T, nu) + bound_upper_spatial(N, T, nu)
     return lower, upper
 
@@ -418,11 +410,10 @@ REPORT_HEADER = "M,N,exact,lower,upper,kind"
 KINDS = ("temporal", "spatial", "full")
 
 
-@dataclass(frozen=True)
-class ErrorBoundsReport:
+class ErrorBoundsReport(NamedTuple):
     kind: str
     M: int
-    N: object  # int, or "all"
+    N: object  # the grid entry: an integer, or "all"
     exact: float
     lower: float
     upper: float
@@ -430,22 +421,22 @@ class ErrorBoundsReport:
     def sandwiched(self, tol: float = 1e-12) -> bool:
         return self.lower - tol <= self.exact <= self.upper + tol
 
-    def as_csv_row(self) -> str:
-        n_txt = ALL_MODES if _mode_count(self.N) is None else str(int(self.N))
-        return "%s,%s,%.17g,%.17g,%.17g,%s" % (
-            self.M, n_txt, self.exact, self.lower, self.upper, self.kind)
 
-
-def error_reports(m_grid, n_grid, T: float, nu: float) -> list[ErrorBoundsReport]:
-    """Exact values plus their bracketing bounds over an (M, N) grid.
+def error_table(m_grid, n_grid, T: float, nu: float) -> tuple[list[ErrorBoundsReport], str]:
+    """Exact values plus their bracketing bounds over an (M, N) grid, and their CSV.
 
     Rows come kind by kind, then M, then N, in the order given, repeats
     included; N = "all" gives a temporal row only, because the spatial
-    remainder is zero with every mode kept.  Exact values are shared between
-    cells: one temporal term vector per distinct M serves every integer N
-    (the "all" entry keeps its trigamma tail), one spatial series per
-    distinct N serves every M, and a full value is the hypot of the two, as
-    in full_error_exact.  Bounds are evaluated per cell.  Only the string
+    remainder is zero with every mode kept.  The text is REPORT_HEADER and
+    one line per row, each value as %.17g.
+
+    Everything is evaluated per axis, and each value is formatted once.
+    Per distinct M: one temporal term vector whose prefixes give every
+    integer N (the "all" entry keeps its trigamma tail), the temporal upper
+    bound, and the temporal lower bounds of both kinds as one array over
+    the N axis.  Per distinct N: the spatial series and both spatial bounds,
+    which also give the spatial terms of the full bounds.  A full value is
+    the hypot of its two parts, as in full_error_exact.  Only the string
     "all" stands for every mode here; None and inf are rejected like any
     other N that is not a positive integer.
     """
@@ -454,33 +445,45 @@ def error_reports(m_grid, n_grid, T: float, nu: float) -> list[ErrorBoundsReport
     ns = [None if N == ALL_MODES
           else _int_at_least(N, "N must be a positive integer or 'all'") for N in n_grid]
     counts = sorted({n for n in ns if n is not None})
+    n_axis = [math.inf if n is None else n for n in ns]
+    n_txt = [ALL_MODES if n is None else str(n) for n in ns]
 
-    temporal = {}
+    spatial = {}  # n -> (exact, lower, upper, text of the three)
+    for n in counts:
+        values = (spatial_error_exact(n, T, nu), bound_lower_spatial(n, T, nu),
+                  bound_upper_spatial(n, T, nu))
+        spatial[n] = (*values, "%.17g,%.17g,%.17g" % values)
+
+    temporal = {}  # M -> (exact by n, lower by N entry, full lower by N entry, upper, text)
     for M in dict.fromkeys(ms):
-        if counts:
-            temporal.update(zip([(M, n) for n in counts], _temporal_errors(M, counts, T, nu)))
+        exact = dict(zip(counts, _temporal_errors(M, counts, T, nu))) if counts else {}
         if None in ns:
-            temporal[M, None] = temporal_error_exact(M, ALL_MODES, T, nu)
-    spatial = {n: spatial_error_exact(n, T, nu) for n in counts}
+            exact[None] = temporal_error_exact(M, ALL_MODES, T, nu)
+        lower = np.sqrt(_lower_temporal_sq(M, n_axis, T, nu, 8.0)).tolist()
+        lower_full = np.sqrt(_lower_temporal_sq(M, n_axis, T, nu, 32.0)).tolist()
+        upper = bound_upper_temporal(M, T, nu)
+        temporal[M] = (exact, lower, lower_full, upper, "%.17g" % upper)
 
-    reports = []
-    for kind in KINDS:
-        for M in ms:
-            for N, n in zip(n_grid, ns):
-                if kind == "temporal":
-                    exact = temporal[M, n]
-                    lower = bound_lower_temporal(M, N, T, nu)
-                    upper = bound_upper_temporal(M, T, nu)
-                elif n is None:
-                    continue
-                elif kind == "spatial":
-                    exact = spatial[n]
-                    lower = bound_lower_spatial(N, T, nu)
-                    upper = bound_upper_spatial(N, T, nu)
-                else:
-                    exact = math.hypot(temporal[M, n], spatial[n])
-                    lower, upper = bounds_full(M, N, T, nu)
-                reports.append(ErrorBoundsReport(kind=kind, M=M, N=N, exact=exact,
-                                                 lower=lower, upper=upper))
-    return reports
-
+    reports, lines = [], [REPORT_HEADER]
+    for M in ms:
+        exact, lower, _, upper, upper_txt = temporal[M]
+        for i, (N, n) in enumerate(zip(n_grid, ns)):
+            reports.append(ErrorBoundsReport("temporal", M, N, exact[n], lower[i], upper))
+            lines.append("%d,%s,%.17g,%.17g,%s,temporal"
+                         % (M, n_txt[i], exact[n], lower[i], upper_txt))
+    for M in ms:
+        for i, (N, n) in enumerate(zip(n_grid, ns)):
+            if n is not None:
+                reports.append(ErrorBoundsReport("spatial", M, N, *spatial[n][:3]))
+                lines.append("%d,%s,%s,spatial" % (M, n_txt[i], spatial[n][3]))
+    for M in ms:
+        exact, _, lower_full, upper, _ = temporal[M]
+        for i, (N, n) in enumerate(zip(n_grid, ns)):
+            if n is not None:
+                s_exact, s_lower, s_upper, _ = spatial[n]
+                # bounds_full, from the shared per-axis values
+                row = ("full", M, N, math.hypot(exact[n], s_exact),
+                       lower_full[i] + s_lower / 2, upper + s_upper)
+                reports.append(ErrorBoundsReport(*row))
+                lines.append("%d,%s,%.17g,%.17g,%.17g,full" % (M, n_txt[i], *row[3:]))
+    return reports, "\n".join(lines) + "\n"

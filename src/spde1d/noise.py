@@ -156,13 +156,6 @@ def ou_variance_discrete(n_steps: int, n_modes: int, T: float, nu: float) -> np.
     return h * np.exp(-2 * mu * h) * np.expm1(-2 * mu * T) / np.expm1(-2 * mu * h)
 
 
-def ou_second_moment(n_steps: int, n_modes: int, T: float, nu: float,
-                     r: float = 0.0) -> float:
-    """E ||O_T||_{H_r}^2 of the zero-initial discretized OU, exactly."""
-    mu = spectral.eigenvalues(n_modes, nu)
-    return float(np.sum(mu ** (2 * r) * ou_variance_discrete(n_steps, n_modes, T, nu)))
-
-
 # ---------------------------------------------------------------------------
 # exact coupling of the true stochastic convolution to the tape
 #

@@ -2,12 +2,17 @@
 
 Everything here is deliberately naive: termwise integer combinatorics and
 arbitrary-precision arithmetic, no transforms, no shared code paths with the
-package. Costs are O(N^4) and worse; keep inputs small.
+package. Costs are O(N^4) and worse; keep inputs small.  The last section
+holds the few helpers that do read the package: one mode of its closed form,
+the quadrature it is checked against, and an OU moment built on its
+per-mode variances.
 """
 import math
 
 import mpmath as mp
 import numpy as np
+
+from spde1d import heat_errors, noise, spectral
 
 
 def sine_integral(m):
@@ -139,3 +144,36 @@ def ou_pair_mismatch_brute(M, M_ref, N, N_ref, T, nu):
                 acc += h_f * (fine - coarse) ** 2
             out[m] += acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# helpers on top of the package
+
+def temporal_mode_integral(M, k, T, nu):
+    """Exact squared temporal error carried by mode k after M steps (package closed form)."""
+    mu = np.array([nu * math.pi**2 * k * k])
+    return float(heat_errors._temporal_mode_terms(mu, M, T)[0])
+
+
+def temporal_mode_integral_quadrature(M, k, T, nu):
+    """Adaptive quadrature of the defining integral, step by step, in double precision."""
+    from scipy.integrate import quad
+
+    mu = nu * math.pi**2 * k * k
+    h = T / M
+    pieces = []
+    for j in range(M):
+        t0 = j * h
+
+        def integrand(s, t0=t0):
+            return math.exp(-2 * mu * (T - s)) * (-math.expm1(-mu * (s - t0))) ** 2
+
+        val, _ = quad(integrand, t0, t0 + h, epsabs=1e-16, epsrel=1e-13, limit=200)
+        pieces.append(val)
+    return math.fsum(pieces)
+
+
+def ou_second_moment(n_steps, n_modes, T, nu, r=0.0):
+    """E ||O_T||_{H_r}^2 of the zero-initial discretized OU, from noise.ou_variance_discrete."""
+    mu = spectral.eigenvalues(n_modes, nu)
+    return float(np.sum(mu ** (2 * r) * noise.ou_variance_discrete(n_steps, n_modes, T, nu)))

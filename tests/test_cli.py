@@ -86,8 +86,12 @@ def test_heat_errors_negative_tolerance_forces_exit_3(tmp_path, capsys):
     {"study": {"n_grid": [-math.inf]}},
     {"study": {"n_grid": [math.inf]}},
     {"study": {"n_grid": [None]}},
+    {"study": {"sandwich_tol": "1e-12"}},
+    {"model": {"T": "1"}},
+    {"model": {"nu": True}},
 ], ids=["infinite_T", "fractional_M", "infinite_M", "empty_m_grid", "empty_n_grid",
-        "grid_not_a_list", "negative_infinite_N", "infinite_N", "null_N"])
+        "grid_not_a_list", "negative_infinite_N", "infinite_N", "null_N",
+        "tolerance_as_string", "T_as_string", "nu_as_bool"])
 def test_bad_heat_errors_values_exit_2(tmp_path, capsys, payload):
     cfg = write_cfg(tmp_path, payload)
     rc = cli.main(["heat-errors", "--config", cfg, "--out", str(tmp_path)])
@@ -157,10 +161,22 @@ _ZERO_DRIFT = {"a": [0.0, 0.0, 0.0, 0.0], "initial": "zero"}
     ("simulate", {"discretization": {"M": 8, "N": 4}, "study": {"path": 0.5}}),
     ("simulate", {"discretization": {"M": 8, "N": 4}, "study": {"seed": 1.5}}),
     ("check", {"study": {"audit_trials": 2.5}}),
+    ("converge", {"model": dict(_ZERO_DRIFT, T="1"), "study": _SMALL_STUDY}),
+    ("converge", {"model": dict(_ZERO_DRIFT, nu=True), "study": _SMALL_STUDY}),
+    ("converge", {"model": {"a": [0, 1, 0, "-1"]}, "study": _SMALL_STUDY}),
+    ("converge", {"model": {"initial": [0.1, "0.2"]}, "study": _SMALL_STUDY}),
+    ("converge", {"model": _ZERO_DRIFT, "discretization": {"gamma": "0.2"},
+                  "study": _SMALL_STUDY}),
+    ("converge", {"model": {"a": [0, True, 0, -1]}, "study": _SMALL_STUDY}),
+    ("simulate", {"discretization": {"M": 8, "N": 4, "gamma": "0.2"}}),
+    ("simulate", {"model": {"T": 10**400}, "discretization": {"M": 8, "N": 4}}),
 ], ids=["m_not_dividing_master", "m_grid_not_a_list", "study_not_an_object",
         "misspelled_key", "overflowing_initial_value", "fractional_M", "fractional_paths",
         "exact_as_string", "seed_as_bool", "master_as_string", "simulate_fractional_M",
-        "simulate_fractional_path", "simulate_fractional_seed", "check_fractional_trials"])
+        "simulate_fractional_path", "simulate_fractional_seed", "check_fractional_trials",
+        "T_as_string", "nu_as_bool", "a_entry_as_string", "initial_entry_as_string",
+        "gamma_as_string", "a_entry_as_bool", "simulate_gamma_as_string",
+        "simulate_T_too_large_for_a_float"])
 def test_bad_study_values_exit_2(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])

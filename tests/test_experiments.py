@@ -9,6 +9,8 @@ import pytest
 from spde1d import experiments as ex
 from spde1d import heat_errors, noise, nonlinearity, scheme, spectral
 
+from oracles import ou_second_moment
+
 
 def ou_model(n_xi=1):
     return scheme.ModelParams(T=1.0, nu=1.0,
@@ -136,7 +138,7 @@ def test_moment_audit_zero_drift_matches_closed_form():
     rows, flagged = ex.moment_audit(cfg)
     assert not flagged
     row = rows[0]
-    exact = noise.ou_second_moment(16, 16, 1.0, 1.0, r=0.2)
+    exact = ou_second_moment(16, 16, 1.0, 1.0, r=0.2)
     assert abs(row.estimate - exact) < 3 * row.stderr
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from spde1d import heat_errors as he
 
-from oracles import spatial_tail_mp, temporal_mode_mp, temporal_mode_quad_mp, ou_pair_mismatch_brute
+from oracles import (ou_pair_mismatch_brute, spatial_tail_mp, temporal_mode_integral,
+                     temporal_mode_integral_quadrature, temporal_mode_mp, temporal_mode_quad_mp)
 
 # values pinned from the mp oracles in oracles.py; regression guards
 FROZEN = {
@@ -36,7 +37,7 @@ def test_frozen_values():
         FROZEN["upper_temporal_1"], rel=1e-12)
     assert he.bound_lower_spatial(4, 1.0, 1.0) == pytest.approx(
         FROZEN["lower_spatial_4"], rel=1e-12)
-    assert he.temporal_mode_integral(1, 1, 1.0, 1.0) == pytest.approx(
+    assert temporal_mode_integral(1, 1, 1.0, 1.0) == pytest.approx(
         FROZEN["mode_1_1"], rel=1e-12)
 
 
@@ -45,15 +46,15 @@ def test_frozen_values():
     (3, 7, 1.0, 1.0), (7, 3, 0.5, 2.0), (32, 1, 2.0, 0.05),
 ])
 def test_mode_integral_against_mp(M, k, T, nu):
-    got = he.temporal_mode_integral(M, k, T, nu)
+    got = temporal_mode_integral(M, k, T, nu)
     assert got == pytest.approx(temporal_mode_mp(M, k, T, nu), rel=1e-13)
     assert got == pytest.approx(temporal_mode_quad_mp(M, k, T, nu), rel=1e-12)
 
 
 def test_mode_integral_against_package_quadrature():
     for M, k in [(2, 3), (9, 9), (16, 1)]:
-        closed = he.temporal_mode_integral(M, k, 1.0, 1.0)
-        quad = he.temporal_mode_integral_quadrature(M, k, 1.0, 1.0)
+        closed = temporal_mode_integral(M, k, 1.0, 1.0)
+        quad = temporal_mode_integral_quadrature(M, k, 1.0, 1.0)
         assert closed == pytest.approx(quad, rel=1e-10)
 
 
@@ -63,7 +64,7 @@ def test_mode_integral_branches_meet_at_crossover():
     for eps in (-1e-9, 0.0, 1e-9):
         h = (0.5 + eps) / mu
         M = 1
-        got = he.temporal_mode_integral(M, 1, h * M, 1.0)
+        got = temporal_mode_integral(M, 1, h * M, 1.0)
         want = temporal_mode_mp(M, 1, h * M, 1.0)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -188,19 +189,21 @@ def test_exact_rate_windows():
 
 
 def test_error_report_row_roundtrip():
-    rep = he.error_reports([16], [64], 1.0, 1.0)[0]
+    reports, text = he.error_table([16], [64], 1.0, 1.0)
+    rep = reports[0]
     assert rep.sandwiched(1e-12)
-    row = rep.as_csv_row()
+    header, row, *rest = text.splitlines()
+    assert header == he.REPORT_HEADER == "M,N,exact,lower,upper,kind"
     m, n, exact, lower, upper, kind = row.split(",")
     assert (int(m), int(n), kind) == (16, 64, "temporal")
-    assert float(exact) == rep.exact and float(lower) == rep.lower
-    assert he.REPORT_HEADER == "M,N,exact,lower,upper,kind"
+    assert (float(exact), float(lower), float(upper)) == (rep.exact, rep.lower, rep.upper)
+    assert len(rest) == len(reports) - 1 and text.endswith("\n")
 
 
 def test_error_report_all_modes_row():
-    [rep] = he.error_reports([16], ["all"], 1.0, 1.0)
+    [rep], text = he.error_table([16], ["all"], 1.0, 1.0)
     assert (rep.kind, rep.N) == ("temporal", "all")
-    assert "all" in rep.as_csv_row()
+    assert text.splitlines()[1].startswith("16,all,")
 
 
 _M = st.one_of(st.integers(1, 64), st.integers(65, 5000), st.integers(5001, he.MAX_MODES))
@@ -214,7 +217,10 @@ _SCALE = st.floats(0.25, 4.0)
        _SCALE, _SCALE)
 def test_error_reports_equal_the_per_cell_functions(m_grid, n_grid, T, nu):
     m_grid, n_grid = m_grid + m_grid[:1], n_grid + n_grid[:1]  # a repeat on each axis
-    rows = he.error_reports(m_grid, n_grid, T, nu)
+    rows, text = he.error_table(m_grid, n_grid, T, nu)
+    assert text.splitlines() == [he.REPORT_HEADER, *(
+        "%s,%s,%.17g,%.17g,%.17g,%s" % (r.M, r.N, r.exact, r.lower, r.upper, r.kind)
+        for r in rows)]
     assert [(r.kind, r.M, r.N) for r in rows] == [
         (kind, M, N) for kind in he.KINDS for M in m_grid for N in n_grid
         if N != "all" or kind == "temporal"]

@@ -5,6 +5,8 @@ import pytest
 
 from spde1d import heat_errors, noise, nonlinearity, scheme, spectral
 
+from oracles import ou_second_moment, temporal_mode_integral
+
 
 def small_tape(**kw):
     args = dict(seed=42, M_master=8, N_master=5, T=1.0, path=0)
@@ -181,7 +183,7 @@ def test_ou_initial_row():
 
 def test_ou_second_moment_sums_mode_variances():
     direct = float(np.sum(noise.ou_variance_discrete(16, 8, 1.0, 0.5)))
-    assert noise.ou_second_moment(16, 8, 1.0, 0.5) == pytest.approx(direct, rel=1e-15)
+    assert ou_second_moment(16, 8, 1.0, 0.5) == pytest.approx(direct, rel=1e-15)
 
 
 def test_bridge_variance_identity_per_mode():
@@ -190,7 +192,7 @@ def test_bridge_variance_identity_per_mode():
     coef_z, beta = noise._bridge_coefficients(M, N, T, nu)
     per_mode = (coef_z**2 + beta**2).sum(axis=0)
     for k in range(1, N + 1):
-        want = heat_errors.temporal_mode_integral(M, k, T, nu)
+        want = temporal_mode_integral(M, k, T, nu)
         assert per_mode[k - 1] == pytest.approx(want, rel=1e-13)
 
 
