@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, heat_errors, nonlinearity, scheme
+from .heat_errors import _number
 from .noise import NoiseTape
 
 EXIT_OK = 0
@@ -102,9 +103,6 @@ def _int(value, key: str, least: int = 1) -> int:
     return heat_errors._int_at_least(value, f"{key} must be an integer >= {least}", least)
 
 
-_float = heat_errors._number  # JSON numbers only: a string or a bool exits 2
-
-
 def _grid(study: dict, key: str, default=DEFAULT_HEAT_GRID) -> list:
     grid = study.get(key, list(default))
     if not (isinstance(grid, list) and grid):
@@ -121,13 +119,13 @@ def _build_model(cfg: dict, n_xi: int) -> scheme.ModelParams:
     if isinstance(initial, str):
         xi = scheme.initial_coefficients(initial, n_xi)
     elif isinstance(initial, (list, tuple)):
-        xi = np.array([_float(c, "model.initial entries") for c in initial])
+        xi = np.array([_number(c, "model.initial entries") for c in initial])
     else:
         raise ConfigError(f"model.initial must be a preset name or a list, got {initial!r}")
     return scheme.ModelParams(
-        T=_float(section.get("T", 1.0), "model.T"),
-        nu=_float(section.get("nu", 1.0), "model.nu"),
-        a=nonlinearity.CubicCoefficients(*[_float(c, "model.a entries") for c in coeffs]),
+        T=_number(section.get("T", 1.0), "model.T"),
+        nu=_number(section.get("nu", 1.0), "model.nu"),
+        a=nonlinearity.CubicCoefficients(*[_number(c, "model.a entries") for c in coeffs]),
         xi=xi,
     )
 
@@ -148,8 +146,8 @@ def _build_study(cfg: dict, args) -> experiments.StudyConfig:
         n_ref=n_ref,
         paths=_int(_pick(args.paths, None, study.get("paths"), 200), "paths"),
         seed=_int(_pick(args.seed, _env_int("SPDE_SEED"), study.get("seed"), 0), "seed", 0),
-        gamma=_float(disc.get("gamma", scheme.DEFAULT_GAMMA), "discretization.gamma"),
-        chi=_float(disc.get("chi", scheme.DEFAULT_CHI), "discretization.chi"),
+        gamma=_number(disc.get("gamma", scheme.DEFAULT_GAMMA), "discretization.gamma"),
+        chi=_number(disc.get("chi", scheme.DEFAULT_CHI), "discretization.chi"),
         m_master=_int(study.get("M_master", 0), "M_master", 0),
         n_master=n_master,
         exact=exact,
@@ -176,9 +174,9 @@ def _prefix(cfg: dict) -> str:
 def cmd_heat_errors(cfg: dict, args) -> int:
     study = cfg.get("study", {})
     model_section = cfg.get("model", {})
-    T = _float(model_section.get("T", 1.0), "model.T")
-    nu = _float(model_section.get("nu", 1.0), "model.nu")
-    tol = _float(study.get("sandwich_tol", 1e-12), "study.sandwich_tol")
+    T = _number(model_section.get("T", 1.0), "model.T")
+    nu = _number(model_section.get("nu", 1.0), "model.nu")
+    tol = _number(study.get("sandwich_tol", 1e-12), "study.sandwich_tol")
     reports, text = heat_errors.error_table(_grid(study, "m_grid"), _grid(study, "n_grid"),
                                             T, nu)
     out = _out_dir(cfg, args) / f"{_prefix(cfg)}_heat_errors.csv"
@@ -202,8 +200,8 @@ def cmd_simulate(cfg: dict, args) -> int:
     N = _int(disc_section.get("N", 64), "N")
     d = scheme.DiscretizationParams(
         M=M, N=N,
-        gamma=_float(disc_section.get("gamma", scheme.DEFAULT_GAMMA), "discretization.gamma"),
-        chi=_float(disc_section.get("chi", scheme.DEFAULT_CHI), "discretization.chi"),
+        gamma=_number(disc_section.get("gamma", scheme.DEFAULT_GAMMA), "discretization.gamma"),
+        chi=_number(disc_section.get("chi", scheme.DEFAULT_CHI), "discretization.chi"),
     )
     model = _build_model(cfg, n_xi=max(N, 512))
     seed = _int(_pick(args.seed, _env_int("SPDE_SEED"), study.get("seed"), 0), "seed", 0)

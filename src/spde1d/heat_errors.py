@@ -407,8 +407,6 @@ def fit_rate(errors: dict) -> RateFit:
 
 REPORT_HEADER = "M,N,exact,lower,upper,kind"
 
-KINDS = ("temporal", "spatial", "full")
-
 
 class ErrorBoundsReport(NamedTuple):
     kind: str

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: termwise integer combinatorics and
 arbitrary-precision arithmetic, no transforms, no shared code paths with the
 package. Costs are O(N^4) and worse; keep inputs small.  The last section
-holds the few helpers that do read the package: one mode of its closed form,
-the quadrature it is checked against, and an OU moment built on its
+holds the few helpers that do read the package or repeat its arithmetic: one
+mode of its closed form, the quadrature it is checked against, the scalar
+form of the vectorized temporal lower bound, and an OU moment built on its
 per-mode variances.
 """
 import math
@@ -171,6 +172,19 @@ def temporal_mode_integral_quadrature(M, k, T, nu):
         val, _ = quad(integrand, t0, t0 + h, epsabs=1e-16, epsrel=1e-13, limit=200)
         pieces.append(val)
     return math.fsum(pieces)
+
+
+def lower_temporal_sq_scalar(M, N, T, nu, denom_factor):
+    """One cell of heat_errors._lower_temporal_sq in scalar libm arithmetic (N int or "all")."""
+    ratio_n2 = math.inf if N == "all" else T * N**2 / (2 * M)
+    ratio_np1 = math.inf if N == "all" else T * (N + 1) ** 2 / (2 * M)
+    damp = -math.expm1(-nu * math.pi**2 * min(1.0, ratio_n2))
+    c = math.sqrt(T) * -math.expm1(-nu * math.pi**2 * T) * damp**2 \
+        / (denom_factor * nu * math.pi**2 * math.sqrt(2))
+    a = (1 + math.sqrt(T)) ** 2
+    upper_limit = max(0.0, ratio_np1 - (1 + math.sqrt(T / (2 * M))) ** 2)
+    integral = 2 * c * (1 / math.sqrt(a) - 1 / math.sqrt(upper_limit + a))
+    return integral / math.sqrt(M)
 
 
 def ou_second_moment(n_steps, n_modes, T, nu, r=0.0):

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from spde1d import heat_errors as he
 
-from oracles import (ou_pair_mismatch_brute, spatial_tail_mp, temporal_mode_integral,
-                     temporal_mode_integral_quadrature, temporal_mode_mp, temporal_mode_quad_mp)
+from oracles import (lower_temporal_sq_scalar, ou_pair_mismatch_brute, spatial_tail_mp,
+                     temporal_mode_integral, temporal_mode_integral_quadrature,
+                     temporal_mode_mp, temporal_mode_quad_mp)
 
 # values pinned from the mp oracles in oracles.py; regression guards
 FROZEN = {
@@ -222,7 +223,7 @@ def test_error_reports_equal_the_per_cell_functions(m_grid, n_grid, T, nu):
         "%s,%s,%.17g,%.17g,%.17g,%s" % (r.M, r.N, r.exact, r.lower, r.upper, r.kind)
         for r in rows)]
     assert [(r.kind, r.M, r.N) for r in rows] == [
-        (kind, M, N) for kind in he.KINDS for M in m_grid for N in n_grid
+        (kind, M, N) for kind in ("temporal", "spatial", "full") for M in m_grid for N in n_grid
         if N != "all" or kind == "temporal"]
     for r in rows:
         M, N = r.M, r.N
@@ -236,3 +237,9 @@ def test_error_reports_equal_the_per_cell_functions(m_grid, n_grid, T, nu):
             want = (he.full_error_exact(M, N, T, nu), *he.bounds_full(M, N, T, nu))
         assert (r.exact, r.lower, r.upper) == want
         assert r.sandwiched(1e-12)
+        # the vectorized lower bounds equal the scalar libm formulas bit for bit
+        if r.kind == "temporal":
+            assert r.lower == math.sqrt(lower_temporal_sq_scalar(M, N, T, nu, 8.0))
+        elif r.kind == "full":
+            assert r.lower == math.sqrt(lower_temporal_sq_scalar(M, N, T, nu, 32.0)) \
+                + math.sqrt(-math.expm1(-nu * T)) / (4 * math.pi * math.sqrt(nu) * math.sqrt(N))
