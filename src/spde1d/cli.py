@@ -177,6 +177,8 @@ def cmd_heat_errors(cfg: dict, args) -> int:
     T = _number(model_section.get("T", 1.0), "model.T")
     nu = _number(model_section.get("nu", 1.0), "model.nu")
     tol = _number(study.get("sandwich_tol", 1e-12), "study.sandwich_tol")
+    if not (tol >= 0 and np.isfinite(tol)):
+        raise ConfigError(f"study.sandwich_tol must be finite and >= 0, got {tol!r}")
     reports, text = heat_errors.error_table(_grid(study, "m_grid"), _grid(study, "n_grid"),
                                             T, nu)
     out = _out_dir(cfg, args) / f"{_prefix(cfg)}_heat_errors.csv"

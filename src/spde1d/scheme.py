@@ -116,22 +116,25 @@ def truncation_indicator(Y: np.ndarray, O: np.ndarray, d: DiscretizationParams,
 
     The comparison is non-strict; the boundary case keeps the drift.
     """
-    return bool(_keeps_drift(_gamma_weights(len(Y), nu, d.gamma), Y, O, d.threshold(T)))
+    w = spectral.eigenvalues(len(Y), nu) ** (2 * d.gamma)
+    return bool(_keeps_drift(_h_gamma_norm(w, Y), _h_gamma_norm(w, O), d.threshold(T)))
 
 
-def _gamma_weights(n_modes: int, nu: float, gamma: float) -> np.ndarray:
-    return spectral.eigenvalues(n_modes, nu) ** (2 * gamma)
+def _h_gamma_norm(w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """||.||_{H_gamma} of each row of X (..., N), w = mu^{2 gamma}, at most 2^15
+    values at a time; each row is reduced on its own, whatever its neighbours."""
+    if X.ndim > 1 and X.size > 1 << 15:
+        k = max(1, (1 << 15) // (X.size // len(X)))
+        return np.concatenate([_h_gamma_norm(w, X[s:s + k]) for s in range(0, len(X), k)])
+    sq = X * X
+    sq *= w
+    return np.sqrt(sq.sum(axis=-1))
 
 
-def _keeps_drift(w: np.ndarray, Y: np.ndarray, O: np.ndarray, thr: float):
+def _keeps_drift(y_norm, o_norm, thr: float):
     """The kernel's own indicator arithmetic, shared by every caller so that
-    a reported decision is the one the kernel made, to the last bit.
-
-    Y and O are (..., N); each row's norms are reduced on their own, so a
-    row's decision does not depend on how many rows are stepped together.
-    """
-    return (np.sqrt((w * (Y * Y)).sum(axis=-1))
-            + np.sqrt((w * (O * O)).sum(axis=-1))) <= thr
+    a reported decision is the one the kernel made, to the last bit."""
+    return y_norm + o_norm <= thr
 
 
 def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
@@ -150,7 +153,9 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     O steps as O_{m+1} = e^{hA}(O_m + Delta W_m), the exponential Euler OU.
     It is not exact in law: per mode its variance at T is the continuum
     (1 - e^{-2 mu T})/(2 mu) times 2 mu h/(e^{2 mu h} - 1), far below it
-    when mu h >> 1 (see noise.ou_variance_discrete).
+    when mu h >> 1 (see noise.ou_variance_discrete).  O does not depend on Y,
+    so its steps and norms come first; with zero drift the indicator is taken
+    over all Y rows after the Y loop.  The bits are those of one joint step.
     """
     dw = np.asarray(dw, dtype=np.float64)
     batched = dw.ndim == 3
@@ -164,7 +169,7 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     h = model.T / d.M
     decay = spectral.semigroup_factors(d.N, model.nu, h)
     phi = spectral.phi1_factors(d.N, model.nu, h)
-    weights = _gamma_weights(d.N, model.nu, d.gamma)
+    weights = spectral.eigenvalues(d.N, model.nu) ** (2 * d.gamma)
     thr = d.threshold(model.T)
     drift_on = any(v != 0 for v in model.a.as_tuple())
     grid = spectral.default_grid(d.N)
@@ -176,18 +181,29 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
         y_path[0] = o_path[0] = model.xi_projected(d.N)
     else:
         y_path[0], o_path[0] = start
+    # O does not depend on Y: step it, then take the norms of all its rows
+    for m in range(steps):
+        np.add(o_path[m], dw[:, m], out=o_path[m + 1])
+        o_path[m + 1] *= decay
+    o_norm = _h_gamma_norm(weights, o_path[:-1])
+    decay_o = np.empty((paths, d.N))  # e^{hA} O_m
     kept = np.zeros(paths, dtype=np.int64)
     for m in range(steps):
-        y, o = y_path[m], o_path[m]
-        o_next = decay * (o + dw[:, m])
-        y_next = decay * y + o_next - decay * o
-        on = _keeps_drift(weights, y, o, thr)
-        kept += on
-        if drift_on and on.any():
+        y, y_next = y_path[m], y_path[m + 1]
+        np.multiply(decay, y, out=y_next)
+        y_next += o_path[m + 1]
+        np.multiply(decay, o_path[m], out=decay_o)
+        y_next -= decay_o
+        if drift_on:
+            on = _keeps_drift(_h_gamma_norm(weights, y), o_norm[m], thr)
+            kept += on
             # masked, never multiplied by a 0/1 mask: 0*inf would be NaN
-            y_next[on] += phi * project_F(y[on], model.a, grid)
-        y_path[m + 1] = y_next
-        o_path[m + 1] = o_next
+            if on.all():
+                y_next += phi * project_F(y, model.a, grid)
+            elif on.any():
+                y_next[on] += phi * project_F(y[on], model.a, grid)
+    if not drift_on:
+        kept = _keeps_drift(_h_gamma_norm(weights, y_path[:-1]), o_norm, thr).sum(axis=0)
     suppressed = steps - kept
     y_path, o_path = y_path.transpose(1, 0, 2), o_path.transpose(1, 0, 2)
     if batched:
@@ -217,9 +233,9 @@ def trajectory_csv(model: ModelParams, d: DiscretizationParams,
     indicator is re-evaluated at each time so the column can be cross-checked
     from the dumped coefficients."""
     h = model.T / d.M
-    on = _keeps_drift(_gamma_weights(d.N, model.nu, d.gamma), Y, O, d.threshold(model.T))
     lines = [TRAJECTORY_HEADER]
-    for m, (y, o, ind) in enumerate(zip(Y, O, on.tolist())):
+    for m, (y, o) in enumerate(zip(Y, O)):
+        ind = truncation_indicator(y, o, d, model.T, model.nu)
         for k in range(d.N):
             lines.append("%.17g,%d,%.17g,%.17g,%d" % (m * h, k + 1, y[k], o[k], ind))
     return "\n".join(lines) + "\n"

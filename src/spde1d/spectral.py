@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.fft
+import scipy.fftpack  # scipy.fft's DST-I kernel and bits, without its backend dispatch
 
 SQRT2 = np.sqrt(2.0)
 
@@ -91,7 +92,7 @@ def to_grid(coeffs: np.ndarray, grid: int) -> np.ndarray:
     pad = np.zeros(coeffs.shape[:-1] + (grid - 1,))
     pad[..., :n] = coeffs
     # dst-I computes 2 sum_j x_j sin(pi j m / G); fold in the sqrt(2) basis factor
-    return scipy.fft.dst(pad, type=1, axis=-1) * (SQRT2 / 2.0)
+    return scipy.fftpack.dst(pad, type=1, axis=-1) * (SQRT2 / 2.0)
 
 
 def from_grid(values: np.ndarray, n_modes: int) -> np.ndarray:
@@ -104,7 +105,7 @@ def from_grid(values: np.ndarray, n_modes: int) -> np.ndarray:
     grid = values.shape[-1] + 1
     if n_modes > grid - 1:
         raise ValueError(f"need grid-1 >= n_modes, got grid={grid}, n_modes={n_modes}")
-    full = scipy.fft.dst(values, type=1, axis=-1) * (SQRT2 / (2.0 * grid))
+    full = scipy.fftpack.dst(values, type=1, axis=-1) * (SQRT2 / (2.0 * grid))
     return full[..., :n_modes]
 
 

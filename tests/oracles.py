@@ -5,15 +5,15 @@ arbitrary-precision arithmetic, no transforms, no shared code paths with the
 package. Costs are O(N^4) and worse; keep inputs small.  The last section
 holds the few helpers that do read the package or repeat its arithmetic: one
 mode of its closed form, the quadrature it is checked against, the scalar
-form of the vectorized temporal lower bound, and an OU moment built on its
-per-mode variances.
+form of the vectorized temporal lower bound, an OU moment built on its
+per-mode variances, and the scheme stepped one whole step at a time.
 """
 import math
 
 import mpmath as mp
 import numpy as np
 
-from spde1d import heat_errors, noise, spectral
+from spde1d import heat_errors, noise, nonlinearity, spectral
 
 
 def sine_integral(m):
@@ -191,3 +191,40 @@ def ou_second_moment(n_steps, n_modes, T, nu, r=0.0):
     """E ||O_T||_{H_r}^2 of the zero-initial discretized OU, from noise.ou_variance_discrete."""
     mu = spectral.eigenvalues(n_modes, nu)
     return float(np.sum(mu ** (2 * r) * noise.ou_variance_discrete(n_steps, n_modes, T, nu)))
+
+
+def run_scheme_stepwise(model, d, dw, start=None):
+    """The truncated exponential Euler scheme one step at a time: per step,
+    O and Y advance together and the indicator is taken from both norms.
+
+    dw is (P, k, N); start=(Y, O) of shape (P, N), else Y_0 = O_0 = P_N xi.
+    Returns (Y rows (P, k+1, N), O rows (P, k+1, N), suppressed per path,
+    indicator (k, P)), in the arithmetic of scheme.run_scheme's module
+    docstring written out with no shared helper.
+    """
+    dw = np.asarray(dw, dtype=np.float64)
+    paths, steps, n = dw.shape
+    h = model.T / d.M
+    decay = spectral.semigroup_factors(n, model.nu, h)
+    phi = spectral.phi1_factors(n, model.nu, h)
+    w = spectral.eigenvalues(n, model.nu) ** (2 * d.gamma)
+    thr = d.threshold(model.T)
+    drift_on = any(v != 0 for v in model.a.as_tuple())
+    if start is None:
+        start = (np.tile(model.xi_projected(n), (paths, 1)),) * 2
+    y, o = (np.array(x, dtype=np.float64) for x in start)
+    ys, os_, ons = [y], [o], []
+    for m in range(steps):
+        o_next = decay * (o + dw[:, m])
+        y_next = decay * y + o_next - decay * o
+        on = (np.sqrt((w * (y * y)).sum(axis=-1))
+              + np.sqrt((w * (o * o)).sum(axis=-1))) <= thr
+        if drift_on and on.any():
+            y_next[on] += phi * nonlinearity.project_F(y[on], model.a,
+                                                       spectral.default_grid(n))
+        y, o = y_next, o_next
+        ys.append(y)
+        os_.append(o)
+        ons.append(on)
+    ons = np.array(ons, dtype=bool).reshape(steps, paths)
+    return (np.stack(ys, axis=1), np.stack(os_, axis=1), steps - ons.sum(axis=0), ons)

@@ -66,9 +66,10 @@ def test_heat_errors_all_modes_rows(tmp_path):
     assert all(r.endswith("temporal") for r in all_rows)
 
 
-def test_heat_errors_negative_tolerance_forces_exit_3(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"study": {"m_grid": [2], "n_grid": [2],
-                                         "sandwich_tol": -1.0}})
+def test_heat_errors_violation_exits_3_and_keeps_the_report(tmp_path, capsys, monkeypatch):
+    # an upper bound of 0 puts every spatial and full row above its bound
+    monkeypatch.setattr(cli.heat_errors, "bound_upper_spatial", lambda N, T, nu: 0.0)
+    cfg = write_cfg(tmp_path, {"study": {"m_grid": [2], "n_grid": [2]}})
     rc = cli.main(["heat-errors", "--config", cfg, "--out", str(tmp_path)])
     assert rc == cli.EXIT_SANDWICH
     assert "sandwich violated" in capsys.readouterr().err
@@ -89,9 +90,14 @@ def test_heat_errors_negative_tolerance_forces_exit_3(tmp_path, capsys):
     {"study": {"sandwich_tol": "1e-12"}},
     {"model": {"T": "1"}},
     {"model": {"nu": True}},
+    {"study": {"m_grid": [2, 4], "n_grid": [2], "sandwich_tol": math.nan}},
+    {"study": {"sandwich_tol": math.inf}},
+    {"study": {"sandwich_tol": -1.0}},
+    {"model": {"T": 1e307, "nu": 1.0}},
 ], ids=["infinite_T", "fractional_M", "infinite_M", "empty_m_grid", "empty_n_grid",
         "grid_not_a_list", "negative_infinite_N", "infinite_N", "null_N",
-        "tolerance_as_string", "T_as_string", "nu_as_bool"])
+        "tolerance_as_string", "T_as_string", "nu_as_bool", "nan_tolerance",
+        "infinite_tolerance", "negative_tolerance", "T_overflowing_the_errors"])
 def test_bad_heat_errors_values_exit_2(tmp_path, capsys, payload):
     cfg = write_cfg(tmp_path, payload)
     rc = cli.main(["heat-errors", "--config", cfg, "--out", str(tmp_path)])

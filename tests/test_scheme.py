@@ -5,6 +5,8 @@ import pytest
 
 from spde1d import noise, nonlinearity, scheme, spectral
 
+from oracles import run_scheme_stepwise
+
 PI2 = math.pi**2
 
 
@@ -303,6 +305,39 @@ def test_run_in_pieces_through_start_equals_one_shot():
     yb2, ob2, sb2 = scheme.run_scheme(model, d, dw[:, cut:], start=(yb1[:, -1], ob1[:, -1]))
     np.testing.assert_array_equal(np.concatenate([yb1[1], yb2[1, 1:]]), y)
     assert sb1[1] + sb2[1] == suppressed
+
+
+@pytest.mark.parametrize("case", ["mixed_mask", "all_off_then_on", "from_xi", "zero_drift"])
+def test_run_scheme_equals_the_stepwise_oracle_bit_for_bit(case):
+    # the kernel steps O first and gates Y afterwards; the oracle steps both
+    # together, one step at a time, so a fault that a batch and a single run
+    # share still shows here
+    model, d, dw, (y0, o0) = _batch_inputs()
+    start = (y0, o0)
+    if case == "all_off_then_on":
+        y0[:, 0] = 5.0  # every path starts far above the threshold
+    elif case == "from_xi":
+        start = None
+    elif case == "zero_drift":
+        model = scheme.ModelParams(T=1.0, nu=1.0, xi=np.array([2.0]),
+                                   a=nonlinearity.CubicCoefficients(0, 0, 0, 0))
+        start = None
+    y, o, suppressed = scheme.run_scheme(model, d, dw, start=start)
+    ys, os_, sup, on = run_scheme_stepwise(model, d, dw, start=start)
+    np.testing.assert_array_equal(y, ys)
+    np.testing.assert_array_equal(o, os_)
+    np.testing.assert_array_equal(suppressed, sup)
+    steps_on = on.sum(axis=1)
+    assert steps_on.max() == len(y0)  # an all-on step in every case
+    if case == "mixed_mask":
+        assert 0 < steps_on[0] < len(y0)
+    if case in ("all_off_then_on", "zero_drift"):
+        assert steps_on.min() == 0
+    for p in range(len(y0)):  # the unbatched kernel too
+        yp, op, sp = scheme.run_scheme(model, d, dw[p], start=start and (y0[p], o0[p]))
+        np.testing.assert_array_equal(yp, ys[p])
+        np.testing.assert_array_equal(op, os_[p])
+        assert sp == sup[p]
 
 
 def test_run_scheme_shape_guards():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from spde1d import spectral
 
@@ -166,3 +167,20 @@ def test_transform_batched_rows_match_single():
     stacked = spectral.to_grid(block, G)
     for i in range(4):
         np.testing.assert_array_equal(stacked[i], spectral.to_grid(block[i], G))
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (4,), (64,)])
+@pytest.mark.parametrize("n_modes", [1, 8, 16, 32, 64, 128, 512])
+def test_transforms_equal_scipy_fft_dst_bit_for_bit(n_modes, lead):
+    # to_grid / from_grid take the DST-I through scipy.fftpack; a scipy whose
+    # fftpack and fft kernels part ways fails here first
+    G = spectral.default_grid(n_modes)
+    rng = np.random.default_rng(n_modes)
+    c = rng.standard_normal(lead + (n_modes,))
+    pad = np.zeros(lead + (G - 1,))
+    pad[..., :n_modes] = c
+    np.testing.assert_array_equal(spectral.to_grid(c, G),
+                                  scipy.fft.dst(pad, type=1, axis=-1) * (np.sqrt(2.0) / 2.0))
+    v = rng.standard_normal(lead + (G - 1,))
+    want = scipy.fft.dst(v, type=1, axis=-1) * (np.sqrt(2.0) / (2.0 * G))
+    np.testing.assert_array_equal(spectral.from_grid(v, n_modes), want[..., :n_modes])
