@@ -462,7 +462,8 @@ def error_table(m_grid, n_grid, T: float, nu: float) -> tuple[list[ErrorBoundsRe
         lower_full = np.sqrt(_lower_temporal_sq(M, n_axis, T, nu, 32.0)).tolist()
         upper = bound_upper_temporal(M, T, nu)
         temporal[M] = (exact, lower, lower_full, upper, "%.17g" % upper)
-    if not math.isfinite(sum(sum(s[:3]) for s in spatial.values()) + sum(  # all >= 0
+    # every value is >= 0, so their sum is finite exactly when each of them is
+    if not math.isfinite(sum(sum(s[:3]) for s in spatial.values()) + sum(
             sum(e.values()) + sum(lo) + sum(lf) + up for e, lo, lf, up, _ in temporal.values())):
         raise ValueError(f"exact errors or bounds overflow a float at T={T!r}, nu={nu!r}")
 

@@ -199,8 +199,8 @@ def run_scheme_stepwise(model, d, dw, start=None):
 
     dw is (P, k, N); start=(Y, O) of shape (P, N), else Y_0 = O_0 = P_N xi.
     Returns (Y rows (P, k+1, N), O rows (P, k+1, N), suppressed per path,
-    indicator (k, P)), in the arithmetic of scheme.run_scheme's module
-    docstring written out with no shared helper.
+    indicator (k, P)).  The recursion is the one in scheme's module
+    docstring; the indicator is written out here, not taken from scheme.
     """
     dw = np.asarray(dw, dtype=np.float64)
     paths, steps, n = dw.shape

@@ -334,7 +334,8 @@ def test_run_scheme_equals_the_stepwise_oracle_bit_for_bit(case):
     if case in ("all_off_then_on", "zero_drift"):
         assert steps_on.min() == 0
     for p in range(len(y0)):  # the unbatched kernel too
-        yp, op, sp = scheme.run_scheme(model, d, dw[p], start=start and (y0[p], o0[p]))
+        start_p = None if start is None else (y0[p], o0[p])
+        yp, op, sp = scheme.run_scheme(model, d, dw[p], start=start_p)
         np.testing.assert_array_equal(yp, ys[p])
         np.testing.assert_array_equal(op, os_[p])
         assert sp == sup[p]
