@@ -29,7 +29,8 @@ import numpy as np
 
 from . import heat_errors, spectral
 from .noise import NoiseTape, coarsen_increments, mean_stderr, merge_m2, sum_and_m2
-from .scheme import DEFAULT_CHI, DEFAULT_GAMMA, DiscretizationParams, ModelParams, run_scheme
+from .scheme import (DEFAULT_CHI, DEFAULT_GAMMA, DiscretizationParams, ModelParams, run_scheme,
+                     suppressed_steps)
 
 BATCH_PATHS = 64
 
@@ -194,20 +195,38 @@ def _step_block(cfg: StudyConfig, coupled: bool, by_resolution, master, first: i
                 states, suppressed, samples, first_path: int) -> None:
     """Advance every resolution through one block of master increments
     (paths, rows, modes) that starts at master step `first`, carry each
-    state on to the next block, and record the samples that fall in it."""
+    state on to the next block, and record the samples that fall in it.
+    With zero drift each mode's factors depend on its index alone and Y_0,
+    O_0 and the increments at N are prefixes, so the rows at (M, N) are the
+    first N modes of any wider run at M, bit for bit: each M steps once at its
+    widest N, and the narrower N read prefix views, suppressed counts too.
+    N = 1 steps on its own: numpy sums a group of one-mode rows pairwise, not
+    row by row as at N >= 2, so its coarsened increments are not a prefix."""
     block = master.shape[1]
+    shared = not any(cfg.model.a.as_tuple())
+    run_of = {(M, N): (M, max(n for m, n in by_resolution if m == M) if shared and N > 1
+                       else N) for M, N in by_resolution}
+    last = {key: resolution for resolution, key in run_of.items()}
+    runs = {}  # stepped (M, N) -> (Y rows, finite per path and mode, suppressed per N)
     for (M, N), members in by_resolution.items():
-        group = cfg.m_master // M
-        y, o, off = run_scheme(cfg.model, cfg.discretization(M, N),
-                               coarsen_increments(master[..., :N], block // group),
-                               start=states[(M, N)])
+        group, key = cfg.m_master // M, run_of[(M, N)]
+        if key not in runs:
+            y, o, off = run_scheme(cfg.model, cfg.discretization(*key),
+                                   coarsen_increments(master[..., :key[1]], block // group),
+                                   start=states[key])
+            states[key] = (y[:, -1].copy(), o[:, -1].copy())  # copies free the block
+            runs[key] = (y, np.isfinite(y).all(axis=1) & np.isfinite(o).all(axis=1), {
+                n: off if n == key[1] else suppressed_steps(
+                    cfg.model, cfg.discretization(M, n), y[..., :n], o[..., :n])
+                for (_, n), k in run_of.items() if k == key})
+            del o  # before the next resolution allocates its rows
+        y, finite, offs = runs.pop(key) if last[key] == (M, N) else runs[key]
+        y = y[..., :N]
         is_reference = coupled and (M, N) == (cfg.m_ref, cfg.n_ref)
-        _require_finite(np.isfinite(y).all(axis=(1, 2)) & np.isfinite(o).all(axis=(1, 2)),
+        _require_finite(finite[:, :N].all(axis=1),
                         "state of " + ("reference" if is_reference else _name(members[0])),
                         first_path)
-        states[(M, N)] = (y[:, -1].copy(), o[:, -1].copy())  # copies free the block
-        suppressed[(M, N)] += off
-        del o  # before the next resolution allocates its rows
+        suppressed[(M, N)] += offs[N]
         if is_reference:
             y_ref = y
         for target in members:
@@ -317,25 +336,19 @@ def run_convergence_study(cfg: StudyConfig):
     spatial_targets = [("spatial", cfg.m_ref, N) for N in cfg.n_grid]
 
     if cfg.exact:
-        rows = [
-            ErrorTableRow("temporal", M, cfg.n_ref,
-                          heat_errors.full_error_exact(M, cfg.n_ref, T, nu),
-                          0.0, math.nan, 0, cfg.seed)
-            for _, M, _ in temporal_targets
-        ] + [
-            ErrorTableRow("spatial", cfg.m_ref, N,
-                          heat_errors.full_error_exact(cfg.m_ref, N, T, nu),
-                          0.0, math.nan, 0, cfg.seed)
-            for _, _, N in spatial_targets
-        ]
-        fits = {
-            "temporal": heat_errors.fit_rate(
-                {M: heat_errors.temporal_error_exact(M, cfg.n_ref, T, nu)
-                 for M in cfg.m_grid}),
-            "spatial": heat_errors.fit_rate(
-                {N: heat_errors.spatial_error_exact(N, T, nu) for N in cfg.n_grid}),
-        }
-        return rows, fits
+        with np.errstate(over="ignore", invalid="ignore"):  # the finite check reports these
+            rows = [ErrorTableRow(kind, M, N, heat_errors.full_error_exact(M, N, T, nu),
+                                  0.0, math.nan, 0, cfg.seed)
+                    for kind, M, N in temporal_targets + spatial_targets]
+            temporal = {M: heat_errors.temporal_error_exact(M, cfg.n_ref, T, nu)
+                        for M in cfg.m_grid}
+            spatial = {N: heat_errors.spatial_error_exact(N, T, nu) for N in cfg.n_grid}
+        # every value is >= 0, so their sum is finite exactly when each of them is
+        if not math.isfinite(sum(r.estimate for r in rows) + sum(temporal.values())
+                             + sum(spatial.values())):
+            raise ValueError(f"exact errors overflow a float at T={T!r}, nu={nu!r}")
+        return rows, {"temporal": heat_errors.fit_rate(temporal),
+                      "spatial": heat_errors.fit_rate(spatial)}
 
     targets = temporal_targets + spatial_targets
     _check_reference_ratios(cfg, targets)

@@ -137,6 +137,14 @@ def _keeps_drift(y_norm, o_norm, thr: float):
     return y_norm + o_norm <= thr
 
 
+def suppressed_steps(model: ModelParams, d: DiscretizationParams, y_rows, o_rows):
+    """Per path, the steps whose indicator is false, from (paths, k+1, d.N) rows as
+    run_scheme returns them, or from prefix views of wider zero-drift ones."""
+    w = spectral.eigenvalues(d.N, model.nu) ** (2 * d.gamma)
+    norms = [_h_gamma_norm(w, r.transpose(1, 0, 2)[:-1]) for r in (y_rows, o_rows)]
+    return len(norms[0]) - _keeps_drift(*norms, d.threshold(model.T)).sum(axis=0)
+
+
 def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
                start: tuple[np.ndarray, np.ndarray] | None = None):
     """Trajectory kernel on raw increment arrays; the hot loop of every driver.
@@ -154,8 +162,9 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     It is not exact in law: per mode its variance at T is the continuum
     (1 - e^{-2 mu T})/(2 mu) times 2 mu h/(e^{2 mu h} - 1), far below it
     when mu h >> 1 (see noise.ou_variance_discrete).  O does not depend on Y,
-    so its steps and norms come first; with zero drift the indicator is taken
-    over all Y rows after the Y loop.  The bits are those of one joint step.
+    so it steps first (and with a drift, its norms are taken next); with zero
+    drift suppressed_steps reads all rows after the Y loop.  The bits are
+    those of one joint step.
     """
     dw = np.asarray(dw, dtype=np.float64)
     batched = dw.ndim == 3
@@ -185,7 +194,7 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     for m in range(steps):
         np.add(o_path[m], dw[:, m], out=o_path[m + 1])
         o_path[m + 1] *= decay
-    o_norm = _h_gamma_norm(weights, o_path[:-1])
+    o_norm = _h_gamma_norm(weights, o_path[:-1]) if drift_on else None
     decay_o = np.empty((paths, d.N))  # e^{hA} O_m
     kept = np.zeros(paths, dtype=np.int64)
     for m in range(steps):
@@ -202,10 +211,8 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
                 y_next += phi * project_F(y, model.a, grid)
             elif on.any():
                 y_next[on] += phi * project_F(y[on], model.a, grid)
-    if not drift_on:
-        kept = _keeps_drift(_h_gamma_norm(weights, y_path[:-1]), o_norm, thr).sum(axis=0)
-    suppressed = steps - kept
     y_path, o_path = y_path.transpose(1, 0, 2), o_path.transpose(1, 0, 2)
+    suppressed = steps - kept if drift_on else suppressed_steps(model, d, y_path, o_path)
     if batched:
         return y_path, o_path, suppressed
     return y_path[0], o_path[0], int(suppressed[0])

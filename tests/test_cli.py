@@ -176,13 +176,16 @@ _ZERO_DRIFT = {"a": [0.0, 0.0, 0.0, 0.0], "initial": "zero"}
     ("converge", {"model": {"a": [0, True, 0, -1]}, "study": _SMALL_STUDY}),
     ("simulate", {"discretization": {"M": 8, "N": 4, "gamma": "0.2"}}),
     ("simulate", {"model": {"T": 10**400}, "discretization": {"M": 8, "N": 4}}),
+    ("converge", {"model": {"T": 1e307, "a": [0, 0, 0, 0]},
+                  "study": {"exact": True, "m_grid": [16, 32, 64], "n_grid": [8, 16, 32],
+                            "M_ref": 512, "N_ref": 64}}),
 ], ids=["m_not_dividing_master", "m_grid_not_a_list", "study_not_an_object",
         "misspelled_key", "overflowing_initial_value", "fractional_M", "fractional_paths",
         "exact_as_string", "seed_as_bool", "master_as_string", "simulate_fractional_M",
         "simulate_fractional_path", "simulate_fractional_seed", "check_fractional_trials",
         "T_as_string", "nu_as_bool", "a_entry_as_string", "initial_entry_as_string",
         "gamma_as_string", "a_entry_as_bool", "simulate_gamma_as_string",
-        "simulate_T_too_large_for_a_float"])
+        "simulate_T_too_large_for_a_float", "exact_errors_overflowing_a_float"])
 def test_bad_study_values_exit_2(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])

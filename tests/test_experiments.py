@@ -258,3 +258,72 @@ def test_moment_stderr_survives_a_large_mean():
     var = noise.ou_variance_discrete(4, 2, 1.0, 1.0)
     true_se = math.sqrt(np.sum(w * w * (4 * mean * mean * var + 2 * var * var)) / cfg.paths)
     assert 0.7 < row.stderr / true_se < 1.4
+
+
+def _zero_drift_cfg(**kw):
+    # xi_k ~ k^-0.9: the H_gamma norm of P_N xi grows like sqrt(log N), so the
+    # suppressed counts differ across N
+    xi = 0.3 * np.arange(1, 17) ** -0.9 / math.pi ** 0.4
+    model = scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.CubicCoefficients(0, 0, 0, 0),
+                               xi=xi)
+    return small_cfg(model=model, paths=70, **kw)  # 70 paths: two batches merge
+
+
+def _assert_same_moments(shared, alone):
+    assert shared.keys() == alone.keys()
+    for name in shared:
+        assert np.asarray(shared[name]).tobytes() == np.asarray(alone[name]).tobytes(), name
+
+
+def test_zero_drift_study_steps_shared_and_alone_give_the_same_moments():
+    # with zero drift every N at one M reads prefixes of one run at the widest
+    # N; each target alone must give the same bits
+    cfg = _zero_drift_cfg()
+    targets = [("temporal", M, cfg.n_ref) for M in cfg.m_grid] \
+        + [("spatial", cfg.m_ref, N) for N in cfg.n_grid]
+    shared = ex._accumulate(cfg, targets, True)
+    for target in targets:
+        _assert_same_moments(shared[target], ex._accumulate(cfg, [target], True)[target])
+    # a cell run of one (M, N) steps that N on its own
+    for _, M, N in targets[len(cfg.m_grid):]:
+        assert shared[("spatial", M, N)]["suppressed"] \
+            == ex._accumulate(cfg, [(M, N)], False)[(M, N)]["suppressed"]
+    assert len({shared[t]["suppressed"] for t in targets}) > 2
+
+
+def test_zero_drift_cells_at_one_m_equal_each_cell_alone():
+    cfg = _zero_drift_cfg(m_grid=(16,), n_grid=(1, 8, 16))
+    cells = [(16, 8), (16, 16), (16, 1)]  # the widest N is not first
+    shared = ex._accumulate(cfg, cells, False)
+    for cell in cells:
+        _assert_same_moments(shared[cell], ex._accumulate(cfg, [cell], False)[cell])
+    # N = 8 is read from the run at N = 16, and its own count differs
+    assert shared[(16, 8)]["suppressed"] != shared[(16, 16)]["suppressed"]
+    rows, _ = ex.moment_audit(cfg)
+    assert rows == [ex.moment_audit(replace(cfg, n_grid=(N,)))[0][0] for N in cfg.n_grid]
+    assert ex.activation_fractions(cfg, cells) \
+        == [row for cell in cells for row in ex.activation_fractions(cfg, [cell])]
+
+
+def _blown_up_zero_drift_cfg(mode):
+    # nu = 0.01 keeps the modes up to 8 from decaying within a step at M = 128,
+    # so e^{hA} Y + O overflows in the mode that starts near the float limit
+    xi = np.zeros(16)
+    xi[mode] = 1.7e308
+    model = scheme.ModelParams(T=1.0, nu=0.01, a=nonlinearity.CubicCoefficients(0, 0, 0, 0),
+                               xi=xi)
+    return small_cfg(model=model, paths=70)
+
+
+def test_zero_drift_non_finite_state_names_the_resolution_a_separate_run_names():
+    # each N is checked on its own prefix of the shared run, in the order of
+    # the targets, so the named resolution is the one that stepping every N
+    # on its own finds first
+    with pytest.raises(ValueError, match=r"non-finite state of reference on path 0"):
+        ex.strong_error_mc(_blown_up_zero_drift_cfg(0), 128, 8, enforce_ratios=False)
+    with pytest.raises(ValueError, match=r"non-finite state of cell M=128 N=2 on path 0"):
+        ex.activation_fractions(_blown_up_zero_drift_cfg(0), [(128, 2), (128, 8)])
+    # mode 8 overflows: N = 2 stays finite, and the N = 8 after it is named
+    with pytest.raises(ValueError, match=r"non-finite state of cell M=128 N=8 on path 0"):
+        ex.activation_fractions(_blown_up_zero_drift_cfg(7), [(128, 2), (128, 8), (128, 16)])
+    assert ex.activation_fractions(_blown_up_zero_drift_cfg(7), [(128, 2)])[0][2] >= 0

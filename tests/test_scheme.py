@@ -350,3 +350,65 @@ def test_run_scheme_shape_guards():
     xi = model.xi_projected(d.N)
     with pytest.raises(ValueError):
         scheme.run_scheme(model, d, np.zeros((d.M + 1, d.N)), start=(xi, xi))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("nu", [0.15, 1.0, 2.0])
+@pytest.mark.parametrize("h", [1e-6, 1.0 / 16, 1.0 / 2048])
+def test_mode_factors_are_prefix_equal_across_n(nu, h):
+    # every factor of mode k is a function of k alone, so a narrower N sees
+    # the first modes of a wider one, bit for bit; the zero-drift engine
+    # steps each M once at its widest N on the strength of this
+    wide = {"mu": spectral.eigenvalues(1024, nu),
+            "decay": spectral.semigroup_factors(1024, nu, h),
+            "phi": spectral.phi1_factors(1024, nu, h),
+            "weights": spectral.eigenvalues(1024, nu) ** (2 * scheme.DEFAULT_GAMMA)}
+    for n in (1, 7, 8, 64, 128, 1000):
+        narrow = {"mu": spectral.eigenvalues(n, nu),
+                  "decay": spectral.semigroup_factors(n, nu, h),
+                  "phi": spectral.phi1_factors(n, nu, h),
+                  "weights": spectral.eigenvalues(n, nu) ** (2 * scheme.DEFAULT_GAMMA)}
+        for name, values in narrow.items():
+            np.testing.assert_array_equal(_bits(values), _bits(wide[name][:n]), err_msg=name)
+
+
+@pytest.mark.parametrize("nu", [0.15, 1.0, 2.0])
+@pytest.mark.parametrize("resume", [False, True])
+def test_zero_drift_runs_are_prefixes_of_a_wider_run(nu, resume):
+    M, wide, paths = 16, 128, 3
+    # xi_k ~ k^-0.9: the H_gamma norm of P_N xi grows like sqrt(log N) and
+    # crosses the threshold between N = 1 and N = 64
+    xi = 0.3 * np.arange(1, 257) ** -0.9 / (nu * PI2) ** 0.2
+    model = scheme.ModelParams(T=1.0, nu=nu, a=nonlinearity.CubicCoefficients(0, 0, 0, 0),
+                               xi=xi)
+    dw = np.stack([noise.NoiseTape(seed=9, M_master=M, N_master=wide, T=1.0, path=p)
+                   .increments(M, wide) for p in range(paths)])
+    start = None
+    if resume:  # a resumed run takes k < M steps from a state that is not xi
+        rng = np.random.default_rng(3)
+        dw = dw[:, :5]
+        start = tuple(rng.standard_normal((paths, wide)) * xi[:wide] for _ in range(2))
+    y, o, suppressed = scheme.run_scheme(model, scheme.DiscretizationParams(M=M, N=wide),
+                                         dw, start=start)
+    counts = {}
+    for n in (1, 7, 8, 64):
+        d = scheme.DiscretizationParams(M=M, N=n)
+        part = None if start is None else tuple(s[:, :n] for s in start)
+        yn, on, sn = scheme.run_scheme(model, d, dw[..., :n], start=part)
+        np.testing.assert_array_equal(_bits(yn), _bits(y[..., :n]))
+        np.testing.assert_array_equal(_bits(on), _bits(o[..., :n]))
+        np.testing.assert_array_equal(sn, scheme.suppressed_steps(model, d, y[..., :n],
+                                                                  o[..., :n]))
+        for p in range(paths):  # unbatched
+            start_p = None if part is None else (part[0][p], part[1][p])
+            yp, op, sp = scheme.run_scheme(model, d, dw[p, :, :n], start=start_p)
+            np.testing.assert_array_equal(_bits(yp), _bits(y[p, :, :n]))
+            np.testing.assert_array_equal(_bits(op), _bits(o[p, :, :n]))
+            assert sp == sn[p]
+        counts[n] = tuple(sn)
+    np.testing.assert_array_equal(suppressed, scheme.suppressed_steps(
+        model, scheme.DiscretizationParams(M=M, N=wide), y, o))
+    assert len(set(counts.values())) > 1  # the indicator tells the widths apart
