@@ -12,7 +12,7 @@ Layout:
 """
 
 from . import experiments, heat_errors, noise, nonlinearity, scheme, spectral
-from .experiments import StudyConfig, run_convergence_study, strong_error_mc
+from .experiments import StudyConfig, run_convergence_study
 from .heat_errors import (
     fit_rate,
     full_error_exact,
@@ -50,7 +50,6 @@ __all__ = [
     "simulate_trajectory",
     "spatial_error_exact",
     "spectral",
-    "strong_error_mc",
     "temporal_error_exact",
     "truncation_indicator",
 ]

@@ -6,11 +6,13 @@ Subcommands:
   converge      coupled Monte Carlo convergence study with rate fits
   check         inequality and monotonicity audit suite
 
-Configuration is one JSON file with sections "model", "discretization",
-"study", "output"; all sections optional with documented defaults, and each
-command rejects a key it does not read (CONFIG_KEYS).  The
---seed/--paths/--out/--threads flags override the file, and the environment
-variables SPDE_SEED / SPDE_OUT sit between the two (flag > env > file).
+Configuration is one JSON file with optional sections "model",
+"discretization", "study", "output".  SETTINGS, the one table of the keys
+each command reads (section -> key -> (default, parser)), is the contract: a
+command rejects any other key, and parses each of its keys once, before it
+runs, into a plain dict of values.  Four keys have overrides, resolved flag >
+environment > file > default: study.seed (--seed, SPDE_SEED), study.paths
+(--paths), study.threads (--threads) and output.dir (--out, SPDE_OUT).
 
 Exit codes: 0 success, 2 configuration error, 3 sandwich violation in
 heat-errors, 4 audit failure in check.
@@ -35,28 +37,100 @@ EXIT_CONFIG = 2
 EXIT_SANDWICH = 3
 EXIT_AUDIT = 4
 
-DEFAULT_HEAT_GRID = (1, 2, 4, 8, 16, 32, 64)
 AUDIT_TOL = 1e-8
 
 
-# every config key each command reads, by section; any other key is rejected
-_MODEL_KEYS = {"T", "nu", "a", "initial"}
-_OUTPUT_KEYS = {"dir", "prefix"}
-CONFIG_KEYS = {
-    "heat-errors": {"model": {"T", "nu"}, "study": {"m_grid", "n_grid", "sandwich_tol"},
-                    "output": _OUTPUT_KEYS},
-    "simulate": {"model": _MODEL_KEYS, "discretization": {"M", "N", "gamma", "chi"},
-                 "study": {"seed", "path", "M_master", "N_master"}, "output": _OUTPUT_KEYS},
-    "converge": {"model": _MODEL_KEYS, "discretization": {"gamma", "chi"},
-                 "study": {"m_grid", "n_grid", "M_ref", "N_ref", "M_master", "N_master",
-                           "paths", "seed", "threads", "exact", "moment_p"},
-                 "output": _OUTPUT_KEYS},
-    "check": {"study": {"audit_trials", "seed"}},
+# parsers: (value, "section.key") -> the value a command reads
+
+def _at_least(least: int):
+    return lambda value, name: heat_errors._int_at_least(
+        value, f"{name} must be an integer >= {least}", least)
+
+
+_positive, _natural = _at_least(1), _at_least(0)
+
+
+def _is(kind, what: str):
+    def parse(value, name: str):
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+        return value
+    return parse
+
+
+def _list(value, name: str) -> list:
+    if not (isinstance(value, list) and value):
+        raise ValueError(f"{name} must be a non-empty list, got {value!r}")
+    return list(value)
+
+
+def _int_grid(value, name: str) -> list:
+    return [_positive(v, f"{name} entries") for v in _list(value, name)]
+
+
+def _coefficients(value, name: str) -> list:
+    if not (isinstance(value, list) and len(value) == 4):
+        raise ValueError(f"{name} must be a list of 4 coefficients, got {value!r}")
+    return [_number(c, f"{name} entries") for c in value]
+
+
+def _initial(value, name: str):
+    if isinstance(value, list):
+        return [_number(c, f"{name} entries") for c in value]
+    return _is(str, "a preset name or a list")(value, name)  # _model expands a preset
+
+
+def _tolerance(value, name: str) -> float:
+    tol = _number(value, name)
+    if not (tol >= 0 and np.isfinite(tol)):
+        raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
+    return tol
+
+
+# command -> section -> key -> (default, parser): every key a command reads
+
+_MODEL = {"T": (1.0, _number), "nu": (1.0, _number),
+          "a": ([0.0, 1.0, 0.0, -1.0], _coefficients), "initial": ("bump", _initial)}
+_SCHEME = {"gamma": (scheme.DEFAULT_GAMMA, _number), "chi": (scheme.DEFAULT_CHI, _number)}
+_MASTER = {"M_master": (0, _natural), "N_master": (0, _natural)}  # 0: the run's own M, N
+_SEED = {"seed": (0, _natural)}
+_OUTPUT = {"dir": (".", _is(str, "a path string")),
+           "prefix": ("spde1d", lambda value, name: str(value))}
+SETTINGS = {
+    "heat-errors": {"model": {"T": _MODEL["T"], "nu": _MODEL["nu"]},
+                    "study": {"m_grid": ([1, 2, 4, 8, 16, 32, 64], _list),
+                              "n_grid": ([1, 2, 4, 8, 16, 32, 64], _list),
+                              "sandwich_tol": (1e-12, _tolerance)},
+                    "output": _OUTPUT},
+    "simulate": {"model": _MODEL,
+                 "discretization": {"M": (64, _positive), "N": (64, _positive), **_SCHEME},
+                 "study": {**_SEED, "path": (0, _natural), **_MASTER}, "output": _OUTPUT},
+    "converge": {"model": _MODEL, "discretization": _SCHEME,
+                 "study": {"m_grid": ([16, 32, 64, 128], _int_grid),
+                           "n_grid": ([8, 16, 32, 64], _int_grid),
+                           "M_ref": (2048, _positive), "N_ref": (128, _positive), **_MASTER,
+                           "paths": (200, _positive), **_SEED, "threads": (1, _positive),
+                           "exact": (False, _is(bool, "true or false"))},
+                 "output": _OUTPUT},
+    "check": {"study": {"audit_trials": (300, _positive), **_SEED}},
 }
 
 
-class ConfigError(Exception):
-    pass
+def _env_int(name: str):
+    raw = os.environ.get(name)
+    try:
+        return None if raw is None else int(raw)
+    except ValueError as exc:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
+
+
+# the keys a flag, then an environment variable, override: key -> (flag, env) values
+_OVERRIDES = {
+    "seed": lambda args: (args.seed, _env_int("SPDE_SEED")),
+    "paths": lambda args: (args.paths,),
+    "threads": lambda args: (args.threads,),
+    "dir": lambda args: (args.out, os.environ.get("SPDE_OUT")),
+}
 
 
 def _load_config(path: str | None, command: str) -> dict:
@@ -66,122 +140,55 @@ def _load_config(path: str | None, command: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError(f"config root must be an object, got {type(cfg).__name__}")
-    unknown = set(cfg) - {"model", "discretization", "study", "output"}
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        raise ValueError(f"config root must be an object, got {type(cfg).__name__}")
     for name, section in cfg.items():
+        if name not in ("model", "discretization", "study", "output"):
+            raise ValueError(f"unknown config section {name!r}")
         if not isinstance(section, dict):
-            raise ConfigError(f"config section {name!r} must be an object, "
-                              f"got {type(section).__name__}")
-        unknown = sorted(set(section) - CONFIG_KEYS[command].get(name, set()))
+            raise ValueError(f"config section {name!r} must be an object, "
+                             f"got {type(section).__name__}")
+        unknown = sorted(set(section) - set(SETTINGS[command].get(name, ())))
         if unknown:
-            raise ConfigError(f"unknown keys in section {name!r} for {command}: {unknown}")
+            raise ValueError(f"unknown keys in section {name!r} for {command}: {unknown}")
     return cfg
 
 
-def _env_int(name: str):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from exc
+def _resolve(command: str, cfg: dict, args) -> dict:
+    """Every key the command reads, parsed: flag > env > file > default."""
+    values = {}
+    for section, keys in SETTINGS[command].items():
+        given = cfg.get(section, {})
+        for key, (default, parse) in keys.items():
+            value = given.get(key, default)
+            if key in _OVERRIDES:  # here a null in the file means the default
+                value = next((v for v in (*_OVERRIDES[key](args), value) if v is not None),
+                             default)
+            values[key] = parse(value, f"{section}.{key}")
+    return values
 
 
-def _pick(flag, env, file_value, default):
-    for candidate in (flag, env, file_value):
-        if candidate is not None:
-            return candidate
-    return default
+def _model(v: dict, n_xi: int) -> scheme.ModelParams:
+    xi = v["initial"]
+    xi = scheme.initial_coefficients(xi, n_xi) if isinstance(xi, str) else np.array(xi)
+    return scheme.ModelParams(T=v["T"], nu=v["nu"],
+                              a=nonlinearity.CubicCoefficients(*v["a"]), xi=xi)
 
 
-def _int(value, key: str, least: int = 1) -> int:
-    return heat_errors._int_at_least(value, f"{key} must be an integer >= {least}", least)
-
-
-def _grid(study: dict, key: str, default=DEFAULT_HEAT_GRID) -> list:
-    grid = study.get(key, list(default))
-    if not (isinstance(grid, list) and grid):
-        raise ConfigError(f"study.{key} must be a non-empty list, got {grid!r}")
-    return grid
-
-
-def _build_model(cfg: dict, n_xi: int) -> scheme.ModelParams:
-    section = cfg.get("model", {})
-    coeffs = section.get("a", [0.0, 1.0, 0.0, -1.0])
-    if not (isinstance(coeffs, (list, tuple)) and len(coeffs) == 4):
-        raise ConfigError(f"model.a must be a list of 4 coefficients, got {coeffs!r}")
-    initial = section.get("initial", "bump")
-    if isinstance(initial, str):
-        xi = scheme.initial_coefficients(initial, n_xi)
-    elif isinstance(initial, (list, tuple)):
-        xi = np.array([_number(c, "model.initial entries") for c in initial])
-    else:
-        raise ConfigError(f"model.initial must be a preset name or a list, got {initial!r}")
-    return scheme.ModelParams(
-        T=_number(section.get("T", 1.0), "model.T"),
-        nu=_number(section.get("nu", 1.0), "model.nu"),
-        a=nonlinearity.CubicCoefficients(*[_number(c, "model.a entries") for c in coeffs]),
-        xi=xi,
-    )
-
-
-def _build_study(cfg: dict, args) -> experiments.StudyConfig:
-    study = cfg.get("study", {})
-    disc = cfg.get("discretization", {})
-    n_ref = _int(study.get("N_ref", 128), "N_ref")
-    n_master = _int(study.get("N_master", 0), "N_master", 0)
-    exact = study.get("exact", False)
-    if not isinstance(exact, bool):
-        raise ConfigError(f"study.exact must be true or false, got {exact!r}")
-    return experiments.StudyConfig(
-        model=_build_model(cfg, n_xi=max(n_master or n_ref, 512)),
-        m_grid=[_int(m, "m_grid entries") for m in _grid(study, "m_grid", (16, 32, 64, 128))],
-        n_grid=[_int(n, "n_grid entries") for n in _grid(study, "n_grid", (8, 16, 32, 64))],
-        m_ref=_int(study.get("M_ref", 2048), "M_ref"),
-        n_ref=n_ref,
-        paths=_int(_pick(args.paths, None, study.get("paths"), 200), "paths"),
-        seed=_int(_pick(args.seed, _env_int("SPDE_SEED"), study.get("seed"), 0), "seed", 0),
-        gamma=_number(disc.get("gamma", scheme.DEFAULT_GAMMA), "discretization.gamma"),
-        chi=_number(disc.get("chi", scheme.DEFAULT_CHI), "discretization.chi"),
-        m_master=_int(study.get("M_master", 0), "M_master", 0),
-        n_master=n_master,
-        exact=exact,
-        threads=_int(_pick(args.threads, None, study.get("threads"), 1), "threads"),
-        moment_p=_int(study.get("moment_p", 2), "moment_p"),
-    )
-
-
-def _out_dir(cfg: dict, args) -> Path:
-    output = cfg.get("output", {})
-    chosen = _pick(args.out, os.environ.get("SPDE_OUT"), output.get("dir"), ".")
-    path = Path(chosen)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _prefix(cfg: dict) -> str:
-    return str(cfg.get("output", {}).get("prefix", "spde1d"))
+def _output(v: dict, suffix: str) -> Path:
+    out_dir = Path(v["dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / f"{v['prefix']}_{suffix}"
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the resolved values of its SETTINGS entry
 
-def cmd_heat_errors(cfg: dict, args) -> int:
-    study = cfg.get("study", {})
-    model_section = cfg.get("model", {})
-    T = _number(model_section.get("T", 1.0), "model.T")
-    nu = _number(model_section.get("nu", 1.0), "model.nu")
-    tol = _number(study.get("sandwich_tol", 1e-12), "study.sandwich_tol")
-    if not (tol >= 0 and np.isfinite(tol)):
-        raise ConfigError(f"study.sandwich_tol must be finite and >= 0, got {tol!r}")
-    reports, text = heat_errors.error_table(_grid(study, "m_grid"), _grid(study, "n_grid"),
-                                            T, nu)
-    out = _out_dir(cfg, args) / f"{_prefix(cfg)}_heat_errors.csv"
+def cmd_heat_errors(v: dict) -> int:
+    tol = v["sandwich_tol"]
+    reports, text = heat_errors.error_table(v["m_grid"], v["n_grid"], v["T"], v["nu"])
+    out = _output(v, "heat_errors.csv")
     experiments.write_text_atomic(out, text)
 
     violations = [r for r in reports if not r.sandwiched(tol)]
@@ -195,35 +202,30 @@ def cmd_heat_errors(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: dict, args) -> int:
-    disc_section = cfg.get("discretization", {})
-    study = cfg.get("study", {})
-    M = _int(disc_section.get("M", 64), "M")
-    N = _int(disc_section.get("N", 64), "N")
-    d = scheme.DiscretizationParams(
-        M=M, N=N,
-        gamma=_number(disc_section.get("gamma", scheme.DEFAULT_GAMMA), "discretization.gamma"),
-        chi=_number(disc_section.get("chi", scheme.DEFAULT_CHI), "discretization.chi"),
-    )
-    model = _build_model(cfg, n_xi=max(N, 512))
-    seed = _int(_pick(args.seed, _env_int("SPDE_SEED"), study.get("seed"), 0), "seed", 0)
-    m_master = _int(study.get("M_master", 0), "M_master", 0) or M
-    n_master = _int(study.get("N_master", 0), "N_master", 0) or N
-    tape = NoiseTape(seed=seed, M_master=m_master, N_master=n_master,
-                     T=model.T, path=_int(study.get("path", 0), "path", 0))
+def cmd_simulate(v: dict) -> int:
+    M, N = v["M"], v["N"]
+    d = scheme.DiscretizationParams(M=M, N=N, gamma=v["gamma"], chi=v["chi"])
+    model = _model(v, n_xi=max(N, 512))
+    tape = NoiseTape(seed=v["seed"], M_master=v["M_master"] or M,
+                     N_master=v["N_master"] or N, T=model.T, path=v["path"])
     Y, O = scheme.simulate_trajectory(model, d, tape)
-    out = _out_dir(cfg, args) / f"{_prefix(cfg)}_trajectory.csv"
+    out = _output(v, "trajectory.csv")
     experiments.write_text_atomic(out, scheme.trajectory_csv(model, d, Y, O))
     print(f"wrote {out} ({len(Y)} grid times x {N} modes)")
     return EXIT_OK
 
 
-def cmd_converge(cfg: dict, args) -> int:
-    study_cfg = _build_study(cfg, args)
+def cmd_converge(v: dict) -> int:
+    study_cfg = experiments.StudyConfig(
+        model=_model(v, n_xi=max(v["N_master"] or v["N_ref"], 512)),
+        m_grid=v["m_grid"], n_grid=v["n_grid"], m_ref=v["M_ref"], n_ref=v["N_ref"],
+        paths=v["paths"], seed=v["seed"], gamma=v["gamma"], chi=v["chi"],
+        m_master=v["M_master"], n_master=v["N_master"], exact=v["exact"],
+        threads=v["threads"],
+    )
     rows, fits = experiments.run_convergence_study(study_cfg)
-    out_dir = _out_dir(cfg, args)
-    csv_path = out_dir / f"{_prefix(cfg)}_errors.csv"
-    json_path = out_dir / f"{_prefix(cfg)}_rates.json"
+    csv_path = _output(v, "errors.csv")
+    json_path = _output(v, "rates.json")
     experiments.write_text_atomic(csv_path, experiments.error_table_csv(rows))
     experiments.write_text_atomic(json_path, experiments.fits_json(fits))
     print(f"wrote {csv_path} and {json_path}")
@@ -232,10 +234,8 @@ def cmd_converge(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_check(cfg: dict, args) -> int:
-    study = cfg.get("study", {})
-    trials = _int(study.get("audit_trials", 300), "audit_trials")
-    seed = _int(_pick(args.seed, _env_int("SPDE_SEED"), study.get("seed"), 0), "seed", 0)
+def cmd_check(v: dict) -> int:
+    trials, seed = v["audit_trials"], v["seed"]
 
     results = []
     for name in ("monotonicity", "lipschitz", "coercivity"):
@@ -248,8 +248,8 @@ def cmd_check(cfg: dict, args) -> int:
     results.append(("hs-factor-monotonicity", hs_violations == 0,
                     f"violations={hs_violations}"))
 
-    m_values = [1, 2, 4, 8, 16, 32, 64]
-    temporal = [heat_errors.temporal_error_exact(M, 32, 1.0, 1.0) for M in m_values]
+    temporal = [heat_errors.temporal_error_exact(M, 32, 1.0, 1.0)
+                for M in (1, 2, 4, 8, 16, 32, 64)]
     ok_t = all(b <= a * (1 + 1e-12) for a, b in zip(temporal, temporal[1:]))
     results.append(("temporal-error-monotone-in-M", ok_t,
                     f"values M=1..64: {temporal[0]:.6f} -> {temporal[-1]:.6f}"))
@@ -297,8 +297,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config, args.command)
-        return args.handler(cfg, args)
-    except (ConfigError, ValueError, TypeError) as exc:
+        return args.handler(_resolve(args.command, cfg, args))
+    except (ValueError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

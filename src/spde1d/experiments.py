@@ -307,19 +307,6 @@ def _estimate(a) -> tuple[float, float, float]:
     return est, se, _activation(a)
 
 
-def strong_error_mc(cfg: StudyConfig, M: int, N: int,
-                    enforce_ratios: bool = True) -> tuple[float, float, float]:
-    """(estimate, stderr, activation_fraction) for one target resolution.
-
-    enforce_ratios=False skips the reference-separation guard; refinement
-    audits that compare targets near the reference resolution need this.
-    """
-    target = ("single", M, N)
-    if enforce_ratios:
-        _check_reference_ratios(cfg, [target])
-    return _estimate(_accumulate(cfg, [target], True)[target])
-
-
 def run_convergence_study(cfg: StudyConfig):
     """Full study: ErrorTable rows plus temporal and spatial rate fits.
 

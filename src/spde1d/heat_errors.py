@@ -162,16 +162,15 @@ def _temporal_errors(M: int, counts, T: float, nu: float) -> list[float]:
 # ---------------------------------------------------------------------------
 # spatial error: eigenvalue tail series
 
-def spatial_error_exact(N: int, T: float, nu: float,
-                        tail_rel_tol: float = 1e-12) -> float:
+def spatial_error_exact(N: int, T: float, nu: float) -> float:
     """||O_T - P_N O_T||_{L^2(P;H)} = sqrt(sum_{k>N} (1 - e^{-2 mu_k T})/(2 mu_k)).
 
     Modes up to a cutoff K are summed explicitly; the remaining pure
-    1/(2 mu_k) tail is added in closed form (trigamma), so the only neglect
-    is the exponentially small sum_{k>K} e^{-2 mu_k T}/(2 mu_k), verified
-    against tail_rel_tol (the explicit range grows if ever needed).
+    1/(2 mu_k) tail is added in closed form (trigamma), so the only neglect is
+    the exponentially small sum_{k>K} e^{-2 mu_k T}/(2 mu_k), kept below 1e-12
+    of the total (the explicit range grows if ever needed).
     """
-    _validate_positive(T=T, nu=nu, tail_rel_tol=tail_rel_tol)
+    _validate_positive(T=T, nu=nu)
     if N < 0 or int(N) != N:
         raise ValueError(f"N must be a nonnegative integer, got {N}")
     N = int(N)
@@ -187,7 +186,7 @@ def spatial_error_exact(N: int, T: float, nu: float,
         total = explicit + tail
         # neglected part <= e^{-2 mu_{K+1} T} * (pi^2/6)/(2 nu pi^2)
         neglected = math.exp(-2 * nu * math.pi**2 * (cutoff + 1) ** 2 * T) / (12 * nu)
-        if neglected <= tail_rel_tol * total:
+        if neglected <= 1e-12 * total:
             return math.sqrt(total)
         cutoff *= 2
 
@@ -304,13 +303,12 @@ def hs_factor_monotone_in_increment_time(N: int, s: float, t1: float, t2: float,
     return _hs_factor_sq(N, s, t1, nu) <= _hs_factor_sq(N, s, t2, nu)
 
 
-def run_hs_monotonicity_audit(trials: int = 200, seed: int = 0,
-                              max_modes: int = 64) -> int:
+def run_hs_monotonicity_audit(trials: int = 200, seed: int = 0) -> int:
     """Randomized audit of both monotonicity directions; returns violation count."""
     rng = np.random.default_rng(seed)
     violations = 0
     for _ in range(trials):
-        N = int(rng.integers(1, max_modes + 1))
+        N = int(rng.integers(1, 65))  # 1 to 64 modes
         nu = float(rng.uniform(0.25, 4.0))
         a, b = np.sort(rng.uniform(0.0, 2.0, size=2))
         t = float(rng.uniform(0.0, 2.0))

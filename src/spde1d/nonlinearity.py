@@ -271,13 +271,7 @@ def _random_coeff_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return amp * rng.standard_normal(n) / k
 
 
-def run_inequality_audit(
-    name: str,
-    trials: int = 1000,
-    seed: int = 0,
-    coefficient_sets=AUDIT_COEFFICIENT_SETS,
-    max_modes: int = 32,
-) -> float:
+def run_inequality_audit(name: str, trials: int = 1000, seed: int = 0) -> float:
     """Run `trials` randomized residual evaluations; returns the max residual.
 
     name is one of 'monotonicity', 'lipschitz', 'coercivity'.  A correct
@@ -286,8 +280,8 @@ def run_inequality_audit(
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for t in range(trials):
-        a = CubicCoefficients(*coefficient_sets[t % len(coefficient_sets)])
-        n = int(rng.integers(1, max_modes + 1))
+        a = CubicCoefficients(*AUDIT_COEFFICIENT_SETS[t % len(AUDIT_COEFFICIENT_SETS)])
+        n = int(rng.integers(1, 33))  # 1 to 32 modes
         v = _random_coeff_vector(rng, n)
         w = _random_coeff_vector(rng, n)
         nu = float(rng.uniform(0.3, 3.0))

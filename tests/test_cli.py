@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -200,6 +201,7 @@ def test_bad_study_values_exit_2(tmp_path, capsys, command, payload):
     ("heat-errors", {"model": {"T": 1.0, "a": [0, 1, 0, -1]}}, "'a'"),
     ("simulate", {"discretization": {"M": 4, "N": 2, "M_ref": 8}}, "M_ref"),
     ("check", {"output": {"prefix": "x"}}, "prefix"),
+    ("converge", {"study": {"moment_p": 4}}, "moment_p"),
 ])
 def test_unknown_keys_are_named_and_exit_2(tmp_path, capsys, command, payload, key):
     cfg = write_cfg(tmp_path, payload)
@@ -207,6 +209,48 @@ def test_unknown_keys_are_named_and_exit_2(tmp_path, capsys, command, payload, k
     err = capsys.readouterr().err
     assert key in err and err.count("\n") == 1
     assert not list(tmp_path.glob("spde1d_*"))
+
+
+@pytest.mark.parametrize("command", ["heat-errors", "simulate", "converge"])
+def test_output_dir_not_a_string_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                            command):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SPDE_OUT", raising=False)
+    cfg = write_cfg(tmp_path, {"output": {"dir": 5}})
+    assert cli.main([command, "--config", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "output.dir" in err and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command, rc", [
+    ("converge", cli.EXIT_CONFIG), ("simulate", cli.EXIT_CONFIG), ("check", cli.EXIT_CONFIG),
+    ("heat-errors", cli.EXIT_OK),  # reads no seed
+])
+def test_bad_seed_env_fails_only_the_commands_that_read_seed(tmp_path, capsys, monkeypatch,
+                                                             command, rc):
+    monkeypatch.setenv("SPDE_SEED", "abc")
+    assert cli.main([command, "--out", str(tmp_path)]) == rc
+    if rc == cli.EXIT_CONFIG:
+        err = capsys.readouterr().err
+        assert "SPDE_SEED" in err and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+
+def test_readme_key_table_is_the_cli_table():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| command | `model` | `discretization` | `study` | `output` |")
+    sections = re.findall(r"`([^`]+)`", lines[start])
+    documented = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        command, *cells = line.strip("|").split("|")
+        documented[command.strip().strip("`")] = {
+            section: set(re.findall(r"`([^`]+)`", cell))
+            for section, cell in zip(sections, cells) if "`" in cell}
+    assert documented == {command: {section: set(keys) for section, keys in table.items()}
+                          for command, table in cli.SETTINGS.items()}
 
 
 def simulate_cfg(tmp_path, **model):
@@ -304,10 +348,11 @@ def test_seed_precedence_flag_env_file(tmp_path, monkeypatch):
     assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
     _, rows = read_rows(tmp_path / "spde1d_errors.csv")
     assert all(r.split(",")[7] == "7" for r in rows)
+    # --paths beats the file's paths the same way
     assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path),
-                     "--seed", "9"]) == cli.EXIT_OK
+                     "--seed", "9", "--paths", "3"]) == cli.EXIT_OK
     _, rows = read_rows(tmp_path / "spde1d_errors.csv")
-    assert all(r.split(",")[7] == "9" for r in rows)
+    assert all(r.split(",")[7] == "9" and r.split(",")[6] == "3" for r in rows)
 
 
 def test_out_env_var(tmp_path, monkeypatch):

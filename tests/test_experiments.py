@@ -25,6 +25,12 @@ def small_cfg(**kw):
     return ex.StudyConfig(**args)
 
 
+def strong_error(cfg, M, N):
+    """(estimate, stderr, activation_fraction) of one target, with no reference-ratio guard."""
+    target = ("single", M, N)
+    return ex._estimate(ex._accumulate(cfg, [target], True)[target])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_cfg(m_grid=(7, 16))                 # 7 does not divide m_master=128
@@ -41,19 +47,18 @@ def test_config_validation():
 
 
 def test_reference_ratio_guard_and_escape():
-    cfg = small_cfg()
-    with pytest.raises(ValueError):
-        ex.strong_error_mc(cfg, 32, 4)            # m_ref only 4x target
-    with pytest.raises(ValueError):
-        ex.strong_error_mc(cfg, 8, 12)            # n_ref below 2x target
-    # opt-out exists for refinement audits near the reference
-    est, se, _ = ex.strong_error_mc(cfg, 32, 16, enforce_ratios=False)
+    with pytest.raises(ValueError, match="must be a multiple and >= 8x of target M=32"):
+        ex.run_convergence_study(small_cfg(m_grid=(4, 8, 32)))   # m_ref only 4x target
+    with pytest.raises(ValueError, match="must be >= 2x target N=12"):
+        ex.run_convergence_study(small_cfg(n_grid=(2, 4, 12)))   # n_ref below 2x target
+    # below the study, a target near the reference still has an estimate
+    est, se, _ = strong_error(small_cfg(), 32, 16)
     assert est > 0 and se > 0
 
 
 def test_self_comparison_is_exactly_zero():
     cfg = small_cfg(paths=8)
-    est, se, frac = ex.strong_error_mc(cfg, 128, 16)
+    est, se, frac = strong_error(cfg, 128, 16)
     assert est == 0.0 and se == 0.0
     assert 0.0 <= frac <= 1.0
 
@@ -61,7 +66,7 @@ def test_self_comparison_is_exactly_zero():
 def test_zero_drift_matches_exact_mismatch_oracle():
     cfg = ex.StudyConfig(model=ou_model(), m_grid=(16,), n_grid=(32,),
                          m_ref=256, n_ref=64, paths=192, seed=2)
-    est, se, _ = ex.strong_error_mc(cfg, 16, 32)
+    est, se, _ = strong_error(cfg, 16, 32)
     oracle = math.sqrt(float(np.max(
         heat_errors.ou_pair_mismatch_exact(16, 256, 32, 64, 1.0, 1.0))))
     assert abs(est - oracle) < 3 * se
@@ -69,7 +74,7 @@ def test_zero_drift_matches_exact_mismatch_oracle():
 
 def test_single_path_stderr_is_nan():
     cfg = small_cfg(paths=1)
-    est, se, frac = ex.strong_error_mc(cfg, 16, 8)
+    est, se, frac = strong_error(cfg, 16, 8)
     assert est > 0
     assert math.isnan(se)
     assert 0.0 <= frac <= 1.0
@@ -177,7 +182,7 @@ def test_targets_off_the_reference_grid_are_rejected():
     cfg = small_cfg(m_master=256, n_master=32)
     for M, N in [(48, 4), (256, 4), (0, 4), (16, 32)]:
         with pytest.raises(ValueError, match=f"target M={M}, N={N}"):
-            ex.strong_error_mc(cfg, M, N, enforce_ratios=False)
+            strong_error(cfg, M, N)
 
 
 def test_cells_guard_on_master_mismatch():
@@ -192,8 +197,8 @@ def test_target_at_the_reference_resolution_is_exactly_zero():
     # the reference and a target at its resolution share one state per block;
     # stepping that resolution twice in a block would make this nonzero
     cfg = small_cfg(model=scheme.allen_cahn_model(n_xi_modes=16), paths=70)
-    assert ex.strong_error_mc(cfg, cfg.m_ref, cfg.n_ref, enforce_ratios=False) \
-        == (0.0, 0.0, ex.strong_error_mc(cfg, cfg.m_ref, 8)[2])
+    assert strong_error(cfg, cfg.m_ref, cfg.n_ref) \
+        == (0.0, 0.0, strong_error(cfg, cfg.m_ref, 8)[2])
     rows, _ = ex.run_convergence_study(replace(cfg, m_grid=(4, 8, 16, 128)))
     base, _ = ex.run_convergence_study(cfg)
     assert [r for r in rows if r.M != 128 or r.kind != "temporal"] == base
@@ -216,7 +221,7 @@ def test_non_finite_sample_fails_the_run():
 
 def test_non_finite_state_or_moment_fails_the_run():
     with pytest.raises(ValueError, match=r"non-finite state of reference on path 0"):
-        ex.strong_error_mc(_blown_up_cfg(1.7e308), 16, 8)
+        strong_error(_blown_up_cfg(1.7e308), 16, 8)
     with pytest.raises(ValueError, match=r"non-finite state of cell M=128 N=8 on path 0"):
         ex.activation_fractions(_blown_up_cfg(1.7e308), [(128, 8)])
     with pytest.raises(ValueError, match=r"non-finite moment sample of cell M=4 N=8 on path 0"):
@@ -320,7 +325,7 @@ def test_zero_drift_non_finite_state_names_the_resolution_a_separate_run_names()
     # the targets, so the named resolution is the one that stepping every N
     # on its own finds first
     with pytest.raises(ValueError, match=r"non-finite state of reference on path 0"):
-        ex.strong_error_mc(_blown_up_zero_drift_cfg(0), 128, 8, enforce_ratios=False)
+        strong_error(_blown_up_zero_drift_cfg(0), 128, 8)
     with pytest.raises(ValueError, match=r"non-finite state of cell M=128 N=2 on path 0"):
         ex.activation_fractions(_blown_up_zero_drift_cfg(0), [(128, 2), (128, 8)])
     # mode 8 overflows: N = 2 stays finite, and the N = 8 after it is named

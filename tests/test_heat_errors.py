@@ -82,11 +82,6 @@ def test_spatial_series_against_mp(N):
     assert got**2 == pytest.approx(spatial_tail_mp(N, 1.0, 1.0), rel=1e-12)
 
 
-def test_spatial_tail_tolerance_knob():
-    loose = he.spatial_error_exact(4, 1.0, 1.0, tail_rel_tol=1e-6)
-    assert loose == pytest.approx(FROZEN["spatial_4"], rel=1e-6)
-
-
 def test_temporal_error_monotone_in_steps():
     vals = [he.temporal_error_exact(M, 32, 1.0, 1.0) for M in (1, 2, 4, 8, 16, 32, 64)]
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
