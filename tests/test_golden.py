@@ -21,6 +21,8 @@ CONVERGE_STUDY = {"m_grid": [4, 8, 16], "n_grid": [2, 4, 8], "M_ref": 128,
 CONVERGE_SHA256 = {
     "allen_cahn": "221123d92eaf5a66306628eaaf487315a6428a7c949a5e8b357142fe11392652",
     "zero_drift": "b79d2ae45cd13c12c233637c5ed7fc3422aa9c32a6f62106e9a8c48d088c6f22",
+    # the closed-form engine's values, through the same CSV and JSON writers
+    "zero_drift_exact": "5a727f04f0210eb46f94299bab139d45011796963316668192ad913a32090716",
 }
 ZERO_DRIFT = {"a": [0.0, 0.0, 0.0, 0.0], "initial": "zero"}
 
@@ -83,6 +85,13 @@ def test_converge_bytes(tmp_path, name, model):
     got = _run(tmp_path, "converge", {"model": model, "study": CONVERGE_STUDY},
                ["spde1d_errors.csv", "spde1d_rates.json"])
     assert got == CONVERGE_SHA256[name]
+
+
+def test_converge_exact_bytes(tmp_path):
+    got = _run(tmp_path, "converge",
+               {"model": ZERO_DRIFT, "study": dict(CONVERGE_STUDY, exact=True)},
+               ["spde1d_errors.csv", "spde1d_rates.json"])
+    assert got == CONVERGE_SHA256["zero_drift_exact"]
 
 
 def test_simulate_bytes(tmp_path):
