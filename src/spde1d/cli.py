@@ -80,6 +80,20 @@ def _initial(value, name: str):
     return _is(str, "a preset name or a list")(value, name)  # _model expands a preset
 
 
+def _directory(value, name: str) -> str:
+    """A path whose nearest existing part is a directory, so it can be made."""
+    path = Path(_is(str, "a path string")(value, name))
+    if not next((p for p in (path, *path.parents) if p.exists()), path).is_dir():
+        raise ValueError(f"{name} {value!r} is not a directory")
+    return value
+
+
+def _file_prefix(value, name: str) -> str:
+    if not (isinstance(value, str) and os.path.basename(value) == value and "\0" not in value):
+        raise ValueError(f"{name} must name a file inside output.dir, got {value!r}")
+    return value
+
+
 def _tolerance(value, name: str) -> float:
     tol = _number(value, name)
     if not (tol >= 0 and np.isfinite(tol)):
@@ -94,8 +108,7 @@ _MODEL = {"T": (1.0, _number), "nu": (1.0, _number),
 _SCHEME = {"gamma": (scheme.DEFAULT_GAMMA, _number), "chi": (scheme.DEFAULT_CHI, _number)}
 _MASTER = {"M_master": (0, _natural), "N_master": (0, _natural)}  # 0: the run's own M, N
 _SEED = {"seed": (0, _natural)}
-_OUTPUT = {"dir": (".", _is(str, "a path string")),
-           "prefix": ("spde1d", lambda value, name: str(value))}
+_OUTPUT = {"dir": (".", _directory), "prefix": ("spde1d", _file_prefix)}
 SETTINGS = {
     "heat-errors": {"model": {"T": _MODEL["T"], "nu": _MODEL["nu"]},
                     "study": {"m_grid": ([1, 2, 4, 8, 16, 32, 64], _list),
@@ -176,10 +189,15 @@ def _model(v: dict, n_xi: int) -> scheme.ModelParams:
                               a=nonlinearity.CubicCoefficients(*v["a"]), xi=xi)
 
 
-def _output(v: dict, suffix: str) -> Path:
-    out_dir = Path(v["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / f"{v['prefix']}_{suffix}"
+def _write(v: dict, suffix: str, text: str) -> Path:
+    """Write <dir>/<prefix>_<suffix>; a path the OS refuses is a configuration error."""
+    out = Path(v["dir"]) / f"{v['prefix']}_{suffix}"
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        experiments.write_text_atomic(out, text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +206,7 @@ def _output(v: dict, suffix: str) -> Path:
 def cmd_heat_errors(v: dict) -> int:
     tol = v["sandwich_tol"]
     reports, text = heat_errors.error_table(v["m_grid"], v["n_grid"], v["T"], v["nu"])
-    out = _output(v, "heat_errors.csv")
-    experiments.write_text_atomic(out, text)
+    out = _write(v, "heat_errors.csv", text)
 
     violations = [r for r in reports if not r.sandwiched(tol)]
     if violations:
@@ -209,8 +226,7 @@ def cmd_simulate(v: dict) -> int:
     tape = NoiseTape(seed=v["seed"], M_master=v["M_master"] or M,
                      N_master=v["N_master"] or N, T=model.T, path=v["path"])
     Y, O = scheme.simulate_trajectory(model, d, tape)
-    out = _output(v, "trajectory.csv")
-    experiments.write_text_atomic(out, scheme.trajectory_csv(model, d, Y, O))
+    out = _write(v, "trajectory.csv", scheme.trajectory_csv(model, d, Y, O))
     print(f"wrote {out} ({len(Y)} grid times x {N} modes)")
     return EXIT_OK
 
@@ -224,10 +240,8 @@ def cmd_converge(v: dict) -> int:
         threads=v["threads"],
     )
     rows, fits = experiments.run_convergence_study(study_cfg)
-    csv_path = _output(v, "errors.csv")
-    json_path = _output(v, "rates.json")
-    experiments.write_text_atomic(csv_path, experiments.error_table_csv(rows))
-    experiments.write_text_atomic(json_path, experiments.fits_json(fits))
+    csv_path = _write(v, "errors.csv", experiments.error_table_csv(rows))
+    json_path = _write(v, "rates.json", experiments.fits_json(fits))
     print(f"wrote {csv_path} and {json_path}")
     print(f"temporal slope {fits['temporal'].slope:+.4f}, "
           f"spatial slope {fits['spatial'].slope:+.4f}")

@@ -30,7 +30,7 @@ import numpy as np
 from . import heat_errors, spectral
 from .noise import NoiseTape, coarsen_increments, mean_stderr, merge_m2, sum_and_m2
 from .scheme import (DEFAULT_CHI, DEFAULT_GAMMA, DiscretizationParams, ModelParams, run_scheme,
-                     suppressed_steps)
+                     truncation_indicator)
 
 BATCH_PATHS = 64
 
@@ -216,8 +216,9 @@ def _step_block(cfg: StudyConfig, coupled: bool, by_resolution, master, first: i
                                    start=states[key])
             states[key] = (y[:, -1].copy(), o[:, -1].copy())  # copies free the block
             runs[key] = (y, np.isfinite(y).all(axis=1) & np.isfinite(o).all(axis=1), {
-                n: off if n == key[1] else suppressed_steps(
-                    cfg.model, cfg.discretization(M, n), y[..., :n], o[..., :n])
+                n: off if n == key[1] else block // group - truncation_indicator(
+                    *(r.transpose(1, 0, 2)[:-1, :, :n] for r in (y, o)),  # time-major
+                    cfg.discretization(M, n), cfg.model.T, cfg.model.nu).sum(0)
                 for (_, n), k in run_of.items() if k == key})
             del o  # before the next resolution allocates its rows
         y, finite, offs = runs.pop(key) if last[key] == (M, N) else runs[key]
@@ -312,30 +313,25 @@ def run_convergence_study(cfg: StudyConfig):
 
     The temporal axis varies M at the largest available mode count (the
     reference's N); the spatial axis varies N at the reference's M.  In
-    exact mode (zero drift) the table is filled from the closed-form engine:
-    row estimates are the errors against the time-space continuum, the
-    temporal fit uses the pure temporal series at fixed N, and the spatial
-    fit uses the pure spatial series (its M -> infinity limit); stderr is 0
-    and the paths column reads 0.
+    exact mode (zero drift) the table comes from one heat_errors.error_table
+    over the grids with the reference added: rows take its full errors
+    against the time-space continuum, the temporal fit its temporal errors
+    at N_ref and the spatial fit its spatial errors (the M -> infinity
+    limit); stderr is 0 and the paths column reads 0.
     """
     T, nu = cfg.model.T, cfg.model.nu
     temporal_targets = [("temporal", M, cfg.n_ref) for M in cfg.m_grid]
     spatial_targets = [("spatial", cfg.m_ref, N) for N in cfg.n_grid]
 
     if cfg.exact:
-        with np.errstate(over="ignore", invalid="ignore"):  # the finite check reports these
-            rows = [ErrorTableRow(kind, M, N, heat_errors.full_error_exact(M, N, T, nu),
-                                  0.0, math.nan, 0, cfg.seed)
-                    for kind, M, N in temporal_targets + spatial_targets]
-            temporal = {M: heat_errors.temporal_error_exact(M, cfg.n_ref, T, nu)
-                        for M in cfg.m_grid}
-            spatial = {N: heat_errors.spatial_error_exact(N, T, nu) for N in cfg.n_grid}
-        # every value is >= 0, so their sum is finite exactly when each of them is
-        if not math.isfinite(sum(r.estimate for r in rows) + sum(temporal.values())
-                             + sum(spatial.values())):
-            raise ValueError(f"exact errors overflow a float at T={T!r}, nu={nu!r}")
-        return rows, {"temporal": heat_errors.fit_rate(temporal),
-                      "spatial": heat_errors.fit_rate(spatial)}
+        reports, _ = heat_errors.error_table([*cfg.m_grid, cfg.m_ref],
+                                             [*cfg.n_grid, cfg.n_ref], T, nu)
+        exact = {(r.kind, r.M, r.N): r.exact for r in reports}
+        rows = [ErrorTableRow(kind, M, N, exact[("full", M, N)], 0.0, math.nan, 0, cfg.seed)
+                for kind, M, N in temporal_targets + spatial_targets]
+        axes = {"temporal": {M: exact[("temporal", M, cfg.n_ref)] for M in cfg.m_grid},
+                "spatial": {N: exact[("spatial", cfg.m_ref, N)] for N in cfg.n_grid}}
+        return rows, {axis: heat_errors.fit_rate(pts) for axis, pts in axes.items()}
 
     targets = temporal_targets + spatial_targets
     _check_reference_ratios(cfg, targets)

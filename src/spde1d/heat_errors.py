@@ -70,7 +70,7 @@ def _number(value, name: str) -> float:
 
 def _mode_count(N) -> int | None:
     """None means every mode ("all")."""
-    if N == ALL_MODES or N is None or N == math.inf:
+    if N == ALL_MODES:
         return None
     return _int_at_least(N, "N must be a positive integer or 'all'")
 
@@ -130,8 +130,7 @@ def temporal_error_exact(M: int, N, T: float, nu: float) -> float:
     the trigamma function; the swap error is of relative size e^{-90}.
     """
     _validate_positive(T=T, nu=nu)
-    if M < 1:
-        raise ValueError(f"need M >= 1, got {M}")
+    M = _int_at_least(M, "M must be a positive integer")
     n = _mode_count(N)
     h = T / M
     if n is None:
@@ -191,24 +190,17 @@ def spatial_error_exact(N: int, T: float, nu: float) -> float:
         cutoff *= 2
 
 
-def full_error_exact(M, N, T: float, nu: float) -> float:
+def full_error_exact(M: int, N, T: float, nu: float) -> float:
     """||O_T - O^{M,N}_T||_{L^2(P;H)}: Pythagorean sum of the two error parts.
 
     The spatial remainder (I - P_N) O_T and the resolved-mode mismatch are
-    independent Gaussians, so the squares add.  M = inf collapses to the
-    spatial series, N = "all" to the temporal one.
+    independent Gaussians, so the squares add.  N = "all" collapses to the
+    temporal error; the M -> infinity limit is spatial_error_exact.
     """
-    m_inf = isinstance(M, float) and math.isinf(M)
     n = _mode_count(N)
-    if m_inf:
-        if n is None:
-            return 0.0
-        return spatial_error_exact(n, T, nu)
     if n is None:
         return temporal_error_exact(M, ALL_MODES, T, nu)
-    temporal = temporal_error_exact(M, n, T, nu)
-    spatial = spatial_error_exact(n, T, nu)
-    return math.hypot(temporal, spatial)
+    return math.hypot(temporal_error_exact(M, n, T, nu), spatial_error_exact(n, T, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +425,11 @@ def error_table(m_grid, n_grid, T: float, nu: float) -> tuple[list[ErrorBoundsRe
     bound, and the temporal lower bounds of both kinds as one array over
     the N axis.  Per distinct N: the spatial series and both spatial bounds,
     which also give the spatial terms of the full bounds.  A full value is
-    the hypot of its two parts, as in full_error_exact.  Only the string
-    "all" stands for every mode here; None and inf are rejected like any
-    other N that is not a positive integer.
+    the hypot of its two parts, as in full_error_exact.
     """
     _validate_positive(T=T, nu=nu)
     ms = [_int_at_least(M, "M must be a positive integer") for M in m_grid]
-    ns = [None if N == ALL_MODES
-          else _int_at_least(N, "N must be a positive integer or 'all'") for N in n_grid]
+    ns = [_mode_count(N) for N in n_grid]
     counts = sorted({n for n in ns if n is not None})
     n_axis = [math.inf if n is None else n for n in ns]
     n_txt = [ALL_MODES if n is None else str(n) for n in ns]

@@ -1,4 +1,4 @@
-"""Space-time white noise tape, closed-form OU moments and the Monte Carlo estimator.
+"""Space-time white noise tape and the Monte Carlo estimator.
 
 The tape hands out the Brownian coefficient increments Delta W[j][k] of the
 first N_master sine modes on a master grid of M_master steps.  Generation is
@@ -8,7 +8,7 @@ element can be regenerated independently, bit-identically, in any order and
 under any parallel schedule.  Coarser resolutions are produced by summing
 master increments in fixed groups, which is what couples refinements in the
 convergence studies.  The discretized OU process itself is stepped by
-scheme.run_scheme; this module holds its closed-form variance.
+scheme.run_scheme, and its closed-form moments live in heat_errors.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
-
-from . import spectral
 
 _KEY_SALT = 0x9E3779B97F4A7C15  # decouples the 128-bit Philox key from small seeds
 
@@ -138,64 +136,6 @@ def coarsen_increments(master: np.ndarray, n_steps: int) -> np.ndarray:
     if group == 1:
         return master
     return master.reshape(*lead, n_steps, group, n_modes).sum(axis=-2)
-
-
-# ---------------------------------------------------------------------------
-# moments of the discretized OU process O^{M,N}
-
-def ou_variance_discrete(n_steps: int, n_modes: int, T: float, nu: float) -> np.ndarray:
-    """Per-mode Var(O_T) for the zero-initial discretized OU after n_steps steps.
-
-    Closed form of sum_{j=1..M} h e^{-2 mu j h}.  The step O -> e^{hA}(O +
-    Delta W) is the exponential Euler OU, not exact in law: this is the
-    continuum (1 - e^{-2 mu T})/(2 mu) times 2 mu h/(e^{2 mu h} - 1) < 1,
-    so a mode with mu h >> 1 keeps almost none of its variance.
-    """
-    h = T / n_steps
-    mu = spectral.eigenvalues(n_modes, nu)
-    return h * np.exp(-2 * mu * h) * np.expm1(-2 * mu * T) / np.expm1(-2 * mu * h)
-
-
-# ---------------------------------------------------------------------------
-# exact coupling of the true stochastic convolution to the tape
-#
-# For mode k on step j the integral I_j = int e^{-mu(T-s)} dW(s) is jointly
-# Gaussian with the step increment; conditioning gives
-#   I_j = alpha_j Delta W_j + beta_j Z_j,   Z_j fresh standard normal,
-# with alpha_j h = Cov(I_j, Delta W_j) and beta_j^2 = Var I_j - alpha_j^2 h.
-# Summing I_j - e^{-mu(T - t_j)} Delta W_j over j realizes the difference
-# P_N O_T - O^{M,N}_T pathwise with the exact joint law.
-
-def _bridge_coefficients(n_steps: int, n_modes: int, T: float, nu: float):
-    h = T / n_steps
-    mu = spectral.eigenvalues(n_modes, nu)
-    j = np.arange(n_steps, dtype=np.float64)[:, None]
-    e_end = np.exp(-mu * (T - (j + 1) * h))
-    e_start = np.exp(-mu * (T - j * h))
-    var_i = e_end**2 * (-np.expm1(-2 * mu * h)) / (2 * mu)
-    alpha = e_end * (-np.expm1(-mu * h)) / (mu * h)
-    beta = np.sqrt(np.maximum(var_i - alpha**2 * h, 0.0))
-    coef_z = (alpha - e_start) * np.sqrt(h)  # multiplies the increment normal
-    return coef_z, beta
-
-
-def bridge_estimate(seed: int, n_steps: int, n_modes: int, T: float, nu: float,
-                    paths: int) -> tuple[float, float]:
-    """MC estimate of ||P_N O_T - O^{M,N}_T||_{L^2(P;H)} with delta-method stderr.
-
-    Uses a master tape at exactly (n_steps, n_modes); the coupling above makes
-    the estimator unbiased for the closed-form value, so agreement within
-    Monte Carlo error is a two-sided validation of both constructions.
-    """
-    coef_z, beta = _bridge_coefficients(n_steps, n_modes, T, nu)
-    samples = []
-    for p in range(paths):
-        tape = NoiseTape(seed=seed, M_master=n_steps, N_master=n_modes, T=T, path=p)
-        z = tape.normals(substream=SUBSTREAM_INCREMENTS)
-        resid = tape.normals(substream=SUBSTREAM_AUX)
-        gap = np.einsum("jk,jk->k", coef_z, z) + np.einsum("jk,jk->k", beta, resid)
-        samples.append(float(np.dot(gap, gap)))
-    return mean_stderr(*sum_and_m2(samples), paths, root=True)
 
 
 # ---------------------------------------------------------------------------

@@ -111,13 +111,15 @@ def initial_coefficients(preset: str, n_modes: int) -> np.ndarray:
 
 
 def truncation_indicator(Y: np.ndarray, O: np.ndarray, d: DiscretizationParams,
-                         T: float, nu: float) -> bool:
-    """True iff the drift stays on: ||Y||_{H_gamma} + ||O||_{H_gamma} <= (M/T)^chi.
+                         T: float, nu: float) -> np.ndarray:
+    """Per row of Y and O (..., N), a numpy bool: True iff the drift stays on,
+    ||Y||_{H_gamma} + ||O||_{H_gamma} <= (M/T)^chi.
 
-    The comparison is non-strict; the boundary case keeps the drift.
+    The comparison is non-strict; the boundary case keeps the drift.  The
+    arithmetic is the kernel's, so this is run_scheme's decision to the bit.
     """
-    w = spectral.eigenvalues(len(Y), nu) ** (2 * d.gamma)
-    return bool(_keeps_drift(_h_gamma_norm(w, Y), _h_gamma_norm(w, O), d.threshold(T)))
+    w = spectral.eigenvalues(Y.shape[-1], nu) ** (2 * d.gamma)
+    return _keeps_drift(_h_gamma_norm(w, Y), _h_gamma_norm(w, O), d.threshold(T))
 
 
 def _h_gamma_norm(w: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -132,17 +134,8 @@ def _h_gamma_norm(w: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _keeps_drift(y_norm, o_norm, thr: float):
-    """The kernel's own indicator arithmetic, shared by every caller so that
-    a reported decision is the one the kernel made, to the last bit."""
+    """The kernel's indicator arithmetic, shared with truncation_indicator."""
     return y_norm + o_norm <= thr
-
-
-def suppressed_steps(model: ModelParams, d: DiscretizationParams, y_rows, o_rows):
-    """Per path, the steps whose indicator is false, from (paths, k+1, d.N) rows as
-    run_scheme returns them, or from prefix views of wider zero-drift ones."""
-    w = spectral.eigenvalues(d.N, model.nu) ** (2 * d.gamma)
-    norms = [_h_gamma_norm(w, r.transpose(1, 0, 2)[:-1]) for r in (y_rows, o_rows)]
-    return len(norms[0]) - _keeps_drift(*norms, d.threshold(model.T)).sum(axis=0)
 
 
 def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
@@ -161,10 +154,9 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     O steps as O_{m+1} = e^{hA}(O_m + Delta W_m), the exponential Euler OU.
     It is not exact in law: per mode its variance at T is the continuum
     (1 - e^{-2 mu T})/(2 mu) times 2 mu h/(e^{2 mu h} - 1), far below it
-    when mu h >> 1 (see noise.ou_variance_discrete).  O does not depend on Y,
-    so it steps first (and with a drift, its norms are taken next); with zero
-    drift suppressed_steps reads all rows after the Y loop.  The bits are
-    those of one joint step.
+    when mu h >> 1.  O does not depend on Y, so it steps first (and with a
+    drift, its norms are taken next); with zero drift truncation_indicator
+    reads all rows after the Y loop.  The bits are those of one joint step.
     """
     dw = np.asarray(dw, dtype=np.float64)
     batched = dw.ndim == 3
@@ -211,8 +203,10 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
                 y_next += phi * project_F(y, model.a, grid)
             elif on.any():
                 y_next[on] += phi * project_F(y[on], model.a, grid)
+    if not drift_on:  # every row in one pass, time-major, which reads contiguous rows
+        kept = truncation_indicator(y_path[:-1], o_path[:-1], d, model.T, model.nu).sum(0)
     y_path, o_path = y_path.transpose(1, 0, 2), o_path.transpose(1, 0, 2)
-    suppressed = steps - kept if drift_on else suppressed_steps(model, d, y_path, o_path)
+    suppressed = steps - kept
     if batched:
         return y_path, o_path, suppressed
     return y_path[0], o_path[0], int(suppressed[0])
@@ -221,10 +215,6 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
 def simulate_trajectory(model: ModelParams, d: DiscretizationParams,
                         tape: NoiseTape) -> tuple[np.ndarray, np.ndarray]:
     """(Y rows, O rows) at grid times 0, h, ..., T, each (M+1, N); Y_0 = O_0 = P_N xi."""
-    if tape.M_master % d.M != 0:
-        raise ValueError(f"tape steps {tape.M_master} not divisible by M={d.M}")
-    if tape.N_master < d.N:
-        raise ValueError(f"tape holds {tape.N_master} modes, need {d.N}")
     if tape.T != model.T:
         raise ValueError(f"tape horizon {tape.T} differs from model horizon {model.T}")
     y_path, o_path, _ = run_scheme(model, d, tape.increments(d.M, d.N))
@@ -241,8 +231,8 @@ def trajectory_csv(model: ModelParams, d: DiscretizationParams,
     from the dumped coefficients."""
     h = model.T / d.M
     lines = [TRAJECTORY_HEADER]
-    for m, (y, o) in enumerate(zip(Y, O)):
-        ind = truncation_indicator(y, o, d, model.T, model.nu)
+    on = truncation_indicator(Y, O, d, model.T, model.nu)
+    for m, (y, o, ind) in enumerate(zip(Y, O, on)):
         for k in range(d.N):
             lines.append("%.17g,%d,%.17g,%.17g,%d" % (m * h, k + 1, y[k], o[k], ind))
     return "\n".join(lines) + "\n"

@@ -2,18 +2,23 @@
 
 Everything here is deliberately naive: termwise integer combinatorics and
 arbitrary-precision arithmetic, no transforms, no shared code paths with the
-package. Costs are O(N^4) and worse; keep inputs small.  The last section
-holds the few helpers that do read the package or repeat its arithmetic: one
+package. Costs are O(N^4) and worse; keep inputs small.  The last sections
+hold the few helpers that do read the package or repeat its arithmetic: one
 mode of its closed form, the quadrature it is checked against, the scalar
-form of the vectorized temporal lower bound, an OU moment built on its
-per-mode variances, and the scheme stepped one whole step at a time.
+form of the vectorized temporal lower bound, an OU moment built on the
+per-mode variances below, the scheme stepped one whole step at a time, the
+closed-form terminal variance of the discretized OU, and a Monte Carlo
+estimate of the temporal OU error through an exact bridge coupling to the
+package's noise tape (its own per-path loop, not the study engine's).
 """
 import math
 
 import mpmath as mp
 import numpy as np
 
-from spde1d import heat_errors, noise, nonlinearity, spectral
+from spde1d import heat_errors, nonlinearity, spectral
+from spde1d.noise import (SUBSTREAM_AUX, SUBSTREAM_INCREMENTS, NoiseTape, mean_stderr,
+                          sum_and_m2)
 
 
 def sine_integral(m):
@@ -188,9 +193,9 @@ def lower_temporal_sq_scalar(M, N, T, nu, denom_factor):
 
 
 def ou_second_moment(n_steps, n_modes, T, nu, r=0.0):
-    """E ||O_T||_{H_r}^2 of the zero-initial discretized OU, from noise.ou_variance_discrete."""
+    """E ||O_T||_{H_r}^2 of the zero-initial discretized OU, from ou_variance_discrete."""
     mu = spectral.eigenvalues(n_modes, nu)
-    return float(np.sum(mu ** (2 * r) * noise.ou_variance_discrete(n_steps, n_modes, T, nu)))
+    return float(np.sum(mu ** (2 * r) * ou_variance_discrete(n_steps, n_modes, T, nu)))
 
 
 def run_scheme_stepwise(model, d, dw, start=None):
@@ -228,3 +233,61 @@ def run_scheme_stepwise(model, d, dw, start=None):
         ons.append(on)
     ons = np.array(ons, dtype=bool).reshape(steps, paths)
     return (np.stack(ys, axis=1), np.stack(os_, axis=1), steps - ons.sum(axis=0), ons)
+
+
+# ---------------------------------------------------------------------------
+# moments of the discretized OU process O^{M,N}
+
+def ou_variance_discrete(n_steps: int, n_modes: int, T: float, nu: float) -> np.ndarray:
+    """Per-mode Var(O_T) for the zero-initial discretized OU after n_steps steps.
+
+    Closed form of sum_{j=1..M} h e^{-2 mu j h}.  The step O -> e^{hA}(O +
+    Delta W) is the exponential Euler OU, not exact in law: this is the
+    continuum (1 - e^{-2 mu T})/(2 mu) times 2 mu h/(e^{2 mu h} - 1) < 1,
+    so a mode with mu h >> 1 keeps almost none of its variance.
+    """
+    h = T / n_steps
+    mu = spectral.eigenvalues(n_modes, nu)
+    return h * np.exp(-2 * mu * h) * np.expm1(-2 * mu * T) / np.expm1(-2 * mu * h)
+
+
+# ---------------------------------------------------------------------------
+# exact coupling of the true stochastic convolution to the tape
+#
+# For mode k on step j the integral I_j = int e^{-mu(T-s)} dW(s) is jointly
+# Gaussian with the step increment; conditioning gives
+#   I_j = alpha_j Delta W_j + beta_j Z_j,   Z_j fresh standard normal,
+# with alpha_j h = Cov(I_j, Delta W_j) and beta_j^2 = Var I_j - alpha_j^2 h.
+# Summing I_j - e^{-mu(T - t_j)} Delta W_j over j realizes the difference
+# P_N O_T - O^{M,N}_T pathwise with the exact joint law.
+
+def _bridge_coefficients(n_steps: int, n_modes: int, T: float, nu: float):
+    h = T / n_steps
+    mu = spectral.eigenvalues(n_modes, nu)
+    j = np.arange(n_steps, dtype=np.float64)[:, None]
+    e_end = np.exp(-mu * (T - (j + 1) * h))
+    e_start = np.exp(-mu * (T - j * h))
+    var_i = e_end**2 * (-np.expm1(-2 * mu * h)) / (2 * mu)
+    alpha = e_end * (-np.expm1(-mu * h)) / (mu * h)
+    beta = np.sqrt(np.maximum(var_i - alpha**2 * h, 0.0))
+    coef_z = (alpha - e_start) * np.sqrt(h)  # multiplies the increment normal
+    return coef_z, beta
+
+
+def bridge_estimate(seed: int, n_steps: int, n_modes: int, T: float, nu: float,
+                    paths: int) -> tuple[float, float]:
+    """MC estimate of ||P_N O_T - O^{M,N}_T||_{L^2(P;H)} with delta-method stderr.
+
+    Uses a master tape at exactly (n_steps, n_modes); the coupling above makes
+    the estimator unbiased for the closed-form value, so agreement within
+    Monte Carlo error is a two-sided validation of both constructions.
+    """
+    coef_z, beta = _bridge_coefficients(n_steps, n_modes, T, nu)
+    samples = []
+    for p in range(paths):
+        tape = NoiseTape(seed=seed, M_master=n_steps, N_master=n_modes, T=T, path=p)
+        z = tape.normals(substream=SUBSTREAM_INCREMENTS)
+        resid = tape.normals(substream=SUBSTREAM_AUX)
+        gap = np.einsum("jk,jk->k", coef_z, z) + np.einsum("jk,jk->k", beta, resid)
+        samples.append(float(np.dot(gap, gap)))
+    return mean_stderr(*sum_and_m2(samples), paths, root=True)

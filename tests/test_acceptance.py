@@ -16,9 +16,9 @@ import pytest
 from spde1d import cli
 from spde1d import experiments as ex
 from spde1d import heat_errors as he
-from spde1d import noise, nonlinearity, scheme
+from spde1d import nonlinearity, scheme
 
-from oracles import temporal_mode_integral, temporal_mode_integral_quadrature
+from oracles import bridge_estimate, temporal_mode_integral, temporal_mode_integral_quadrature
 
 TOL = 1e-12
 
@@ -94,8 +94,8 @@ def test_criterion_4_closed_form_vs_quadrature():
 
 def test_criterion_5_mc_exact_bridge():
     t0 = time.perf_counter()
-    est, se = noise.bridge_estimate(seed=7, n_steps=16, n_modes=64,
-                                    T=1.0, nu=1.0, paths=10_000)
+    est, se = bridge_estimate(seed=7, n_steps=16, n_modes=64,
+                              T=1.0, nu=1.0, paths=10_000)
     exact = he.temporal_error_exact(16, 64, 1.0, 1.0)
     z = (est - exact) / se
     assert abs(est - exact) < 3.0 * se, f"z={z:.2f}"

@@ -95,17 +95,23 @@ def test_heat_errors_violation_exits_3_and_keeps_the_report(tmp_path, capsys, mo
     {"study": {"sandwich_tol": math.inf}},
     {"study": {"sandwich_tol": -1.0}},
     {"model": {"T": 1e307, "nu": 1.0}},
+    {"output": {"prefix": "a/b"}},
+    {"output": {"prefix": None}},
+    {"output": {"prefix": 5}},
+    {"study": {"m_grid": [2], "n_grid": [2]}, "output": {"prefix": "x" * 300}},
 ], ids=["infinite_T", "fractional_M", "infinite_M", "empty_m_grid", "empty_n_grid",
         "grid_not_a_list", "negative_infinite_N", "infinite_N", "null_N",
         "tolerance_as_string", "T_as_string", "nu_as_bool", "nan_tolerance",
-        "infinite_tolerance", "negative_tolerance", "T_overflowing_the_errors"])
+        "infinite_tolerance", "negative_tolerance", "T_overflowing_the_errors",
+        "prefix_naming_a_subdirectory", "null_prefix", "prefix_not_a_string",
+        "prefix_longer_than_a_file_name"])
 def test_bad_heat_errors_values_exit_2(tmp_path, capsys, payload):
     cfg = write_cfg(tmp_path, payload)
     rc = cli.main(["heat-errors", "--config", cfg, "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and err.count("\n") == 1
-    assert not list(tmp_path.glob("spde1d_*"))
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("payload", [
@@ -180,20 +186,30 @@ _ZERO_DRIFT = {"a": [0.0, 0.0, 0.0, 0.0], "initial": "zero"}
     ("converge", {"model": {"T": 1e307, "a": [0, 0, 0, 0]},
                   "study": {"exact": True, "m_grid": [16, 32, 64], "n_grid": [8, 16, 32],
                             "M_ref": 512, "N_ref": 64}}),
+    ("simulate", {"discretization": {"M": 8, "N": 4}, "output": {"prefix": "a/b"}}),
+    ("converge", {"model": _ZERO_DRIFT, "study": _SMALL_STUDY,
+                  "output": {"prefix": "a/b"}}),
+    ("simulate", {"discretization": {"M": 8, "N": 4}, "output": {"prefix": None}}),
+    ("converge", {"model": _ZERO_DRIFT, "study": _SMALL_STUDY, "output": {"prefix": None}}),
+    ("converge", []),
+    ("converge", {"model": {"a": [0, 1]}, "study": _SMALL_STUDY}),
 ], ids=["m_not_dividing_master", "m_grid_not_a_list", "study_not_an_object",
         "misspelled_key", "overflowing_initial_value", "fractional_M", "fractional_paths",
         "exact_as_string", "seed_as_bool", "master_as_string", "simulate_fractional_M",
         "simulate_fractional_path", "simulate_fractional_seed", "check_fractional_trials",
         "T_as_string", "nu_as_bool", "a_entry_as_string", "initial_entry_as_string",
         "gamma_as_string", "a_entry_as_bool", "simulate_gamma_as_string",
-        "simulate_T_too_large_for_a_float", "exact_errors_overflowing_a_float"])
+        "simulate_T_too_large_for_a_float", "exact_errors_overflowing_a_float",
+        "simulate_prefix_naming_a_subdirectory", "prefix_naming_a_subdirectory",
+        "simulate_null_prefix", "null_prefix", "config_root_not_an_object",
+        "a_with_two_entries"])
 def test_bad_study_values_exit_2(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and err.count("\n") == 1
-    assert not list(tmp_path.glob("spde1d_*"))
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command, payload, key", [
@@ -209,6 +225,19 @@ def test_unknown_keys_are_named_and_exit_2(tmp_path, capsys, command, payload, k
     err = capsys.readouterr().err
     assert key in err and err.count("\n") == 1
     assert not list(tmp_path.glob("spde1d_*"))
+
+
+@pytest.mark.parametrize("command", ["heat-errors", "simulate", "converge"])
+@pytest.mark.parametrize("out", ["cfg.json", "cfg.json/sub"])
+def test_output_dir_that_is_a_file_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                              command, out):
+    # --out, SPDE_OUT and output.dir take the same parser
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, {})
+    assert cli.main([command, "--config", cfg, "--out", out]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "output.dir" in err and "not a directory" in err and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command", ["heat-errors", "simulate", "converge"])

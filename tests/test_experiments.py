@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from spde1d import experiments as ex
-from spde1d import heat_errors, noise, nonlinearity, scheme, spectral
+from spde1d import heat_errors, nonlinearity, scheme, spectral
 
-from oracles import ou_second_moment
+from oracles import ou_second_moment, ou_variance_discrete
 
 
 def ou_model(n_xi=1):
@@ -260,7 +260,7 @@ def test_moment_stderr_survives_a_large_mean():
     mu = spectral.eigenvalues(2, 1.0)
     w = mu ** (2 * cfg.gamma)
     mean = np.exp(-mu) * xi
-    var = noise.ou_variance_discrete(4, 2, 1.0, 1.0)
+    var = ou_variance_discrete(4, 2, 1.0, 1.0)
     true_se = math.sqrt(np.sum(w * w * (4 * mean * mean * var + 2 * var * var)) / cfg.paths)
     assert 0.7 < row.stderr / true_se < 1.4
 

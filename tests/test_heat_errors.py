@@ -106,7 +106,8 @@ def test_full_error_composition():
     s = he.spatial_error_exact(64, 1.0, 1.0)
     assert he.full_error_exact(16, 64, 1.0, 1.0) == pytest.approx(
         math.hypot(t, s), rel=1e-15)
-    assert he.full_error_exact(math.inf, 64, 1.0, 1.0) == pytest.approx(s, rel=1e-15)
+    with pytest.raises(ValueError):  # the M -> infinity limit is spatial_error_exact
+        he.full_error_exact(math.inf, 64, 1.0, 1.0)
     assert he.full_error_exact(16, "all", 1.0, 1.0) == pytest.approx(
         he.temporal_error_exact(16, "all", 1.0, 1.0), rel=1e-15)
 

@@ -5,7 +5,8 @@ import pytest
 
 from spde1d import heat_errors, noise, nonlinearity, scheme, spectral
 
-from oracles import ou_second_moment, temporal_mode_integral
+from oracles import (_bridge_coefficients, bridge_estimate, ou_second_moment,
+                     ou_variance_discrete, temporal_mode_integral)
 
 
 def small_tape(**kw):
@@ -161,7 +162,7 @@ def test_ou_terminal_variance_closed_form_mc():
     dw = np.stack([noise.NoiseTape(seed=21, M_master=M, N_master=N, T=T, path=p)
                    .increments(M, N) for p in range(paths)])
     samples = ou_run(dw, nu, T=T)[:, -1]
-    want = noise.ou_variance_discrete(M, N, T, nu)
+    want = ou_variance_discrete(M, N, T, nu)
     got = samples.var(axis=0, ddof=1)
     se = want * math.sqrt(2.0 / (paths - 1))
     assert np.all(np.abs(got - want) < 3 * se)
@@ -194,14 +195,14 @@ def test_ou_initial_row():
 
 
 def test_ou_second_moment_sums_mode_variances():
-    direct = float(np.sum(noise.ou_variance_discrete(16, 8, 1.0, 0.5)))
+    direct = float(np.sum(ou_variance_discrete(16, 8, 1.0, 0.5)))
     assert ou_second_moment(16, 8, 1.0, 0.5) == pytest.approx(direct, rel=1e-15)
 
 
 def test_bridge_variance_identity_per_mode():
     # sum_j coef_z^2 + beta^2 telescopes to the exact temporal mode integral
     M, N, T, nu = 16, 8, 1.0, 1.0
-    coef_z, beta = noise._bridge_coefficients(M, N, T, nu)
+    coef_z, beta = _bridge_coefficients(M, N, T, nu)
     per_mode = (coef_z**2 + beta**2).sum(axis=0)
     for k in range(1, N + 1):
         want = temporal_mode_integral(M, k, T, nu)
@@ -209,8 +210,8 @@ def test_bridge_variance_identity_per_mode():
 
 
 def test_bridge_mc_agrees_with_exact_error():
-    est, se = noise.bridge_estimate(seed=7, n_steps=16, n_modes=64,
-                                    T=1.0, nu=1.0, paths=400)
+    est, se = bridge_estimate(seed=7, n_steps=16, n_modes=64,
+                              T=1.0, nu=1.0, paths=400)
     exact = heat_errors.temporal_error_exact(16, 64, 1.0, 1.0)
     assert abs(est - exact) < 3 * se
 
@@ -219,7 +220,7 @@ def test_bridge_scaling_flat_after_quarter_rate():
     # M^{0.24} x estimate should stay within a narrow band across three decades
     scaled = []
     for M in (4, 16, 64, 256, 1024):
-        est, _ = noise.bridge_estimate(seed=31, n_steps=M, n_modes=64,
-                                       T=1.0, nu=1.0, paths=200)
+        est, _ = bridge_estimate(seed=31, n_steps=M, n_modes=64,
+                                 T=1.0, nu=1.0, paths=200)
         scaled.append(M**0.24 * est)
     assert max(scaled) / min(scaled) < 1.5

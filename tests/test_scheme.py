@@ -115,9 +115,10 @@ def test_indicator_boundary_is_nonstrict():
 
 
 def test_indicator_is_the_kernels_decision_at_the_boundary():
-    # the kernel's dot-product norm and the summed hr_norm can round to
-    # opposite sides of the threshold; hunt the ulp neighborhood of
-    # ||v||_{H_gamma} = 1/2 for such a state Y = O = v (M=T=1: threshold 1.0)
+    # the kernel's H_gamma norm and spectral.hr_norm can round to opposite
+    # sides of the threshold; hunt the ulp neighborhood of ||v||_{H_gamma} =
+    # 1/2 for such a state Y = O = v (M=T=1: threshold 1.0), so that an
+    # indicator built on hr_norm would fail the assertions below
     d = scheme.DiscretizationParams(M=1, N=8)
     w = spectral.eigenvalues(8, 1.0) ** (2 * d.gamma)
     hit = None
@@ -128,7 +129,7 @@ def test_indicator_is_the_kernels_decision_at_the_boundary():
             c = np.nextafter(c, -np.inf)
         for _ in range(40):
             v = c * u
-            kernel_on = 2.0 * math.sqrt(float(np.dot(w, v * v))) <= 1.0
+            kernel_on = 2.0 * float(scheme._h_gamma_norm(w, v)) <= 1.0
             summed_on = 2.0 * float(spectral.hr_norm(v, d.gamma, 1.0)) <= 1.0
             if kernel_on != summed_on:
                 hit = v
@@ -400,8 +401,8 @@ def test_zero_drift_runs_are_prefixes_of_a_wider_run(nu, resume):
         yn, on, sn = scheme.run_scheme(model, d, dw[..., :n], start=part)
         np.testing.assert_array_equal(_bits(yn), _bits(y[..., :n]))
         np.testing.assert_array_equal(_bits(on), _bits(o[..., :n]))
-        np.testing.assert_array_equal(sn, scheme.suppressed_steps(model, d, y[..., :n],
-                                                                  o[..., :n]))
+        np.testing.assert_array_equal(sn, len(dw[0]) - scheme.truncation_indicator(
+            y[:, :-1, :n], o[:, :-1, :n], d, 1.0, nu).sum(1))
         for p in range(paths):  # unbatched
             start_p = None if part is None else (part[0][p], part[1][p])
             yp, op, sp = scheme.run_scheme(model, d, dw[p, :, :n], start=start_p)
@@ -409,6 +410,6 @@ def test_zero_drift_runs_are_prefixes_of_a_wider_run(nu, resume):
             np.testing.assert_array_equal(_bits(op), _bits(o[p, :, :n]))
             assert sp == sn[p]
         counts[n] = tuple(sn)
-    np.testing.assert_array_equal(suppressed, scheme.suppressed_steps(
-        model, scheme.DiscretizationParams(M=M, N=wide), y, o))
+    np.testing.assert_array_equal(suppressed, len(dw[0]) - scheme.truncation_indicator(
+        y[:, :-1], o[:, :-1], scheme.DiscretizationParams(M=M, N=wide), 1.0, nu).sum(1))
     assert len(set(counts.values())) > 1  # the indicator tells the widths apart
