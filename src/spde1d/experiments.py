@@ -159,7 +159,8 @@ def _path_batch(job):
     distinct (M, N) is coarsened and advanced once.  A coupled study
     (targets keyed (kind, M, N)) also advances the reference and samples
     the squared H distance to it at each target grid time; a cell run
-    (targets keyed (M, N)) samples ||Y_T||_{H_gamma}^p at the end.  Samples
+    (targets keyed (M, N)) samples ||Y_T||_{H_gamma}^p at the end, the
+    power of spectral.hr_norm, the norm of the taming indicator.  Samples
     are added path by path in path order, so the sums have the bits of
     stepping one path at a time.
     """
@@ -239,21 +240,10 @@ def _step_block(cfg: StudyConfig, coupled: bool, by_resolution, master, first: i
                                 f"squared-distance sample of {_name(target)}", first_path)
                 samples[target][:, first // group:first // group + y.shape[1]] = rows
             elif first + block == cfg.m_master:
-                samples[target] = _final_moments(cfg, N, y[:, -1])
+                samples[target] = (spectral.hr_norm(y[:, -1], cfg.gamma, cfg.model.nu)
+                                   ** cfg.moment_p).tolist()
                 _require_finite(np.isfinite(np.square(samples[target])),
                                 f"moment sample of {_name(target)}", first_path)
-
-
-def _final_moments(cfg: StudyConfig, N: int, y_final) -> list:
-    """||Y_T||_{H_gamma}^p per path, one path's row at a time."""
-    weights = spectral.eigenvalues(N, cfg.model.nu) ** (2 * cfg.gamma)
-    out = []
-    for y in y_final:
-        try:
-            out.append(float(np.dot(weights, y * y)) ** (cfg.moment_p / 2.0))
-        except OverflowError:  # a finite norm whose power exceeds a float
-            out.append(math.inf)
-    return out
 
 
 def _name(target) -> str:

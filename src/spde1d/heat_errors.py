@@ -22,6 +22,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import polygamma
 
+from . import spectral
+
 ALL_MODES = "all"
 
 # Most modes one exact evaluation may hold in a vector.  Every grid the
@@ -137,8 +139,7 @@ def temporal_error_exact(M: int, N, T: float, nu: float) -> float:
         k_max = math.sqrt(45.0 / (nu * math.pi**2 * h))
         _check_modes(k_max, f"the temporal error at M={M}, N='all'")
         cutoff = max(8, math.ceil(k_max))
-        ks = np.arange(1, cutoff + 1, dtype=np.float64)
-        mu = nu * math.pi**2 * ks * ks
+        mu = spectral.eigenvalues(cutoff, nu)
         tail = float(polygamma(1, cutoff + 1)) / (2 * nu * math.pi**2)
         return math.sqrt(_fsum(_temporal_mode_terms(mu, M, T)) + tail)
     return _temporal_errors(M, [n], T, nu)[0]
@@ -152,9 +153,7 @@ def _temporal_errors(M: int, counts, T: float, nu: float) -> list[float]:
     is bit for bit the one a vector of exactly n terms gives.
     """
     _check_modes(max(counts), f"the temporal error at N={max(counts)}")
-    ks = np.arange(1, max(counts) + 1, dtype=np.float64)
-    mu = nu * math.pi**2 * ks * ks
-    terms = _temporal_mode_terms(mu, M, T).tolist()
+    terms = _temporal_mode_terms(spectral.eigenvalues(max(counts), nu), M, T).tolist()
     return [math.sqrt(math.fsum(terms[:n])) for n in counts]
 
 
@@ -170,9 +169,7 @@ def spatial_error_exact(N: int, T: float, nu: float) -> float:
     of the total (the explicit range grows if ever needed).
     """
     _validate_positive(T=T, nu=nu)
-    if N < 0 or int(N) != N:
-        raise ValueError(f"N must be a nonnegative integer, got {N}")
-    N = int(N)
+    N = _int_at_least(N, "N must be a nonnegative integer", least=0)
     k_min = math.sqrt(22.5 / (nu * math.pi**2 * T))
     _check_modes(k_min - N, f"the spatial error at N={N}")
     cutoff = max(N + 64, math.ceil(k_min))
@@ -208,8 +205,7 @@ def full_error_exact(M: int, N, T: float, nu: float) -> float:
 
 def bound_upper_temporal(M: int, T: float, nu: float) -> float:
     _validate_positive(T=T, nu=nu)
-    if M < 1:
-        raise ValueError(f"need M >= 1, got {M}")
+    M = _int_at_least(M, "M must be a positive integer")
     const = math.sqrt(T) / 2 * (
         1 / (math.pi * math.sqrt(nu)) + 1 / (nu * math.pi**2)
         + 4 * math.pi * math.sqrt(nu)
@@ -241,19 +237,20 @@ def _lower_temporal_sq(M: int, n, T: float, nu: float, denom_factor: float) -> n
 
 def bound_lower_temporal(M: int, N, T: float, nu: float) -> float:
     _validate_positive(T=T, nu=nu)
-    if M < 1:
-        raise ValueError(f"need M >= 1, got {M}")
+    M = _int_at_least(M, "M must be a positive integer")
     n = _mode_count(N)
     return math.sqrt(_lower_temporal_sq(M, [math.inf if n is None else n], T, nu, 8.0)[0])
 
 
 def bound_lower_spatial(N: int, T: float, nu: float) -> float:
-    _validate_positive(N=N, T=T, nu=nu)
+    _validate_positive(T=T, nu=nu)
+    N = _int_at_least(N, "N must be a positive integer")
     return math.sqrt(-math.expm1(-nu * T)) / (2 * math.pi * math.sqrt(nu) * math.sqrt(N))
 
 
 def bound_upper_spatial(N: int, T: float, nu: float) -> float:
-    _validate_positive(N=N, T=T, nu=nu)
+    _validate_positive(T=T, nu=nu)
+    N = _int_at_least(N, "N must be a positive integer")
     return 1.0 / (math.pi * math.sqrt(2 * nu) * math.sqrt(N))
 
 
@@ -261,9 +258,11 @@ def bounds_full(M: int, N: int, T: float, nu: float) -> tuple[float, float]:
     """(lower, upper) for the combined space-time error; same structure as the
     one-axis bounds but with the temporal lower constant weakened 8 -> 32
     and the spatial one halved."""
-    _validate_positive(N=N, T=T, nu=nu)
+    _validate_positive(T=T, nu=nu)
+    M = _int_at_least(M, "M must be a positive integer")
+    N = _int_at_least(N, "N must be a positive integer")
     # halving the spatial lower bound gives its 1/(4 pi ...) form bit for bit
-    lower = math.sqrt(_lower_temporal_sq(M, [_mode_count(N)], T, nu, 32.0)[0]) \
+    lower = math.sqrt(_lower_temporal_sq(M, [N], T, nu, 32.0)[0]) \
         + bound_lower_spatial(N, T, nu) / 2
     upper = bound_upper_temporal(M, T, nu) + bound_upper_spatial(N, T, nu)
     return lower, upper
@@ -274,8 +273,7 @@ def bounds_full(M: int, N: int, T: float, nu: float) -> tuple[float, float]:
 
 def _hs_factor_sq(N: int, s: float, t: float, nu: float = 1.0) -> float:
     """sum_{k<=N} ||e^{sA}(Id - e^{tA}) e_k||^2 = sum e^{-2 mu s}(1-e^{-mu t})^2."""
-    ks = np.arange(1, N + 1, dtype=np.float64)
-    mu = nu * math.pi**2 * ks * ks
+    mu = spectral.eigenvalues(N, nu)
     return _fsum(np.exp(-2 * mu * s) * np.expm1(-mu * t) ** 2)
 
 
@@ -326,9 +324,13 @@ def ou_pair_mismatch_exact(M: int, M_ref: int, N: int, N_ref: int,
     variance itself.  Shape of the result: (M+1,), entry m at time mT/M.
     """
     _validate_positive(T=T, nu=nu)
-    if M < 1 or M_ref % M != 0:
+    M = _int_at_least(M, "M must be a positive integer")
+    M_ref = _int_at_least(M_ref, "M_ref must be a positive integer")
+    N = _int_at_least(N, "N must be a nonnegative integer", least=0)
+    N_ref = _int_at_least(N_ref, "N_ref must be a nonnegative integer", least=0)
+    if M_ref % M != 0:
         raise ValueError(f"M must divide M_ref, got {M} vs {M_ref}")
-    if not (0 <= N <= N_ref):
+    if not N <= N_ref:
         raise ValueError(f"need 0 <= N <= N_ref, got {N} vs {N_ref}")
     h = T / M
     h_f = T / M_ref
@@ -337,8 +339,7 @@ def ou_pair_mismatch_exact(M: int, M_ref: int, N: int, N_ref: int,
 
     total = np.zeros(M + 1)
     if N >= 1:
-        ks = np.arange(1, N + 1, dtype=np.float64)
-        mu = nu * math.pi**2 * ks * ks
+        mu = spectral.eigenvalues(N, nu)
         i = np.arange(r, dtype=np.float64)[:, None]
         step_profile_gap = np.exp(-mu * (h - i * h_f)) - np.exp(-mu * h)
         injection = h_f * np.sum(step_profile_gap**2, axis=0)

@@ -116,21 +116,11 @@ def truncation_indicator(Y: np.ndarray, O: np.ndarray, d: DiscretizationParams,
     ||Y||_{H_gamma} + ||O||_{H_gamma} <= (M/T)^chi.
 
     The comparison is non-strict; the boundary case keeps the drift.  The
-    arithmetic is the kernel's, so this is run_scheme's decision to the bit.
+    norms are spectral.hr_norm, whose arithmetic run_scheme shares, so this
+    is run_scheme's decision to the bit.
     """
-    w = spectral.eigenvalues(Y.shape[-1], nu) ** (2 * d.gamma)
-    return _keeps_drift(_h_gamma_norm(w, Y), _h_gamma_norm(w, O), d.threshold(T))
-
-
-def _h_gamma_norm(w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """||.||_{H_gamma} of each row of X (..., N), w = mu^{2 gamma}, at most 2^15
-    values at a time; each row is reduced on its own, whatever its neighbours."""
-    if X.ndim > 1 and X.size > 1 << 15:
-        k = max(1, (1 << 15) // (X.size // len(X)))
-        return np.concatenate([_h_gamma_norm(w, X[s:s + k]) for s in range(0, len(X), k)])
-    sq = X * X
-    sq *= w
-    return np.sqrt(sq.sum(axis=-1))
+    return _keeps_drift(spectral.hr_norm(Y, d.gamma, nu), spectral.hr_norm(O, d.gamma, nu),
+                        d.threshold(T))
 
 
 def _keeps_drift(y_norm, o_norm, thr: float):
@@ -157,6 +147,8 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     when mu h >> 1.  O does not depend on Y, so it steps first (and with a
     drift, its norms are taken next); with zero drift truncation_indicator
     reads all rows after the Y loop.  The bits are those of one joint step.
+    Every H_gamma norm is spectral.weighted_norm with the weights
+    mu^{2 gamma} taken once per run, the arithmetic of spectral.hr_norm.
     """
     dw = np.asarray(dw, dtype=np.float64)
     batched = dw.ndim == 3
@@ -186,7 +178,7 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     for m in range(steps):
         np.add(o_path[m], dw[:, m], out=o_path[m + 1])
         o_path[m + 1] *= decay
-    o_norm = _h_gamma_norm(weights, o_path[:-1]) if drift_on else None
+    o_norm = spectral.weighted_norm(weights, o_path[:-1]) if drift_on else None
     decay_o = np.empty((paths, d.N))  # e^{hA} O_m
     kept = np.zeros(paths, dtype=np.int64)
     for m in range(steps):
@@ -196,7 +188,7 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
         np.multiply(decay, o_path[m], out=decay_o)
         y_next -= decay_o
         if drift_on:
-            on = _keeps_drift(_h_gamma_norm(weights, y), o_norm[m], thr)
+            on = _keeps_drift(spectral.weighted_norm(weights, y), o_norm[m], thr)
             kept += on
             # masked, never multiplied by a 0/1 mask: 0*inf would be NaN
             if on.all():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spde1d import experiments as ex
-from spde1d import heat_errors, nonlinearity, scheme, spectral
+from spde1d import heat_errors, noise, nonlinearity, scheme, spectral
 
 from oracles import ou_second_moment, ou_variance_discrete
 
@@ -145,6 +145,19 @@ def test_moment_audit_zero_drift_matches_closed_form():
     row = rows[0]
     exact = ou_second_moment(16, 16, 1.0, 1.0, r=0.2)
     assert abs(row.estimate - exact) < 3 * row.stderr
+
+
+@pytest.mark.parametrize("M, N", [(8, 4), (16, 1), (4, 8)])
+@pytest.mark.parametrize("p", [2, 4, 8])
+def test_moment_sample_is_the_hr_norm_of_the_final_state(M, N, p):
+    # one path: the cell's estimate is its one sample ||Y_T||_{H_gamma}^p,
+    # taken through spectral.hr_norm, the norm of the taming indicator
+    cfg = ex.StudyConfig(model=scheme.allen_cahn_model(), m_grid=(M,), n_grid=(N,),
+                         m_ref=16, n_ref=8, paths=1, seed=7, moment_p=p)
+    tape = noise.NoiseTape(seed=7, M_master=16, N_master=8, T=1.0, path=0)
+    y, _, _ = scheme.run_scheme(cfg.model, cfg.discretization(M, N), tape.increments(M, N))
+    [row], _ = ex.moment_audit(cfg)
+    assert row.estimate == spectral.hr_norm(y[-1], cfg.gamma, cfg.model.nu) ** p
 
 
 def test_moment_audit_bounded_on_allen_cahn_grid():

@@ -82,6 +82,12 @@ def test_spatial_series_against_mp(N):
     assert got**2 == pytest.approx(spatial_tail_mp(N, 1.0, 1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5, True, -1])
+def test_spatial_series_refuses_mode_counts_that_do_not_exist(bad):
+    with pytest.raises(ValueError, match="N must be a nonnegative integer"):
+        he.spatial_error_exact(bad, 1.0, 1.0)
+
+
 def test_temporal_error_monotone_in_steps():
     vals = [he.temporal_error_exact(M, 32, 1.0, 1.0) for M in (1, 2, 4, 8, 16, 32, 64)]
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
@@ -124,6 +130,25 @@ def test_bounds_sandwich_spot_checks(T, nu, M, N):
     assert lo <= f <= hi
 
 
+@pytest.mark.parametrize("bad", [math.inf, 2.5, True, 0], ids=["inf", "2.5", "True", "0"])
+@pytest.mark.parametrize("call", [
+    lambda x: he.bound_upper_temporal(x, 1.0, 1.0),
+    lambda x: he.bound_lower_temporal(x, 4, 1.0, 1.0),
+    lambda x: he.bound_lower_temporal(4, x, 1.0, 1.0),
+    lambda x: he.bound_lower_spatial(x, 1.0, 1.0),
+    lambda x: he.bound_upper_spatial(x, 1.0, 1.0),
+    lambda x: he.bounds_full(x, 4, 1.0, 1.0),
+    lambda x: he.bounds_full(4, x, 1.0, 1.0),
+    lambda x: he.ou_pair_mismatch_exact(x, 4, 1, 2, 1.0, 1.0),
+    lambda x: he.ou_pair_mismatch_exact(1, x, 1, 2, 1.0, 1.0),
+], ids=["upper_temporal_M", "lower_temporal_M", "lower_temporal_N", "lower_spatial_N",
+        "upper_spatial_N", "full_M", "full_N", "mismatch_M", "mismatch_M_ref"])
+def test_bounds_refuse_grids_that_do_not_exist(call, bad):
+    # a bound or a mismatch for a step or mode count no grid has
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        call(bad)
+
+
 def test_lower_temporal_clamps_to_zero_when_band_resolved():
     # N^2 T / (2M) small: the lower-bound integration window is empty
     assert he.bound_lower_temporal(64, 1, 1.0, 1.0) == 0.0
@@ -157,6 +182,11 @@ def test_ou_pair_mismatch_guards():
         he.ou_pair_mismatch_exact(5, 16, 2, 3, 1.0, 1.0)
     with pytest.raises(ValueError):
         he.ou_pair_mismatch_exact(4, 16, 4, 3, 1.0, 1.0)
+    for bad in (math.inf, 2.5, True):  # N = 0 is a valid mode count here
+        with pytest.raises(ValueError, match="N must be a nonnegative integer"):
+            he.ou_pair_mismatch_exact(1, 4, bad, 2, 1.0, 1.0)
+        with pytest.raises(ValueError, match="N_ref must be a nonnegative integer"):
+            he.ou_pair_mismatch_exact(1, 4, 1, bad, 1.0, 1.0)
 
 
 def test_fit_rate_recovers_synthetic_power_law():

@@ -115,22 +115,23 @@ def test_indicator_boundary_is_nonstrict():
 
 
 def test_indicator_is_the_kernels_decision_at_the_boundary():
-    # the kernel's H_gamma norm and spectral.hr_norm can round to opposite
-    # sides of the threshold; hunt the ulp neighborhood of ||v||_{H_gamma} =
-    # 1/2 for such a state Y = O = v (M=T=1: threshold 1.0), so that an
-    # indicator built on hr_norm would fail the assertions below
+    # sqrt(sum(w * v * v)), a summed H_gamma norm with its own rounding, and
+    # the kernel's can fall on opposite sides of the threshold; hunt the ulp
+    # neighborhood of ||v||_{H_gamma} = 1/2 for such a state Y = O = v (M=T=1:
+    # threshold 1.0), so that an indicator built on another norm would fail
+    # the assertions below
     d = scheme.DiscretizationParams(M=1, N=8)
     w = spectral.eigenvalues(8, 1.0) ** (2 * d.gamma)
     hit = None
     for seed in range(20):
         u = np.random.default_rng(seed).standard_normal(8)
-        c = 0.5 / float(spectral.hr_norm(u, d.gamma, 1.0))
+        c = 0.5 / float(np.sqrt(np.sum(w * u * u)))
         for _ in range(20):
             c = np.nextafter(c, -np.inf)
         for _ in range(40):
             v = c * u
-            kernel_on = 2.0 * float(scheme._h_gamma_norm(w, v)) <= 1.0
-            summed_on = 2.0 * float(spectral.hr_norm(v, d.gamma, 1.0)) <= 1.0
+            kernel_on = 2.0 * float(spectral.weighted_norm(w, v)) <= 1.0
+            summed_on = 2.0 * float(np.sqrt(np.sum(w * v * v))) <= 1.0
             if kernel_on != summed_on:
                 hit = v
                 break
@@ -141,6 +142,7 @@ def test_indicator_is_the_kernels_decision_at_the_boundary():
     model = scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.allen_cahn(), xi=hit)
     _, _, suppressed = scheme.run_scheme(model, d, np.zeros((1, 8)))
     assert scheme.truncation_indicator(hit, hit, d, 1.0, 1.0) == (suppressed == 0)
+    assert (2.0 * float(spectral.hr_norm(hit, d.gamma, 1.0)) <= 1.0) == (suppressed == 0)
     Y, O = scheme.simulate_trajectory(model, d, noise.NoiseTape(0, 1, 8, 1.0))
     indicator_column = scheme.trajectory_csv(model, d, Y, O).split("\n")[1].split(",")[-1]
     assert indicator_column == str(int(suppressed == 0))
