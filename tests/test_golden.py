@@ -48,20 +48,20 @@ HEAT_ERRORS_SHA256 = {
 
 MOMENT_REPRS = {
     "allen_cahn": [
-        "MomentRow(M=4, N=1, estimate=3.0238793645814856e-05, stderr=1.0202716788123161e-05, activation_fraction=0.0)",
-        "MomentRow(M=4, N=8, estimate=3.02386210183255e-05, stderr=1.0202643628790955e-05, activation_fraction=0.0)",
+        "MomentRow(M=4, N=1, estimate=3.023879364581485e-05, stderr=1.0202716788123156e-05, activation_fraction=0.0)",
+        "MomentRow(M=4, N=8, estimate=3.0238621018325496e-05, stderr=1.0202643628790953e-05, activation_fraction=0.0)",
         "MomentRow(M=16, N=1, estimate=0.005657560445405197, stderr=0.0016944440306185852, activation_fraction=0.048214285714285716)",
-        "MomentRow(M=16, N=8, estimate=0.0058148461605294745, stderr=0.0017162566038940463, activation_fraction=0.048214285714285716)",
+        "MomentRow(M=16, N=8, estimate=0.005814846160529475, stderr=0.0017162566038940465, activation_fraction=0.048214285714285716)",
         "False",
         "(16, 1, 0.048214285714285716)",
         "(4, 8, 0.0)",
         "(8, 2, 0.0)",
     ],
     "zero_drift": [
-        "MomentRow(M=4, N=1, estimate=3.0389662178336005e-05, stderr=1.0329114136601584e-05, activation_fraction=0.0)",
-        "MomentRow(M=4, N=8, estimate=3.038968105892485e-05, stderr=1.0329115093719207e-05, activation_fraction=0.0)",
-        "MomentRow(M=16, N=1, estimate=0.0052261104261995435, stderr=0.0015818343206210849, activation_fraction=0.038392857142857145)",
-        "MomentRow(M=16, N=8, estimate=0.005377149016089003, stderr=0.001602858424339576, activation_fraction=0.04017857142857143)",
+        "MomentRow(M=4, N=1, estimate=3.0389662178335998e-05, stderr=1.032911413660158e-05, activation_fraction=0.0)",
+        "MomentRow(M=4, N=8, estimate=3.0389681058924843e-05, stderr=1.0329115093719207e-05, activation_fraction=0.0)",
+        "MomentRow(M=16, N=1, estimate=0.0052261104261995435, stderr=0.001581834320621085, activation_fraction=0.038392857142857145)",
+        "MomentRow(M=16, N=8, estimate=0.005377149016089002, stderr=0.0016028584243395756, activation_fraction=0.04017857142857143)",
         "False",
         "(16, 1, 0.038392857142857145)",
         "(4, 8, 0.0)",
