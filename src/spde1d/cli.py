@@ -76,7 +76,7 @@ def _coefficients(value, name: str) -> list:
 
 def _initial(value, name: str):
     if isinstance(value, list):
-        return [_number(c, f"{name} entries") for c in value]
+        return [_number(c, f"{name} entries") for c in _list(value, name)]
     return _is(str, "a preset name or a list")(value, name)  # _model expands a preset
 
 

@@ -51,8 +51,13 @@ def allen_cahn() -> CubicCoefficients:
 
 
 def _odd_part_on_grid(u: np.ndarray, a1: float, a3: float) -> np.ndarray:
-    """a1 u + a3 u^3 in multiply form; a libm power is far slower than a product."""
-    return u * (a1 + a3 * (u * u))
+    """a1 u + a3 u^3 as u (a1 + a3 (u u)), built in one new array; a libm
+    power is far slower than a product."""
+    v = u * u
+    v *= a3
+    v += a1
+    v *= u
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -61,31 +66,26 @@ def _odd_part_on_grid(u: np.ndarray, a1: float, a3: float) -> np.ndarray:
 # Sine vectors b are indexed b[0] = 0, b[k] = coefficient of sin(k pi x);
 # cosine vectors q have q[m] = coefficient of cos(m pi x), q[0] the constant.
 
-def cos_coeffs_of_sine_square(b: np.ndarray) -> np.ndarray:
-    """Cosine series of (sum_k b_k sin(k pi x))^2; returns q[0..2N]."""
-    b = np.asarray(b, dtype=np.float64)
-    n = b.shape[0] - 1
-    conv = np.convolve(b, b)                       # conv[m] = sum_{k+j=m} b_k b_j
-    corr = np.zeros(2 * n + 1)
-    for m in range(n):                             # corr[m] = sum_l b_{l+m} b_l
-        corr[m] = np.dot(b[m:], b[: b.shape[0] - m])
-    q = np.zeros(2 * n + 1)
-    q[0] = 0.5 * corr[0]
-    q[1:] = corr[1:] - 0.5 * conv[1 : 2 * n + 1]
-    return q
+def cos_coeffs_of_square(c: np.ndarray, sine: bool) -> np.ndarray:
+    """Cosine series of (sum_m c_m cos(m pi x))^2, or with sine=True of
+    (sum_k c_k sin(k pi x))^2 (then c[0] = 0); returns q[0..2M].
 
-
-def cos_coeffs_of_cos_square(c: np.ndarray) -> np.ndarray:
-    """Cosine series of (sum_m c_m cos(m pi x))^2; returns q[0..2M]."""
+    2 f(a) f(b) = cos(a - b) + s cos(a + b), s = -1 for f = sin and +1 for
+    f = cos: q[r] is the correlation sum_l c_{l+r} c_l plus s/2 times the
+    convolution sum_{k+j=r} c_k c_j, and q[0] half of both.
+    """
     c = np.asarray(c, dtype=np.float64)
     m = c.shape[0] - 1
-    conv = np.convolve(c, c)
+    s = -1.0 if sine else 1.0
+    conv = np.convolve(c, c)                       # conv[r] = sum_{k+j=r} c_k c_j
     corr = np.zeros(2 * m + 1)
-    for r in range(m + 1):
+    # corr[r] = sum_l c_{l+r} c_l; for sine input corr[M] = c_M c_0 is zero,
+    # and it stays +0.0 rather than taking the sign of c_M
+    for r in range(m if sine else m + 1):
         corr[r] = np.dot(c[r:], c[: c.shape[0] - r])
     q = np.zeros(2 * m + 1)
-    q[0] = 0.5 * (corr[0] + conv[0])
-    q[1:] = corr[1:] + 0.5 * conv[1 : 2 * m + 1]
+    q[0] = 0.5 * (corr[0] + s * conv[0])
+    q[1:] = corr[1:] + (0.5 * s) * conv[1:]
     return q
 
 
@@ -130,17 +130,17 @@ def project_F(coeffs: np.ndarray, a: CubicCoefficients, grid: int | None = None)
             f"alias risk: need grid-1 >= 3N+1 = {3 * n + 1}, got grid-1 = {grid - 1}"
         )
     a0, a1, a2, a3 = a.as_tuple()
-    out = np.zeros_like(coeffs)
     if a1 != 0.0 or a3 != 0.0:
-        u = spectral.to_grid(coeffs, grid)
-        out += spectral.from_grid(_odd_part_on_grid(u, a1, a3), n)
+        out = spectral.from_grid(_odd_part_on_grid(spectral.to_grid(coeffs, grid), a1, a3), n)
+    else:
+        out = np.zeros_like(coeffs)
     if a2 != 0.0:
         g = cos_to_sine_matrix(n, 2 * n + 1)
         flat = coeffs.reshape(-1, n)
         proj = np.empty_like(flat)
         for i, row in enumerate(flat):             # even part is off the hot path
             b = np.concatenate(([0.0], SQRT2 * row))
-            proj[i] = g @ cos_coeffs_of_sine_square(b)
+            proj[i] = g @ cos_coeffs_of_square(b, sine=True)
         out += a2 * proj.reshape(coeffs.shape)
     if a0 != 0.0:
         out += a0 * constant_term_coeffs(n)
@@ -187,7 +187,7 @@ def _f_difference_h_norm_sq(
     if a2 != 0.0:
         bv = np.concatenate(([0.0], SQRT2 * v))
         bw = np.concatenate(([0.0], SQRT2 * w))
-        dq = a2 * (cos_coeffs_of_sine_square(bv) - cos_coeffs_of_sine_square(bw))
+        dq = a2 * (cos_coeffs_of_square(bv, sine=True) - cos_coeffs_of_square(bw, sine=True))
         total += dq[0] ** 2 + 0.5 * float(np.dot(dq[1:], dq[1:]))
         g = cos_to_sine_matrix(3 * n, 2 * n + 1)
         total += 2.0 * float(s @ (g @ dq))
@@ -237,14 +237,14 @@ def check_coercivity_gradient(v: np.ndarray, a: CubicCoefficients, nu: float) ->
     a0, a1, a2, a3 = a.as_tuple()
     k = np.arange(1, n + 1, dtype=np.float64)
     p = np.concatenate(([0.0], SQRT2 * v * k * np.pi))   # cos series of v'
-    qp = cos_coeffs_of_cos_square(p)                     # cos series of v'^2
+    qp = cos_coeffs_of_square(p, sine=False)             # cos series of v'^2
     lhs = a1 * qp[0]
     if a2 != 0.0:
         g = cos_to_sine_matrix(n, 2 * n + 1)
         lhs += 2.0 * a2 * float(v @ (g @ qp))
     if a3 != 0.0:
         b = np.concatenate(([0.0], SQRT2 * v))
-        qv = cos_coeffs_of_sine_square(b)
+        qv = cos_coeffs_of_square(b, sine=True)
         lhs += 3.0 * a3 * (qp[0] * qv[0] + 0.5 * float(np.dot(qp[1:], qv[1:])))
     lhs *= nu
     lead = 3.0 * abs(a3) if a3 != 0.0 else 1.0

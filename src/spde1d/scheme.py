@@ -123,9 +123,10 @@ def truncation_indicator(Y: np.ndarray, O: np.ndarray, d: DiscretizationParams,
                         d.threshold(T))
 
 
-def _keeps_drift(y_norm, o_norm, thr: float):
-    """The kernel's indicator arithmetic, shared with truncation_indicator."""
-    return y_norm + o_norm <= thr
+def _keeps_drift(y_norm, o_norm, thr: float, out=None):
+    """The kernel's indicator arithmetic, shared with truncation_indicator;
+    written to the bool array `out` if given."""
+    return np.less_equal(y_norm + o_norm, thr, out=out)
 
 
 def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
@@ -145,8 +146,11 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     It is not exact in law: per mode its variance at T is the continuum
     (1 - e^{-2 mu T})/(2 mu) times 2 mu h/(e^{2 mu h} - 1), far below it
     when mu h >> 1.  O does not depend on Y, so it steps first (and with a
-    drift, its norms are taken next); with zero drift truncation_indicator
-    reads all rows after the Y loop.  The bits are those of one joint step.
+    drift, its norms are taken next).  With a drift, each step of the Y loop
+    writes its indicator into one (steps, paths) bool block; with zero drift
+    truncation_indicator fills that block from all rows after the loop.  The
+    suppressed counts are one sum over the block.  The bits are those of one
+    joint step.
     Every H_gamma norm is spectral.weighted_norm with the weights
     mu^{2 gamma} taken once per run, the arithmetic of spectral.hr_norm.
     """
@@ -178,9 +182,11 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     for m in range(steps):
         np.add(o_path[m], dw[:, m], out=o_path[m + 1])
         o_path[m + 1] *= decay
-    o_norm = spectral.weighted_norm(weights, o_path[:-1]) if drift_on else None
+    if drift_on:
+        o_norm = spectral.weighted_norm(weights, o_path[:-1])
+        y_norm = np.empty(paths)
+        on_rows = np.empty((steps, paths), dtype=bool)  # each step's indicator
     decay_o = np.empty((paths, d.N))  # e^{hA} O_m
-    kept = np.zeros(paths, dtype=np.int64)
     for m in range(steps):
         y, y_next = y_path[m], y_path[m + 1]
         np.multiply(decay, y, out=y_next)
@@ -188,15 +194,21 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
         np.multiply(decay, o_path[m], out=decay_o)
         y_next -= decay_o
         if drift_on:
-            on = _keeps_drift(spectral.weighted_norm(weights, y), o_norm[m], thr)
-            kept += on
+            on = _keeps_drift(spectral.weighted_norm(weights, y, out=y_norm), o_norm[m], thr,
+                              out=on_rows[m])
+            n_on = np.count_nonzero(on)
             # masked, never multiplied by a 0/1 mask: 0*inf would be NaN
-            if on.all():
-                y_next += phi * project_F(y, model.a, grid)
-            elif on.any():
-                y_next[on] += phi * project_F(y[on], model.a, grid)
+            if n_on == paths:
+                drift = project_F(y, model.a, grid)
+                drift *= phi
+                y_next += drift
+            elif n_on:
+                drift = project_F(y[on], model.a, grid)
+                drift *= phi
+                y_next[on] += drift
     if not drift_on:  # every row in one pass, time-major, which reads contiguous rows
-        kept = truncation_indicator(y_path[:-1], o_path[:-1], d, model.T, model.nu).sum(0)
+        on_rows = truncation_indicator(y_path[:-1], o_path[:-1], d, model.T, model.nu)
+    kept = on_rows.sum(0)
     y_path, o_path = y_path.transpose(1, 0, 2), o_path.transpose(1, 0, 2)
     suppressed = steps - kept
     if batched:

@@ -47,16 +47,18 @@ def hr_norm(coeffs: np.ndarray, r: float, nu: float) -> float | np.ndarray:
     return weighted_norm(eigenvalues(coeffs.shape[-1], nu) ** (2.0 * r), coeffs)
 
 
-def weighted_norm(w: np.ndarray, X: np.ndarray) -> np.ndarray:
+def weighted_norm(w: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sqrt(sum_k w_k X_k^2) of each row of X (..., N), w = mu^{2r}: the one
-    H_r norm arithmetic.  At most 2^15 values at a time; each row is reduced
-    on its own, so its bits do not depend on its neighbours."""
+    H_r norm arithmetic, written to `out` (shape X.shape[:-1]) if given.  At
+    most 2^15 values at a time; each row is reduced on its own, so its bits
+    do not depend on its neighbours."""
     if X.ndim > 1 and X.size > 1 << 15:
         k = max(1, (1 << 15) // (X.size // len(X)))
-        return np.concatenate([weighted_norm(w, X[s:s + k]) for s in range(0, len(X), k)])
+        return np.concatenate([weighted_norm(w, X[s:s + k]) for s in range(0, len(X), k)],
+                              out=out)
     sq = X * X
     sq *= w
-    return np.sqrt(sq.sum(axis=-1))
+    return np.sqrt(np.add.reduce(sq, axis=-1, out=out), out=out)
 
 
 def semigroup_factors(n_modes: int, nu: float, t: float) -> np.ndarray:
@@ -105,7 +107,9 @@ def to_grid(coeffs: np.ndarray, grid: int) -> np.ndarray:
     pad = np.zeros(coeffs.shape[:-1] + (grid - 1,))
     pad[..., :n] = coeffs
     # dst-I computes 2 sum_j x_j sin(pi j m / G); fold in the sqrt(2) basis factor
-    return scipy.fftpack.dst(pad, type=1, axis=-1) * (SQRT2 / 2.0)
+    values = scipy.fftpack.dst(pad, type=1, axis=-1, overwrite_x=True)
+    values *= SQRT2 / 2.0
+    return values
 
 
 def from_grid(values: np.ndarray, n_modes: int) -> np.ndarray:
@@ -118,8 +122,8 @@ def from_grid(values: np.ndarray, n_modes: int) -> np.ndarray:
     grid = values.shape[-1] + 1
     if n_modes > grid - 1:
         raise ValueError(f"need grid-1 >= n_modes, got grid={grid}, n_modes={n_modes}")
-    full = scipy.fftpack.dst(values, type=1, axis=-1) * (SQRT2 / (2.0 * grid))
-    return full[..., :n_modes]
+    # scaling the kept modes into a new array leaves the caller contiguous rows
+    return scipy.fftpack.dst(values, type=1, axis=-1)[..., :n_modes] * (SQRT2 / (2.0 * grid))
 
 
 def lq_norm_on_grid(values: np.ndarray, q: float) -> float | np.ndarray:

@@ -7,14 +7,16 @@ hold the few helpers that do read the package or repeat its arithmetic: one
 mode of its closed form, the quadrature it is checked against, the scalar
 form of the vectorized temporal lower bound, an OU moment built on the
 per-mode variances below, the scheme stepped one whole step at a time, the
-closed-form terminal variance of the discretized OU, and a Monte Carlo
-estimate of the temporal OU error through an exact bridge coupling to the
-package's noise tape (its own per-path loop, not the study engine's).
+odd part of project_F through scipy.fft's DST-I, the closed-form terminal
+variance of the discretized OU, and a Monte Carlo estimate of the temporal
+OU error through an exact bridge coupling to the package's noise tape (its
+own per-path loop, not the study engine's).
 """
 import math
 
 import mpmath as mp
 import numpy as np
+import scipy.fft
 
 from spde1d import heat_errors, nonlinearity, spectral
 from spde1d.noise import (SUBSTREAM_AUX, SUBSTREAM_INCREMENTS, NoiseTape, mean_stderr,
@@ -233,6 +235,20 @@ def run_scheme_stepwise(model, d, dw, start=None):
         ons.append(on)
     ons = np.array(ons, dtype=bool).reshape(steps, paths)
     return (np.stack(ys, axis=1), np.stack(os_, axis=1), steps - ons.sum(axis=0), ons)
+
+
+def project_F_reference(coeffs, a1, a3, grid):
+    """First N sine coefficients of a1 v + a3 v^3 for v = sum c_k e_k, (..., N),
+    as one expression per stage: evaluate v on the grid by scipy.fft's DST-I,
+    form u (a1 + a3 (u u)) there, transform back and keep the first N modes.
+    project_F's odd part must give these bits."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    n = coeffs.shape[-1]
+    pad = np.zeros(coeffs.shape[:-1] + (grid - 1,))
+    pad[..., :n] = coeffs
+    u = scipy.fft.dst(pad, type=1, axis=-1) * (math.sqrt(2.0) / 2.0)
+    v = u * (a1 + a3 * (u * u))
+    return (scipy.fft.dst(v, type=1, axis=-1) * (math.sqrt(2.0) / (2.0 * grid)))[..., :n]
 
 
 # ---------------------------------------------------------------------------

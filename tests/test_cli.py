@@ -193,6 +193,8 @@ _ZERO_DRIFT = {"a": [0.0, 0.0, 0.0, 0.0], "initial": "zero"}
     ("converge", {"model": _ZERO_DRIFT, "study": _SMALL_STUDY, "output": {"prefix": None}}),
     ("converge", []),
     ("converge", {"model": {"a": [0, 1]}, "study": _SMALL_STUDY}),
+    ("simulate", {"model": {"initial": []}, "discretization": {"M": 8, "N": 4}}),
+    ("converge", {"model": {"initial": []}, "study": _SMALL_STUDY}),
 ], ids=["m_not_dividing_master", "m_grid_not_a_list", "study_not_an_object",
         "misspelled_key", "overflowing_initial_value", "fractional_M", "fractional_paths",
         "exact_as_string", "seed_as_bool", "master_as_string", "simulate_fractional_M",
@@ -202,7 +204,7 @@ _ZERO_DRIFT = {"a": [0.0, 0.0, 0.0, 0.0], "initial": "zero"}
         "simulate_T_too_large_for_a_float", "exact_errors_overflowing_a_float",
         "simulate_prefix_naming_a_subdirectory", "prefix_naming_a_subdirectory",
         "simulate_null_prefix", "null_prefix", "config_root_not_an_object",
-        "a_with_two_entries"])
+        "a_with_two_entries", "simulate_empty_initial", "empty_initial"])
 def test_bad_study_values_exit_2(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])

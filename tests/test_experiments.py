@@ -243,6 +243,35 @@ def test_non_finite_state_or_moment_fails_the_run():
         ex.moment_audit(replace(_blown_up_cfg(1e60), m_grid=(4,), n_grid=(8,), moment_p=8))
 
 
+def test_traced_layers_are_reached_once_per_drift_step(monkeypatch):
+    # the benchmark's trace wraps these names where their callers look them
+    # up; a renamed or bypassed boundary fails here, not only in a traced run
+    calls, rows = {}, {}
+
+    def shim(module, name):
+        inner = getattr(module, name)
+
+        def counted(x, *args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            rows[name] = rows.get(name, 0) + math.prod(np.shape(x)[:-1])
+            return inner(x, *args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    shim(scheme, "project_F")
+    shim(spectral, "to_grid")
+    shim(spectral, "from_grid")
+    cfg = small_cfg(model=scheme.allen_cahn_model(n_xi_modes=16), paths=6)
+    targets = [(16, 8), (32, 16), (128, 4)]
+    acc = ex._accumulate(cfg, targets, False)
+    steps = sum(acc[t]["steps"] for t in targets)
+    kept = steps - sum(acc[t]["suppressed"] for t in targets)
+    assert 0 < kept < steps  # the indicator switched the drift both ways
+    assert rows["project_F"] == rows["to_grid"] == rows["from_grid"] == kept
+    # one call per kernel step with a path that keeps the drift
+    assert 0 < calls["project_F"] == calls["to_grid"] == calls["from_grid"] \
+        <= sum(M for M, _ in targets)
+
+
 def test_batch_memory_stays_within_a_block():
     # heat_mc shape of the benchmark: 16 zero-drift paths, M_ref=2048, N_ref=128.
     # Stepping block by block peaks near 11 MB; one whole tape per path

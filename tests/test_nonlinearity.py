@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from spde1d import nonlinearity as nl
 from spde1d import spectral
 
-from oracles import project_cubic_oracle
+from oracles import project_F_reference, project_cubic_oracle
 
 SQRT2 = math.sqrt(2.0)
 
@@ -54,6 +54,24 @@ def test_project_matches_brute_force_oracle(n):
         want = project_cubic_oracle(coeffs, c)
         scale = np.max(np.abs(want)) + 1.0
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("n", [1, 8, 16, 32, 64, 128])
+@pytest.mark.parametrize("a", [nl.allen_cahn(), nl.CubicCoefficients(0, 0, 0, -1),
+                               nl.CubicCoefficients(0, 3, 0, 0)], ids=["ac", "cube", "linear"])
+def test_project_F_odd_part_has_the_reference_bits(n, a):
+    # the stepwise oracle calls project_F itself, so only this test sees a
+    # change of rounding inside it; bytes, so that signed zeros count too
+    rng = np.random.default_rng(n)
+    grid = spectral.default_grid(n)
+    for lead in [(), (1,), (4,), (64,)]:
+        c = rng.standard_normal(lead + (n,)) / np.arange(1, n + 1)
+        if lead:
+            c[0] = 0.0  # a zero state: its cube and transforms are signed zeros
+        got = nl.project_F(c, a)
+        want = project_F_reference(c, a.a1, a.a3, grid)
+        assert got.shape == want.shape == c.shape
+        assert got.tobytes() == want.tobytes(), (lead, n)
 
 
 def _signed(lo, hi):
@@ -141,3 +159,18 @@ def test_cos_to_sine_matrix_against_quadrature():
         for m in range(5):
             want = np.trapezoid(ek * np.cos(m * np.pi * x), x)
             assert g[k - 1, m] == pytest.approx(want, abs=2e-7)
+
+
+@pytest.mark.parametrize("sine", [True, False])
+def test_cos_coeffs_of_square_evaluate_the_square(sine):
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(7)
+    if sine:
+        c[0] = 0.0
+    x = np.linspace(0.0, 1.0, 101)
+    basis = np.sin if sine else np.cos
+    v = sum(ck * basis(k * np.pi * x) for k, ck in enumerate(c))
+    q = nl.cos_coeffs_of_square(c, sine=sine)
+    assert q.shape == (13,)
+    square = sum(qm * np.cos(m * np.pi * x) for m, qm in enumerate(q))
+    np.testing.assert_allclose(square, v * v, rtol=0, atol=1e-12)

@@ -310,12 +310,13 @@ def test_run_in_pieces_through_start_equals_one_shot():
     assert sb1[1] + sb2[1] == suppressed
 
 
-@pytest.mark.parametrize("case", ["mixed_mask", "all_off_then_on", "from_xi", "zero_drift"])
+@pytest.mark.parametrize("case", ["mixed_mask", "mixed_mask_64", "all_off_then_on", "from_xi",
+                                  "zero_drift"])
 def test_run_scheme_equals_the_stepwise_oracle_bit_for_bit(case):
     # the kernel steps O first and gates Y afterwards; the oracle steps both
     # together, one step at a time, so a fault that a batch and a single run
-    # share still shows here
-    model, d, dw, (y0, o0) = _batch_inputs()
+    # share still shows here.  64 paths is the study's batch width.
+    model, d, dw, (y0, o0) = _batch_inputs(paths=64 if case == "mixed_mask_64" else 5)
     start = (y0, o0)
     if case == "all_off_then_on":
         y0[:, 0] = 5.0  # every path starts far above the threshold
@@ -331,7 +332,10 @@ def test_run_scheme_equals_the_stepwise_oracle_bit_for_bit(case):
     np.testing.assert_array_equal(o, os_)
     np.testing.assert_array_equal(suppressed, sup)
     steps_on = on.sum(axis=1)
-    assert steps_on.max() == len(y0)  # an all-on step in every case
+    if case == "mixed_mask_64":  # every step masks some paths and keeps others
+        assert 0 < steps_on.min() and steps_on.max() < len(y0)
+    else:
+        assert steps_on.max() == len(y0)  # an all-on step
     if case == "mixed_mask":
         assert 0 < steps_on[0] < len(y0)
     if case in ("all_off_then_on", "zero_drift"):
