@@ -15,7 +15,7 @@ model = scheme.allen_cahn_model(preset="bump")
 disc = scheme.DiscretizationParams(M=M, N=N)
 
 tape = noise.NoiseTape(seed=42, M_master=M, N_master=N, T=model.T)
-y, o, suppressed = scheme.run_scheme(model, disc, tape.increments(M, N))
+[y], _, [suppressed] = scheme.run_scheme(model, disc, tape.increments(M, N)[None])
 
 # u(x) = sum_k Y_k sqrt(2) sin(k pi x) at the 8 interior points x = i/9
 x = np.arange(1, 9) / 9
@@ -30,9 +30,9 @@ print(f"drift active on {M - suppressed}/{M} steps "
       f"(threshold (M/T)^chi = {disc.threshold(model.T):.4f})")
 
 # seeds differ -> paths differ, same seed -> identical to the last bit
-y43, _, _ = scheme.run_scheme(
-    model, disc, noise.NoiseTape(seed=43, M_master=M, N_master=N, T=model.T).increments(M, N))
-y42, _, _ = scheme.run_scheme(
-    model, disc, noise.NoiseTape(seed=42, M_master=M, N_master=N, T=model.T).increments(M, N))
+y43, _ = scheme.simulate_trajectory(
+    model, disc, noise.NoiseTape(seed=43, M_master=M, N_master=N, T=model.T))
+y42, _ = scheme.simulate_trajectory(
+    model, disc, noise.NoiseTape(seed=42, M_master=M, N_master=N, T=model.T))
 print("seed 43 differs:", not np.array_equal(y, y43))
 print("seed 42 repeats:", np.array_equal(y, y42))

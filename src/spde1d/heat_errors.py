@@ -213,7 +213,7 @@ def bound_upper_temporal(M: int, T: float, nu: float) -> float:
     return M ** -0.25 * math.sqrt(const)
 
 
-def _lower_temporal_sq(M: int, n, T: float, nu: float, denom_factor: float) -> np.ndarray:
+def _lower_temporal_sq(M: int, n, T: float, nu: float) -> np.ndarray:
     """Closed form of M^{-1/2} int_0^X c / (x+a)^{3/2} dx via -2(x+a)^{-1/2}.
 
     One value per entry of n, the mode counts as floats (inf for every
@@ -228,7 +228,7 @@ def _lower_temporal_sq(M: int, n, T: float, nu: float, denom_factor: float) -> n
     damp_sq = np.array([(-math.expm1(rate * r)) ** 2
                         for r in np.minimum(1.0, ratio_n2).tolist()])
     c = math.sqrt(T) * -math.expm1(-nu * math.pi**2 * T) * damp_sq \
-        / (denom_factor * nu * math.pi**2 * math.sqrt(2))
+        / (8 * nu * math.pi**2 * math.sqrt(2))
     a = (1 + math.sqrt(T)) ** 2
     upper_limit = np.maximum(0.0, ratio_np1 - (1 + math.sqrt(T / (2 * M))) ** 2)
     integral = 2 * c * (1 / math.sqrt(a) - 1 / np.sqrt(upper_limit + a))
@@ -239,7 +239,7 @@ def bound_lower_temporal(M: int, N, T: float, nu: float) -> float:
     _validate_positive(T=T, nu=nu)
     M = _int_at_least(M, "M must be a positive integer")
     n = _mode_count(N)
-    return math.sqrt(_lower_temporal_sq(M, [math.inf if n is None else n], T, nu, 8.0)[0])
+    return math.sqrt(_lower_temporal_sq(M, [math.inf if n is None else n], T, nu)[0])
 
 
 def bound_lower_spatial(N: int, T: float, nu: float) -> float:
@@ -255,15 +255,14 @@ def bound_upper_spatial(N: int, T: float, nu: float) -> float:
 
 
 def bounds_full(M: int, N: int, T: float, nu: float) -> tuple[float, float]:
-    """(lower, upper) for the combined space-time error; same structure as the
-    one-axis bounds but with the temporal lower constant weakened 8 -> 32
-    and the spatial one halved."""
+    """(lower, upper) for the combined space-time error: the lower bound is
+    half the sum of the two one-axis lower bounds (the temporal constant
+    weakened 8 -> 32, whose square root halves it, and the spatial one
+    halved), the upper bound their sum."""
     _validate_positive(T=T, nu=nu)
     M = _int_at_least(M, "M must be a positive integer")
     N = _int_at_least(N, "N must be a positive integer")
-    # halving the spatial lower bound gives its 1/(4 pi ...) form bit for bit
-    lower = math.sqrt(_lower_temporal_sq(M, [N], T, nu, 32.0)[0]) \
-        + bound_lower_spatial(N, T, nu) / 2
+    lower = (bound_lower_temporal(M, N, T, nu) + bound_lower_spatial(N, T, nu)) / 2
     upper = bound_upper_temporal(M, T, nu) + bound_upper_spatial(N, T, nu)
     return lower, upper
 
@@ -423,10 +422,10 @@ def error_table(m_grid, n_grid, T: float, nu: float) -> tuple[list[ErrorBoundsRe
     Everything is evaluated per axis, and each value is formatted once.
     Per distinct M: one temporal term vector whose prefixes give every
     integer N (the "all" entry keeps its trigamma tail), the temporal upper
-    bound, and the temporal lower bounds of both kinds as one array over
-    the N axis.  Per distinct N: the spatial series and both spatial bounds,
-    which also give the spatial terms of the full bounds.  A full value is
-    the hypot of its two parts, as in full_error_exact.
+    bound, and the temporal lower bound as one array over the N axis.  Per
+    distinct N: the spatial series and both spatial bounds.  A full value is
+    the hypot of its two parts, as in full_error_exact, and its bounds are
+    those of bounds_full, from the same per-axis values.
     """
     _validate_positive(T=T, nu=nu)
     ms = [_int_at_least(M, "M must be a positive integer") for M in m_grid]
@@ -441,23 +440,22 @@ def error_table(m_grid, n_grid, T: float, nu: float) -> tuple[list[ErrorBoundsRe
                   bound_upper_spatial(n, T, nu))
         spatial[n] = (*values, "%.17g,%.17g,%.17g" % values)
 
-    temporal = {}  # M -> (exact by n, lower by N entry, full lower by N entry, upper, text)
+    temporal = {}  # M -> (exact by n, lower by N entry, upper, text)
     for M in dict.fromkeys(ms):
         exact = dict(zip(counts, _temporal_errors(M, counts, T, nu))) if counts else {}
         if None in ns:
             exact[None] = temporal_error_exact(M, ALL_MODES, T, nu)
-        lower = np.sqrt(_lower_temporal_sq(M, n_axis, T, nu, 8.0)).tolist()
-        lower_full = np.sqrt(_lower_temporal_sq(M, n_axis, T, nu, 32.0)).tolist()
+        lower = np.sqrt(_lower_temporal_sq(M, n_axis, T, nu)).tolist()
         upper = bound_upper_temporal(M, T, nu)
-        temporal[M] = (exact, lower, lower_full, upper, "%.17g" % upper)
+        temporal[M] = (exact, lower, upper, "%.17g" % upper)
     # every value is >= 0, so their sum is finite exactly when each of them is
     if not math.isfinite(sum(sum(s[:3]) for s in spatial.values()) + sum(
-            sum(e.values()) + sum(lo) + sum(lf) + up for e, lo, lf, up, _ in temporal.values())):
+            sum(e.values()) + sum(lo) + up for e, lo, up, _ in temporal.values())):
         raise ValueError(f"exact errors or bounds overflow a float at T={T!r}, nu={nu!r}")
 
     reports, lines = [], [REPORT_HEADER]
     for M in ms:
-        exact, lower, _, upper, upper_txt = temporal[M]
+        exact, lower, upper, upper_txt = temporal[M]
         for i, (N, n) in enumerate(zip(n_grid, ns)):
             reports.append(ErrorBoundsReport("temporal", M, N, exact[n], lower[i], upper))
             lines.append("%d,%s,%.17g,%.17g,%s,temporal"
@@ -468,13 +466,12 @@ def error_table(m_grid, n_grid, T: float, nu: float) -> tuple[list[ErrorBoundsRe
                 reports.append(ErrorBoundsReport("spatial", M, N, *spatial[n][:3]))
                 lines.append("%d,%s,%s,spatial" % (M, n_txt[i], spatial[n][3]))
     for M in ms:
-        exact, _, lower_full, upper, _ = temporal[M]
+        exact, lower, upper, _ = temporal[M]
         for i, (N, n) in enumerate(zip(n_grid, ns)):
             if n is not None:
                 s_exact, s_lower, s_upper, _ = spatial[n]
-                # bounds_full, from the shared per-axis values
                 row = ("full", M, N, math.hypot(exact[n], s_exact),
-                       lower_full[i] + s_lower / 2, upper + s_upper)
+                       (lower[i] + s_lower) / 2, upper + s_upper)
                 reports.append(ErrorBoundsReport(*row))
                 lines.append("%d,%s,%.17g,%.17g,%.17g,full" % (M, n_txt[i], *row[3:]))
     return reports, "\n".join(lines) + "\n"

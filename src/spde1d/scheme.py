@@ -133,14 +133,13 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
                start: tuple[np.ndarray, np.ndarray] | None = None):
     """Trajectory kernel on raw increment arrays; the hot loop of every driver.
 
-    dw has shape (k, N), or (P, k, N) for P paths that step together.
+    dw has shape (P, k, N): P paths that step together, one path being P = 1.
     Without `start` the run begins at Y_0 = O_0 = P_N xi and takes all
-    k = M steps; start=(Y, O) resumes from that state (shape (N,) or
-    (P, N)) for any k <= M steps of size T/M.  Returns (Y rows, O rows,
-    suppressed): the states at the k+1 grid times from the start on, shape
-    (k+1, N) or (P, k+1, N), and per path the count of steps whose indicator
-    was false (an int for 2-D dw).  Each path's numbers are the same bits
-    whatever P is.
+    k = M steps; start=(Y, O) resumes from that state (each (P, N), or (N,)
+    for every path) for any k <= M steps of size T/M.  Returns (Y rows, O
+    rows, suppressed): the states at the k+1 grid times from the start on,
+    each (P, k+1, N), and per path the count of steps whose indicator was
+    false.  Each path's numbers are the same bits whatever P is.
 
     O steps as O_{m+1} = e^{hA}(O_m + Delta W_m), the exponential Euler OU.
     It is not exact in law: per mode its variance at T is the continuum
@@ -155,13 +154,10 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     mu^{2 gamma} taken once per run, the arithmetic of spectral.hr_norm.
     """
     dw = np.asarray(dw, dtype=np.float64)
-    batched = dw.ndim == 3
-    if not batched:
-        dw = dw[None]
     if (dw.ndim != 3 or dw.shape[2] != d.N
             or (dw.shape[1] > d.M if start is not None else dw.shape[1] != d.M)):
-        raise ValueError(f"increments shape {dw.shape[-2:]} does not match "
-                         f"(M,N)=({d.M},{d.N})")
+        raise ValueError(f"increments shape {dw.shape} does not match "
+                         f"(paths, k, N) at (M,N)=({d.M},{d.N})")
     paths, steps = dw.shape[:2]
     h = model.T / d.M
     decay = spectral.semigroup_factors(d.N, model.nu, h)
@@ -208,21 +204,18 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
                 y_next[on] += drift
     if not drift_on:  # every row in one pass, time-major, which reads contiguous rows
         on_rows = truncation_indicator(y_path[:-1], o_path[:-1], d, model.T, model.nu)
-    kept = on_rows.sum(0)
-    y_path, o_path = y_path.transpose(1, 0, 2), o_path.transpose(1, 0, 2)
-    suppressed = steps - kept
-    if batched:
-        return y_path, o_path, suppressed
-    return y_path[0], o_path[0], int(suppressed[0])
+    return y_path.transpose(1, 0, 2), o_path.transpose(1, 0, 2), steps - on_rows.sum(0)
 
 
 def simulate_trajectory(model: ModelParams, d: DiscretizationParams,
                         tape: NoiseTape) -> tuple[np.ndarray, np.ndarray]:
-    """(Y rows, O rows) at grid times 0, h, ..., T, each (M+1, N); Y_0 = O_0 = P_N xi."""
+    """(Y rows, O rows) at grid times 0, h, ..., T, each (M+1, N); Y_0 = O_0 = P_N xi.
+
+    The tape's one path runs through run_scheme as a batch of P = 1."""
     if tape.T != model.T:
         raise ValueError(f"tape horizon {tape.T} differs from model horizon {model.T}")
-    y_path, o_path, _ = run_scheme(model, d, tape.increments(d.M, d.N))
-    return y_path, o_path
+    y_path, o_path, _ = run_scheme(model, d, tape.increments(d.M, d.N)[None])
+    return y_path[0], o_path[0]
 
 
 TRAJECTORY_HEADER = "t,mode_index,Y_coeff,O_coeff,indicator"

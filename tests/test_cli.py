@@ -214,6 +214,24 @@ def test_bad_study_values_exit_2(tmp_path, capsys, command, payload):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("study", [
+    dict(_SMALL_STUDY, m_grid=[4, 8]),
+    dict(_SMALL_STUDY, n_grid=[2, 4, 4]),  # three entries, two distinct
+    dict(_SMALL_STUDY, m_grid=[4, 8], exact=True),
+], ids=["two_m", "repeated_n", "two_m_exact"])
+def test_converge_refuses_a_grid_it_cannot_fit_before_any_path(tmp_path, capsys, monkeypatch,
+                                                               study):
+    def never(*args):
+        raise AssertionError("the study ran")
+    monkeypatch.setattr(cli.experiments, "_accumulate", never)
+    monkeypatch.setattr(cli.experiments.heat_errors, "error_table", never)  # exact mode
+    cfg = write_cfg(tmp_path, {"model": _ZERO_DRIFT, "study": study})
+    assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "needs at least 3 distinct values to fit a rate" in err and err.count("\n") == 1
+    assert not list(tmp_path.glob("spde1d_*"))
+
+
 @pytest.mark.parametrize("command, payload, key", [
     ("converge", {"study": {"m_gird": [4, 8]}}, "m_gird"),
     ("heat-errors", {"model": {"T": 1.0, "a": [0, 1, 0, -1]}}, "'a'"),

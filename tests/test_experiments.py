@@ -155,7 +155,7 @@ def test_moment_sample_is_the_hr_norm_of_the_final_state(M, N, p):
     cfg = ex.StudyConfig(model=scheme.allen_cahn_model(), m_grid=(M,), n_grid=(N,),
                          m_ref=16, n_ref=8, paths=1, seed=7, moment_p=p)
     tape = noise.NoiseTape(seed=7, M_master=16, N_master=8, T=1.0, path=0)
-    y, _, _ = scheme.run_scheme(cfg.model, cfg.discretization(M, N), tape.increments(M, N))
+    y, _ = scheme.simulate_trajectory(cfg.model, cfg.discretization(M, N), tape)
     [row], _ = ex.moment_audit(cfg)
     assert row.estimate == spectral.hr_norm(y[-1], cfg.gamma, cfg.model.nu) ** p
 
@@ -350,6 +350,28 @@ def test_zero_drift_cells_at_one_m_equal_each_cell_alone():
     assert rows == [ex.moment_audit(replace(cfg, n_grid=(N,)))[0][0] for N in cfg.n_grid]
     assert ex.activation_fractions(cfg, cells) \
         == [row for cell in cells for row in ex.activation_fractions(cfg, [cell])]
+
+
+@pytest.mark.parametrize("model, runs", [
+    # zero drift: each M once at its widest N, and N = 1 on its own
+    (ou_model(), [(128, 16), (4, 16), (8, 16), (16, 16), (128, 1)]),
+    # a drift couples the modes: each resolution is its own run
+    (scheme.allen_cahn_model(n_xi_modes=16),
+     [(128, 16), (4, 16), (8, 16), (16, 16), (128, 1), (128, 4), (128, 8)]),
+], ids=["zero_drift", "allen_cahn"])
+def test_study_steps_each_run_of_the_plan_once_per_block(monkeypatch, model, runs):
+    # experiments.run_scheme is the name the benchmark's trace wraps
+    calls = []
+    kernel = ex.run_scheme
+
+    def counted(model, d, dw, start=None):
+        calls.append((d.M, d.N))
+        return kernel(model, d, dw, start=start)
+    monkeypatch.setattr(ex, "run_scheme", counted)
+    ex.run_convergence_study(small_cfg(model=model, n_grid=(1, 4, 8), paths=70))
+    # two batches of 64 and 6 paths, each in 4 blocks of 32 master steps
+    # (one step at M = 4), the reference's run first in each block
+    assert calls == 2 * 4 * runs
 
 
 def _blown_up_zero_drift_cfg(mode):

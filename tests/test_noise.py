@@ -16,7 +16,7 @@ def small_tape(**kw):
 
 
 def ou_run(dw, nu=1.0, xi=(), T=1.0):
-    """O rows of zero-drift run_scheme on increments (..., M, N), O_0 = P_N xi."""
+    """O rows of zero-drift run_scheme on increments (paths, M, N), O_0 = P_N xi."""
     *_, M, N = np.shape(dw)
     model = scheme.ModelParams(T=T, nu=nu, a=nonlinearity.CubicCoefficients(0, 0, 0, 0),
                                xi=np.asarray(xi, dtype=np.float64))
@@ -139,7 +139,7 @@ def test_coarsen_rejects_nondivisor():
 
 
 def test_ou_pure_decay():
-    out = ou_run(np.zeros((1, 1)), xi=[1.0], T=0.25)[1]
+    out = ou_run(np.zeros((1, 1, 1)), xi=[1.0], T=0.25)[0, 1]
     assert out[0] == pytest.approx(math.exp(-0.25 * math.pi**2), rel=1e-15)
 
 
@@ -188,10 +188,10 @@ def test_ou_modes_uncorrelated():
 def test_ou_initial_row():
     dw = small_tape().increments(8, 5)
     xi = np.array([0.5, -0.25, 0.0, 1.0, 2.0])
-    path = ou_run(dw, xi=xi)
+    [path] = ou_run(dw[None], xi=xi)
     np.testing.assert_array_equal(path[0], xi)
     assert path.shape == (9, 5)
-    assert np.all(ou_run(dw)[0] == 0.0)
+    assert np.all(ou_run(dw[None])[0, 0] == 0.0)
 
 
 def test_ou_second_moment_sums_mode_variances():

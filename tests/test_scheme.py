@@ -140,7 +140,7 @@ def test_indicator_is_the_kernels_decision_at_the_boundary():
             break
     assert hit is not None, "no straddling state within 20 ulps for 20 directions"
     model = scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.allen_cahn(), xi=hit)
-    _, _, suppressed = scheme.run_scheme(model, d, np.zeros((1, 8)))
+    _, _, [suppressed] = scheme.run_scheme(model, d, np.zeros((1, 1, 8)))
     assert scheme.truncation_indicator(hit, hit, d, 1.0, 1.0) == (suppressed == 0)
     assert (2.0 * float(spectral.hr_norm(hit, d.gamma, 1.0)) <= 1.0) == (suppressed == 0)
     Y, O = scheme.simulate_trajectory(model, d, noise.NoiseTape(0, 1, 8, 1.0))
@@ -153,7 +153,7 @@ def test_one_step_suppressed_is_bare_semigroup():
     model = scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.allen_cahn(),
                                xi=np.array([1.0]))
     d = scheme.DiscretizationParams(M=1, N=1)
-    y, o, suppressed = scheme.run_scheme(model, d, np.zeros((1, 1)))
+    [y], [o], [suppressed] = scheme.run_scheme(model, d, np.zeros((1, 1, 1)))
     assert suppressed == 1
     assert y[1, 0] == pytest.approx(math.exp(-PI2), rel=1e-14)
 
@@ -165,7 +165,7 @@ def test_one_step_closed_form_when_drift_active():
     model = scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.allen_cahn(),
                                xi=np.array([c]))
     d = scheme.DiscretizationParams(M=1, N=1)
-    y, o, suppressed = scheme.run_scheme(model, d, np.zeros((1, 1)))
+    [y], [o], [suppressed] = scheme.run_scheme(model, d, np.zeros((1, 1, 1)))
     assert suppressed == 0
     drift = c - 1.5 * c**3
     want = c * math.exp(-PI2) + (1 - math.exp(-PI2)) / PI2 * drift
@@ -220,7 +220,7 @@ def test_suppression_counter_counts_indicator_offs():
     d = scheme.DiscretizationParams(M=16, N=4)
     tape = noise.NoiseTape(seed=1, M_master=16, N_master=4, T=1.0)
     Y, O = scheme.simulate_trajectory(model, d, tape)
-    _, _, suppressed = scheme.run_scheme(model, d, tape.increments(16, 4))
+    _, _, [suppressed] = scheme.run_scheme(model, d, tape.increments(16, 4)[None])
     manual = sum(
         0 if scheme.truncation_indicator(y, o, d, model.T, model.nu) else 1
         for y, o in zip(Y[:-1], O[:-1]))
@@ -286,7 +286,7 @@ def test_path_batch_equals_serial_runs_bit_for_bit():
     y, o, suppressed = scheme.run_scheme(model, d, dw, start=(y0, o0))
     assert y.shape == o.shape == (len(y0), d.M + 1, d.N)
     for p in range(len(y0)):
-        ys, os_, sup = scheme.run_scheme(model, d, dw[p], start=(y0[p], o0[p]))
+        [ys], [os_], [sup] = scheme.run_scheme(model, d, dw[p:p + 1], start=(y0[p], o0[p]))
         np.testing.assert_array_equal(y[p], ys)
         np.testing.assert_array_equal(o[p], os_)
         assert suppressed[p] == sup
@@ -295,15 +295,15 @@ def test_path_batch_equals_serial_runs_bit_for_bit():
 
 def test_run_in_pieces_through_start_equals_one_shot():
     model, d, dw, _ = _batch_inputs()
-    y, o, suppressed = scheme.run_scheme(model, d, dw[1])
+    [y], [o], [suppressed] = scheme.run_scheme(model, d, dw[1:2])
     cut = 11
     xi = model.xi_projected(d.N)
-    y1, o1, s1 = scheme.run_scheme(model, d, dw[1, :cut], start=(xi, xi))
-    y2, o2, s2 = scheme.run_scheme(model, d, dw[1, cut:], start=(y1[-1], o1[-1]))
+    [y1], [o1], [s1] = scheme.run_scheme(model, d, dw[1:2, :cut], start=(xi, xi))
+    [y2], [o2], [s2] = scheme.run_scheme(model, d, dw[1:2, cut:], start=(y1[-1], o1[-1]))
     np.testing.assert_array_equal(np.concatenate([y1, y2[1:]]), y)
     np.testing.assert_array_equal(np.concatenate([o1, o2[1:]]), o)
     assert s1 + s2 == suppressed
-    # the same with a path axis
+    # the same with every path
     yb1, ob1, sb1 = scheme.run_scheme(model, d, dw[:, :cut], start=(xi, xi))
     yb2, ob2, sb2 = scheme.run_scheme(model, d, dw[:, cut:], start=(yb1[:, -1], ob1[:, -1]))
     np.testing.assert_array_equal(np.concatenate([yb1[1], yb2[1, 1:]]), y)
@@ -340,9 +340,9 @@ def test_run_scheme_equals_the_stepwise_oracle_bit_for_bit(case):
         assert 0 < steps_on[0] < len(y0)
     if case in ("all_off_then_on", "zero_drift"):
         assert steps_on.min() == 0
-    for p in range(len(y0)):  # the unbatched kernel too
+    for p in range(len(y0)):  # one path at a time too
         start_p = None if start is None else (y0[p], o0[p])
-        yp, op, sp = scheme.run_scheme(model, d, dw[p], start=start_p)
+        [yp], [op], [sp] = scheme.run_scheme(model, d, dw[p:p + 1], start=start_p)
         np.testing.assert_array_equal(yp, ys[p])
         np.testing.assert_array_equal(op, os_[p])
         assert sp == sup[p]
@@ -351,12 +351,14 @@ def test_run_scheme_equals_the_stepwise_oracle_bit_for_bit(case):
 def test_run_scheme_shape_guards():
     model, d, dw, _ = _batch_inputs()
     with pytest.raises(ValueError):
-        scheme.run_scheme(model, d, dw[0, :10])           # a whole run needs M rows
+        scheme.run_scheme(model, d, dw[:1, :10])          # a whole run needs M rows
     with pytest.raises(ValueError):
         scheme.run_scheme(model, d, dw[:, :, :8])         # wrong mode count
     xi = model.xi_projected(d.N)
     with pytest.raises(ValueError):
-        scheme.run_scheme(model, d, np.zeros((d.M + 1, d.N)), start=(xi, xi))
+        scheme.run_scheme(model, d, np.zeros((1, d.M + 1, d.N)), start=(xi, xi))
+    with pytest.raises(ValueError):
+        scheme.run_scheme(model, d, dw[0])                # one path is (1, M, N)
 
 
 def _bits(a):
@@ -409,9 +411,9 @@ def test_zero_drift_runs_are_prefixes_of_a_wider_run(nu, resume):
         np.testing.assert_array_equal(_bits(on), _bits(o[..., :n]))
         np.testing.assert_array_equal(sn, len(dw[0]) - scheme.truncation_indicator(
             y[:, :-1, :n], o[:, :-1, :n], d, 1.0, nu).sum(1))
-        for p in range(paths):  # unbatched
+        for p in range(paths):  # one path at a time
             start_p = None if part is None else (part[0][p], part[1][p])
-            yp, op, sp = scheme.run_scheme(model, d, dw[p, :, :n], start=start_p)
+            [yp], [op], [sp] = scheme.run_scheme(model, d, dw[p:p + 1, :, :n], start=start_p)
             np.testing.assert_array_equal(_bits(yp), _bits(y[p, :, :n]))
             np.testing.assert_array_equal(_bits(op), _bits(o[p, :, :n]))
             assert sp == sn[p]
