@@ -163,16 +163,16 @@ def _path_batch(job):
     are added path by path in path order, so the sums have the bits of
     stepping one path at a time.
 
-    The plan, made once per batch, maps each stepped run (M, width) to the
-    resolutions (M, N) it serves, the reference's run first.  A drift
-    couples the modes, so each resolution is its own run.  With zero drift
-    each mode's factors depend on its index alone and Y_0, O_0 and the
-    increments at N are prefixes, so the rows at (M, N) are, bit for bit,
-    the first N modes of the run at M's widest N, which every N >= 2 reads.
-    N = 1 steps alone: numpy sums a group of one-mode rows pairwise, not row
-    by row, so its coarsened increments are not a prefix.  Summing them in
-    row order keeps the bits but measured 1.44 ms against 0.72 ms per
-    16-path block, about 3% of a heat_mc call.
+    The plan, made once per batch, maps each stepped run (M, widths) to the
+    resolutions (M, N) it serves, the reference's run first: every N >= 2
+    of one M steps in one run, at M's widest N.  With zero drift each mode's
+    factors depend on its index alone and Y_0, O_0 and the increments at N
+    are prefixes, so the rows at (M, N) are, bit for bit, the first N modes
+    of the run at M's widest N: the run has that one width, and every N
+    reads its prefix.  A drift couples the modes within one N, so each N is
+    its own segment of the run, stepped in lockstep (see run_scheme).  N = 1
+    steps alone: numpy sums a group of one-mode rows pairwise, not row by
+    row, so its coarsened increments are not a prefix.
     """
     cfg, targets, coupled, start, stop = job
     tapes = [NoiseTape(seed=cfg.seed, M_master=cfg.m_master, N_master=cfg.n_master,
@@ -180,17 +180,21 @@ def _path_batch(job):
     by_resolution = {(cfg.m_ref, cfg.n_ref): []} if coupled else {}  # reference first
     for target in targets:
         by_resolution.setdefault(target[-2:], []).append(target)
-    shared = not any(cfg.model.a.as_tuple())
-    runs = {}  # (M, width) -> {(M, N): targets}
+    plan = {}  # (M, widest N) -> {(M, N): targets}
     for (M, N), members in by_resolution.items():
-        width = max(n for m, n in by_resolution if m == M) if shared and N > 1 else N
-        runs.setdefault((M, width), {})[(M, N)] = members
-    states = {(M, width): (cfg.model.xi_projected(width),) * 2 for M, width in runs}
+        width = max(n for m, n in by_resolution if m == M) if N > 1 else N
+        plan.setdefault((M, width), {})[(M, N)] = members
+    drift = any(cfg.model.a.as_tuple())
+    runs = {(M, tuple(N for _, N in readers) if drift else (width,)): readers
+            for (M, width), readers in plan.items()}  # (M, segment widths) -> readers
+    xi = cfg.model.xi_projected
+    states = {(M, widths): (np.concatenate([xi(N) for N in widths]), xi(max(widths)))
+              for M, widths in runs}
     suppressed = dict.fromkeys(by_resolution, 0)
     samples = {t: np.empty((len(tapes), t[-2] + 1)) if coupled else None for t in targets}
 
     block = math.lcm(*(cfg.m_master // M for M, _ in runs))
-    master = np.empty((len(tapes), block, max(width for _, width in runs)))
+    master = np.empty((len(tapes), block, max(max(widths) for _, widths in runs)))
     for first in range(0, cfg.m_master, block):
         for p, tape in enumerate(tapes):
             master[p] = tape.master_increments(master.shape[2], rows=(first, first + block))
@@ -210,40 +214,46 @@ def _step_block(cfg: StudyConfig, coupled: bool, runs, master, first: int,
                 states, suppressed, samples, first_path: int) -> None:
     """Advance each run of the plan through one block of master increments
     (paths, rows, modes) from master step `first`, carry its state on, and
-    let each resolution it serves, in target order, read the first N modes
-    of its rows: finite check, suppressed count and samples."""
+    let each resolution it serves, in target order, read its N modes of the
+    run's Y rows: finite check, suppressed count and samples."""
     block = master.shape[1]
-    for (M, width), readers in runs.items():
+    for (M, widths), readers in runs.items():
         group = cfg.m_master // M
         steps = block // group
+        width = max(widths)
         y, o, off = run_scheme(cfg.model, cfg.discretization(M, width),
                                coarsen_increments(master[..., :width], steps),
-                               start=states[(M, width)])
-        states[(M, width)] = (y[:, -1].copy(), o[:, -1].copy())  # copies free the block
-        finite = np.isfinite(y).all(axis=1) & np.isfinite(o).all(axis=1)
-        offs = [off if N == width else steps - truncation_indicator(
-                    *(r.transpose(1, 0, 2)[:-1, :, :N] for r in (y, o)),  # time-major
-                    cfg.discretization(M, N), cfg.model.T, cfg.model.nu).sum(0)
-                for _, N in readers]
+                               start=states[(M, widths)], widths=widths)
+        states[(M, widths)] = (y[:, -1].copy(), o[:, -1].copy())  # copies free the block
+        finite_y, finite_o = np.isfinite(y).all(axis=1), np.isfinite(o).all(axis=1)
+        firsts = np.cumsum((0, *widths))  # the first Y column of each segment
+        reads = []  # per reader: its columns of Y and its suppressed counts
+        for r, (_, N) in enumerate(readers):
+            s = r if len(widths) > 1 else 0  # zero drift: each N reads the one segment's prefix
+            count = off[:, s] if N == widths[s] else steps - truncation_indicator(
+                *(a.transpose(1, 0, 2)[:-1, :, :N] for a in (y, o)),  # time-major
+                cfg.discretization(M, N), cfg.model.T, cfg.model.nu).sum(0)
+            reads.append((slice(firsts[s], firsts[s] + N), count))
         del o  # before the samples and the next run allocate
-        for ((_, N), members), count in zip(readers.items(), offs):
+        for ((_, N), members), (cols, count) in zip(readers.items(), reads):
             is_reference = coupled and (M, N) == (cfg.m_ref, cfg.n_ref)
-            _require_finite(finite[:, :N].all(axis=1),
+            _require_finite(finite_y[:, cols].all(axis=1) & finite_o[:, :N].all(axis=1),
                             "state of " + ("reference" if is_reference else _name(members[0])),
                             first_path)
             suppressed[(M, N)] += count
+            y_n = y[..., cols]
             if is_reference:
-                y_ref = y[..., :N]
+                y_ref = y_n
             for target in members:
                 if coupled:
                     diff = y_ref[:, :: cfg.m_ref // M].copy()
-                    diff[..., :N] -= y[..., :N]
+                    diff[..., :N] -= y_n
                     rows = np.einsum("pij,pij->pi", diff, diff)
                     _require_finite(np.isfinite(rows * rows).all(axis=1),  # squares feed m2
                                     f"squared-distance sample of {_name(target)}", first_path)
                     samples[target][:, first // group:first // group + steps + 1] = rows
                 elif first + block == cfg.m_master:
-                    samples[target] = (spectral.hr_norm(y[:, -1, :N], cfg.gamma, cfg.model.nu)
+                    samples[target] = (spectral.hr_norm(y_n[:, -1], cfg.gamma, cfg.model.nu)
                                        ** cfg.moment_p).tolist()
                     _require_finite(np.isfinite(np.square(samples[target])),
                                     f"moment sample of {_name(target)}", first_path)
@@ -311,12 +321,16 @@ def run_convergence_study(cfg: StudyConfig):
     against the time-space continuum, the temporal fit its temporal errors
     at N_ref and the spatial fit its spatial errors (the M -> infinity
     limit); stderr is 0 and the paths column reads 0.  A grid with fewer
-    than 3 distinct values is refused before any path runs.
+    than 3 distinct values is refused before any path runs; in Monte Carlo
+    mode the reference's own value does not count, since its estimate is
+    exactly 0 and drops out of the fit.
     """
-    for name, grid in (("m_grid", cfg.m_grid), ("n_grid", cfg.n_grid)):
-        if len(set(grid)) < 3:
+    for name, grid, ref in (("m_grid", cfg.m_grid, cfg.m_ref), ("n_grid", cfg.n_grid, cfg.n_ref)):
+        fitted = set(grid) if cfg.exact else set(grid) - {ref}
+        if len(fitted) < 3:
+            other = "" if cfg.exact else f", other than the reference's {ref}"
             raise ValueError(
-                f"{name} needs at least 3 distinct values to fit a rate: {list(grid)}")
+                f"{name} needs at least 3 distinct values to fit a rate{other}: {list(grid)}")
     T, nu = cfg.model.T, cfg.model.nu
     temporal_targets = [("temporal", M, cfg.n_ref) for M in cfg.m_grid]
     spatial_targets = [("spatial", cfg.m_ref, N) for N in cfg.n_grid]

@@ -130,26 +130,31 @@ def _keeps_drift(y_norm, o_norm, thr: float, out=None):
 
 
 def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
-               start: tuple[np.ndarray, np.ndarray] | None = None):
+               start: tuple[np.ndarray, np.ndarray] | None = None, widths=None):
     """Trajectory kernel on raw increment arrays; the hot loop of every driver.
 
     dw has shape (P, k, N): P paths that step together, one path being P = 1.
     Without `start` the run begins at Y_0 = O_0 = P_N xi and takes all
-    k = M steps; start=(Y, O) resumes from that state (each (P, N), or (N,)
-    for every path) for any k <= M steps of size T/M.  Returns (Y rows, O
-    rows, suppressed): the states at the k+1 grid times from the start on,
-    each (P, k+1, N), and per path the count of steps whose indicator was
-    false.  Each path's numbers are the same bits whatever P is.
+    k = M steps; start=(Y, O) resumes from that state (each (P, width), or
+    (width,) for every path) for any k <= M steps of size T/M.  Returns (Y
+    rows, O rows, suppressed): the states at the k+1 grid times from the
+    start on, each (P, k+1, width), and per path the count of steps whose
+    indicator was false.  Each path's numbers are the same bits whatever P is.
+
+    `widths` steps several mode counts n <= N of one M in lockstep, each
+    reading the first n modes of dw: Y holds their segments side by side,
+    (P, k+1, sum(widths)), O is stepped once at N, and suppressed is
+    (P, len(widths)).  Each segment has the bits of a run at its width alone;
+    all share each step's linear update, square-and-weight pass and compare.
 
     O steps as O_{m+1} = e^{hA}(O_m + Delta W_m), the exponential Euler OU.
     It is not exact in law: per mode its variance at T is the continuum
     (1 - e^{-2 mu T})/(2 mu) times 2 mu h/(e^{2 mu h} - 1), far below it
-    when mu h >> 1.  O does not depend on Y, so it steps first (and with a
-    drift, its norms are taken next).  With a drift, each step of the Y loop
-    writes its indicator into one (steps, paths) bool block; with zero drift
-    truncation_indicator fills that block from all rows after the loop.  The
-    suppressed counts are one sum over the block.  The bits are those of one
-    joint step.
+    when mu h >> 1.  O does not depend on Y, so it steps first and its norms
+    are taken next.  With a drift, each step of the Y loop writes its
+    indicator into one (steps, paths, segments) bool block; with zero drift
+    the norms of all Y rows fill that block after the loop.  The suppressed
+    counts are one sum over the block.  The bits are those of one joint step.
     Every H_gamma norm is spectral.weighted_norm with the weights
     mu^{2 gamma} taken once per run, the arithmetic of spectral.hr_norm.
     """
@@ -158,53 +163,65 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
             or (dw.shape[1] > d.M if start is not None else dw.shape[1] != d.M)):
         raise ValueError(f"increments shape {dw.shape} does not match "
                          f"(paths, k, N) at (M,N)=({d.M},{d.N})")
+    sizes = (d.N,) if widths is None else tuple(widths)
+    if not sizes or not all(1 <= n <= d.N for n in sizes):
+        raise ValueError(f"widths {sizes} must be mode counts in [1, N={d.N}]")
+    y_segs = [slice(e - n, e) for n, e in zip(sizes, np.cumsum(sizes))]
+    cols = np.concatenate([np.arange(n) for n in sizes])  # the mode of each Y column
     paths, steps = dw.shape[:2]
     h = model.T / d.M
     decay = spectral.semigroup_factors(d.N, model.nu, h)
-    phi = spectral.phi1_factors(d.N, model.nu, h)
     weights = spectral.eigenvalues(d.N, model.nu) ** (2 * d.gamma)
+    decay_y, weights_y = decay[cols], weights[cols]
     thr = d.threshold(model.T)
     drift_on = any(v != 0 for v in model.a.as_tuple())
-    grid = spectral.default_grid(d.N)
 
     # time-major while stepping, so that each step writes contiguous rows
-    y_path = np.empty((steps + 1, paths, d.N))
+    y_path = np.empty((steps + 1, paths, len(cols)))
     o_path = np.empty((steps + 1, paths, d.N))
-    if start is None:
-        y_path[0] = o_path[0] = model.xi_projected(d.N)
-    else:
-        y_path[0], o_path[0] = start
+    xi = model.xi_projected(d.N)
+    y_path[0], o_path[0] = (xi[cols], xi) if start is None else start
     # O does not depend on Y: step it, then take the norms of all its rows
     for m in range(steps):
         np.add(o_path[m], dw[:, m], out=o_path[m + 1])
         o_path[m + 1] *= decay
+    o_norm = spectral.weighted_norm(weights, o_path[:-1], segments=[slice(n) for n in sizes])
     if drift_on:
-        o_norm = spectral.weighted_norm(weights, o_path[:-1])
-        y_norm = np.empty(paths)
-        on_rows = np.empty((steps, paths), dtype=bool)  # each step's indicator
-    decay_o = np.empty((paths, d.N))  # e^{hA} O_m
+        phi = spectral.phi1_factors(d.N, model.nu, h)
+        drifts = [(seg, spectral.default_grid(n), phi[:n]) for seg, n in zip(y_segs, sizes)]
+        y_norm = np.empty((paths, len(sizes)))
+        on_rows = np.empty((steps, paths, len(sizes)), dtype=bool)  # each step's indicator
+    gather = len(sizes) > 1
+    if gather:  # O_m and O_{m+1} in Y's layout, the two buffers taking turns
+        o_pair = (o_path[0][:, cols], np.empty((paths, len(cols))))
+    decay_o = np.empty((paths, len(cols)))  # e^{hA} O_m
     for m in range(steps):
         y, y_next = y_path[m], y_path[m + 1]
-        np.multiply(decay, y, out=y_next)
-        y_next += o_path[m + 1]
-        np.multiply(decay, o_path[m], out=decay_o)
+        if gather:
+            o_now = o_pair[m % 2]
+            o_next = o_path[m + 1].take(cols, axis=1, out=o_pair[1 - m % 2])
+        else:
+            o_now, o_next = o_path[m], o_path[m + 1]
+        np.multiply(decay_y, y, out=y_next)
+        y_next += o_next
+        np.multiply(decay_y, o_now, out=decay_o)
         y_next -= decay_o
         if drift_on:
-            on = _keeps_drift(spectral.weighted_norm(weights, y, out=y_norm), o_norm[m], thr,
-                              out=on_rows[m])
-            n_on = np.count_nonzero(on)
-            # masked, never multiplied by a 0/1 mask: 0*inf would be NaN
-            if n_on == paths:
-                drift = project_F(y, model.a, grid)
-                drift *= phi
-                y_next += drift
-            elif n_on:
-                drift = project_F(y[on], model.a, grid)
-                drift *= phi
-                y_next[on] += drift
+            on = _keeps_drift(spectral.weighted_norm(weights_y, y, out=y_norm, segments=y_segs),
+                              o_norm[m], thr, out=on_rows[m])
+            for r, (seg, grid, phi_n) in enumerate(drifts):
+                n_on = np.count_nonzero(on[:, r])
+                if n_on:  # masked, never multiplied by a 0/1 mask: 0*inf would be NaN
+                    rows = slice(None) if n_on == paths else on[:, r]
+                    drift = project_F(y[rows, seg], model.a, grid)
+                    drift *= phi_n
+                    y_next[rows, seg] += drift
     if not drift_on:  # every row in one pass, time-major, which reads contiguous rows
-        on_rows = truncation_indicator(y_path[:-1], o_path[:-1], d, model.T, model.nu)
-    return y_path.transpose(1, 0, 2), o_path.transpose(1, 0, 2), steps - on_rows.sum(0)
+        on_rows = _keeps_drift(spectral.weighted_norm(weights_y, y_path[:-1], segments=y_segs),
+                               o_norm, thr)
+    suppressed = steps - on_rows.sum(0)
+    return (y_path.transpose(1, 0, 2), o_path.transpose(1, 0, 2),
+            suppressed[:, 0] if widths is None else suppressed)
 
 
 def simulate_trajectory(model: ModelParams, d: DiscretizationParams,

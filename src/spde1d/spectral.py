@@ -47,18 +47,26 @@ def hr_norm(coeffs: np.ndarray, r: float, nu: float) -> float | np.ndarray:
     return weighted_norm(eigenvalues(coeffs.shape[-1], nu) ** (2.0 * r), coeffs)
 
 
-def weighted_norm(w: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def weighted_norm(w: np.ndarray, X: np.ndarray, out: np.ndarray | None = None,
+                  segments=None) -> np.ndarray:
     """sqrt(sum_k w_k X_k^2) of each row of X (..., N), w = mu^{2r}: the one
-    H_r norm arithmetic, written to `out` (shape X.shape[:-1]) if given.  At
-    most 2^15 values at a time; each row is reduced on its own, so its bits
-    do not depend on its neighbours."""
+    H_r norm arithmetic, written to `out` (shape X.shape[:-1]) if given.
+    With `segments`, slices of the last axis, each row has one norm per
+    segment, shape (..., len(segments)), from one square-and-weight pass.  At
+    most 2^15 values at a time; each row and segment is reduced on its own,
+    so its bits do not depend on its neighbours."""
     if X.ndim > 1 and X.size > 1 << 15:
         k = max(1, (1 << 15) // (X.size // len(X)))
-        return np.concatenate([weighted_norm(w, X[s:s + k]) for s in range(0, len(X), k)],
-                              out=out)
+        return np.concatenate([weighted_norm(w, X[s:s + k], segments=segments)
+                               for s in range(0, len(X), k)], out=out)
     sq = X * X
     sq *= w
-    return np.sqrt(np.add.reduce(sq, axis=-1, out=out), out=out)
+    if segments is None:
+        return np.sqrt(np.add.reduce(sq, axis=-1, out=out), out=out)
+    out = np.empty(X.shape[:-1] + (len(segments),)) if out is None else out
+    for r, seg in enumerate(segments):
+        np.add.reduce(sq[..., seg], axis=-1, out=out[..., r])
+    return np.sqrt(out, out=out)
 
 
 def semigroup_factors(n_modes: int, nu: float, t: float) -> np.ndarray:

@@ -218,7 +218,9 @@ def test_bad_study_values_exit_2(tmp_path, capsys, command, payload):
     dict(_SMALL_STUDY, m_grid=[4, 8]),
     dict(_SMALL_STUDY, n_grid=[2, 4, 4]),  # three entries, two distinct
     dict(_SMALL_STUDY, m_grid=[4, 8], exact=True),
-], ids=["two_m", "repeated_n", "two_m_exact"])
+    dict(_SMALL_STUDY, m_grid=[4, 8, 128]),  # a Monte Carlo estimate at M_ref is 0
+    dict(_SMALL_STUDY, n_grid=[2, 4, 16]),
+], ids=["two_m", "repeated_n", "two_m_exact", "m_at_reference", "n_at_reference"])
 def test_converge_refuses_a_grid_it_cannot_fit_before_any_path(tmp_path, capsys, monkeypatch,
                                                                study):
     def never(*args):
@@ -230,6 +232,15 @@ def test_converge_refuses_a_grid_it_cannot_fit_before_any_path(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "needs at least 3 distinct values to fit a rate" in err and err.count("\n") == 1
     assert not list(tmp_path.glob("spde1d_*"))
+
+
+def test_converge_exact_fits_a_grid_entry_at_the_reference(tmp_path):
+    # the exact error at M_ref is positive, so the grid refused above fits here
+    study = dict(_SMALL_STUDY, m_grid=[4, 8, 128], exact=True)
+    cfg = write_cfg(tmp_path, {"model": _ZERO_DRIFT, "study": study})
+    assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 0
+    fits = json.loads((tmp_path / "spde1d_rates.json").read_text())
+    assert [M for M, _ in fits["temporal"]["points"]] == [4, 8, 128]
 
 
 @pytest.mark.parametrize("command, payload, key", [

@@ -272,20 +272,33 @@ def test_traced_layers_are_reached_once_per_drift_step(monkeypatch):
         <= sum(M for M, _ in targets)
 
 
-def test_batch_memory_stays_within_a_block():
-    # heat_mc shape of the benchmark: 16 zero-drift paths, M_ref=2048, N_ref=128.
-    # Stepping block by block peaks near 11 MB; one whole tape per path
-    # costs more than 14 MB.
-    cfg = ex.StudyConfig(model=ou_model(), m_grid=(16, 32, 64, 128), n_grid=(8, 16, 32, 64),
+def _criterion_7_peak_bytes(model):
+    """tracemalloc peak of 16 paths of the criterion-7 study shape (M_ref=2048, N_ref=128)."""
+    cfg = ex.StudyConfig(model=model, m_grid=(16, 32, 64, 128), n_grid=(8, 16, 32, 64),
                          m_ref=2048, n_ref=128, paths=16, seed=0)
     targets = [("temporal", M, 128) for M in cfg.m_grid] \
         + [("spatial", 2048, N) for N in cfg.n_grid]
     tracemalloc.start()
     try:
         ex._accumulate(cfg, targets, True)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_batch_memory_stays_within_a_block():
+    # heat_mc shape of the benchmark: 16 zero-drift paths, M_ref=2048, N_ref=128.
+    # Stepping block by block peaks near 11 MB; one whole tape per path
+    # costs more than 14 MB.
+    peak = _criterion_7_peak_bytes(ou_model())
+    assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_allen_cahn_batch_memory_stays_within_a_block():
+    # the same shape with the drift: the reference and the four spatial
+    # targets step as one run whose Y holds 128 + 8 + 16 + 32 + 64 modes
+    # side by side; it peaks near 11.7 MB
+    peak = _criterion_7_peak_bytes(scheme.allen_cahn_model())
     assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -353,20 +366,22 @@ def test_zero_drift_cells_at_one_m_equal_each_cell_alone():
 
 
 @pytest.mark.parametrize("model, runs", [
-    # zero drift: each M once at its widest N, and N = 1 on its own
-    (ou_model(), [(128, 16), (4, 16), (8, 16), (16, 16), (128, 1)]),
-    # a drift couples the modes: each resolution is its own run
+    # zero drift: each M once at its widest N, read as prefixes, and N = 1 on its own
+    (ou_model(), [(128, (16,)), (4, (16,)), (8, (16,)), (16, (16,)), (128, (1,))]),
+    # a drift couples the modes: each N >= 2 of an M is one segment of its M's
+    # run, in target order after the reference, and N = 1 still steps alone
     (scheme.allen_cahn_model(n_xi_modes=16),
-     [(128, 16), (4, 16), (8, 16), (16, 16), (128, 1), (128, 4), (128, 8)]),
+     [(128, (16, 4, 8)), (4, (16,)), (8, (16,)), (16, (16,)), (128, (1,))]),
 ], ids=["zero_drift", "allen_cahn"])
 def test_study_steps_each_run_of_the_plan_once_per_block(monkeypatch, model, runs):
     # experiments.run_scheme is the name the benchmark's trace wraps
     calls = []
     kernel = ex.run_scheme
 
-    def counted(model, d, dw, start=None):
-        calls.append((d.M, d.N))
-        return kernel(model, d, dw, start=start)
+    def counted(model, d, dw, start=None, widths=None):
+        assert d.N == max(widths) == dw.shape[2]
+        calls.append((d.M, widths))
+        return kernel(model, d, dw, start=start, widths=widths)
     monkeypatch.setattr(ex, "run_scheme", counted)
     ex.run_convergence_study(small_cfg(model=model, n_grid=(1, 4, 8), paths=70))
     # two batches of 64 and 6 paths, each in 4 blocks of 32 master steps

@@ -348,6 +348,30 @@ def test_run_scheme_equals_the_stepwise_oracle_bit_for_bit(case):
         assert sp == sup[p]
 
 
+def test_lockstep_widths_equal_each_width_alone_bit_for_bit():
+    # Allen-Cahn at the study's batch width of 64 paths, so that steps are
+    # mixed; unsorted, odd widths, run in two halves through `start`
+    model, d, dw, (y0, o0) = _batch_inputs(paths=64)
+    widths, cut = (16, 3, 12, 5), 13
+    ends = np.cumsum(widths)
+    y_start = np.concatenate([y0[:, :n] for n in widths], axis=1)
+    y1, o1, s1 = scheme.run_scheme(model, d, dw[:, :cut], start=(y_start, o0), widths=widths)
+    y2, o2, s2 = scheme.run_scheme(model, d, dw[:, cut:], start=(y1[:, -1], o1[:, -1]),
+                                   widths=widths)
+    assert y1.shape == (len(y0), cut + 1, sum(widths)) and s1.shape == (len(y0), len(widths))
+    y, o = np.concatenate([y1, y2[:, 1:]], axis=1), np.concatenate([o1, o2[:, 1:]], axis=1)
+    for r, n in enumerate(widths):
+        dn, start = scheme.DiscretizationParams(M=d.M, N=n), (y0[:, :n], o0[:, :n])
+        alone = scheme.run_scheme(model, dn, dw[..., :n], start=start)
+        ys, os_, sup, on = run_scheme_stepwise(model, dn, dw[..., :n], start=start)
+        steps_on = on.sum(axis=1)
+        assert 0 < steps_on.min() and steps_on.max() < len(y0)  # every step is mixed
+        for ref_y, ref_o, ref_s in (alone, (ys, os_, sup)):
+            np.testing.assert_array_equal(_bits(y[..., ends[r] - n:ends[r]]), _bits(ref_y))
+            np.testing.assert_array_equal(_bits(o[..., :n]), _bits(ref_o))
+            np.testing.assert_array_equal(s1[:, r] + s2[:, r], ref_s)
+
+
 def test_run_scheme_shape_guards():
     model, d, dw, _ = _batch_inputs()
     with pytest.raises(ValueError):
@@ -359,6 +383,8 @@ def test_run_scheme_shape_guards():
         scheme.run_scheme(model, d, np.zeros((1, d.M + 1, d.N)), start=(xi, xi))
     with pytest.raises(ValueError):
         scheme.run_scheme(model, d, dw[0])                # one path is (1, M, N)
+    with pytest.raises(ValueError):
+        scheme.run_scheme(model, d, dw, widths=(8, d.N + 1))  # a width beyond N
 
 
 def _bits(a):
