@@ -29,8 +29,8 @@ import numpy as np
 
 from . import heat_errors, spectral
 from .noise import NoiseTape, coarsen_increments, mean_stderr, merge_m2, sum_and_m2
-from .scheme import (DEFAULT_CHI, DEFAULT_GAMMA, DiscretizationParams, ModelParams, run_scheme,
-                     truncation_indicator)
+from .scheme import (DEFAULT_CHI, DEFAULT_GAMMA, DiscretizationParams, ModelParams,
+                     lockstep_layout, run_scheme)
 
 BATCH_PATHS = 64
 
@@ -164,15 +164,13 @@ def _path_batch(job):
     stepping one path at a time.
 
     The plan, made once per batch, maps each stepped run (M, widths) to the
-    resolutions (M, N) it serves, the reference's run first: every N >= 2
-    of one M steps in one run, at M's widest N.  With zero drift each mode's
-    factors depend on its index alone and Y_0, O_0 and the increments at N
-    are prefixes, so the rows at (M, N) are, bit for bit, the first N modes
-    of the run at M's widest N: the run has that one width, and every N
-    reads its prefix.  A drift couples the modes within one N, so each N is
-    its own segment of the run, stepped in lockstep (see run_scheme).  N = 1
-    steps alone: numpy sums a group of one-mode rows pairwise, not row by
-    row, so its coarsened increments are not a prefix.
+    resolutions (M, N) it serves and their columns of the run's Y, the
+    reference's run first: every N >= 2 of one M is a width of one run, in
+    target order after the reference, and the run steps at its widest N
+    (see run_scheme).  The kernel lays Y out (scheme.lockstep_layout), so
+    every reader reads its own columns and suppressed count whatever the
+    drift.  N = 1 steps alone: numpy sums a group of one-mode rows pairwise,
+    not row by row, so its coarsened increments are not a prefix.
     """
     cfg, targets, coupled, start, stop = job
     tapes = [NoiseTape(seed=cfg.seed, M_master=cfg.m_master, N_master=cfg.n_master,
@@ -180,16 +178,15 @@ def _path_batch(job):
     by_resolution = {(cfg.m_ref, cfg.n_ref): []} if coupled else {}  # reference first
     for target in targets:
         by_resolution.setdefault(target[-2:], []).append(target)
-    plan = {}  # (M, widest N) -> {(M, N): targets}
+    plan = {}  # (M, N == 1) -> {(M, N): targets}
     for (M, N), members in by_resolution.items():
-        width = max(n for m, n in by_resolution if m == M) if N > 1 else N
-        plan.setdefault((M, width), {})[(M, N)] = members
-    drift = any(cfg.model.a.as_tuple())
-    runs = {(M, tuple(N for _, N in readers) if drift else (width,)): readers
-            for (M, width), readers in plan.items()}  # (M, segment widths) -> readers
-    xi = cfg.model.xi_projected
-    states = {(M, widths): (np.concatenate([xi(N) for N in widths]), xi(max(widths)))
-              for M, widths in runs}
+        plan.setdefault((M, N == 1), {})[(M, N)] = members
+    runs, states = {}, {}  # (M, widths) -> (readers, their Y columns); the carried (Y, O)
+    for (M, _), readers in plan.items():
+        widths = tuple(N for _, N in readers)
+        cols, segs = lockstep_layout(widths, any(cfg.model.a.as_tuple()))
+        xi = cfg.model.xi_projected(max(widths))
+        runs[(M, widths)], states[(M, widths)] = (readers, segs), (xi[cols], xi)
     suppressed = dict.fromkeys(by_resolution, 0)
     samples = {t: np.empty((len(tapes), t[-2] + 1)) if coupled else None for t in targets}
 
@@ -214,34 +211,25 @@ def _step_block(cfg: StudyConfig, coupled: bool, runs, master, first: int,
                 states, suppressed, samples, first_path: int) -> None:
     """Advance each run of the plan through one block of master increments
     (paths, rows, modes) from master step `first`, carry its state on, and
-    let each resolution it serves, in target order, read its N modes of the
+    let each resolution it serves, in target order, read its columns of the
     run's Y rows: finite check, suppressed count and samples."""
     block = master.shape[1]
-    for (M, widths), readers in runs.items():
+    for (M, widths), (readers, segs) in runs.items():
         group = cfg.m_master // M
         steps = block // group
-        width = max(widths)
-        y, o, off = run_scheme(cfg.model, cfg.discretization(M, width),
-                               coarsen_increments(master[..., :width], steps),
+        y, o, off = run_scheme(cfg.model, cfg.discretization(M, max(widths)),
+                               coarsen_increments(master[..., :max(widths)], steps),
                                start=states[(M, widths)], widths=widths)
         states[(M, widths)] = (y[:, -1].copy(), o[:, -1].copy())  # copies free the block
         finite_y, finite_o = np.isfinite(y).all(axis=1), np.isfinite(o).all(axis=1)
-        firsts = np.cumsum((0, *widths))  # the first Y column of each segment
-        reads = []  # per reader: its columns of Y and its suppressed counts
-        for r, (_, N) in enumerate(readers):
-            s = r if len(widths) > 1 else 0  # zero drift: each N reads the one segment's prefix
-            count = off[:, s] if N == widths[s] else steps - truncation_indicator(
-                *(a.transpose(1, 0, 2)[:-1, :, :N] for a in (y, o)),  # time-major
-                cfg.discretization(M, N), cfg.model.T, cfg.model.nu).sum(0)
-            reads.append((slice(firsts[s], firsts[s] + N), count))
         del o  # before the samples and the next run allocate
-        for ((_, N), members), (cols, count) in zip(readers.items(), reads):
+        for r, ((_, N), members) in enumerate(readers.items()):
             is_reference = coupled and (M, N) == (cfg.m_ref, cfg.n_ref)
-            _require_finite(finite_y[:, cols].all(axis=1) & finite_o[:, :N].all(axis=1),
+            _require_finite(finite_y[:, segs[r]].all(axis=1) & finite_o[:, :N].all(axis=1),
                             "state of " + ("reference" if is_reference else _name(members[0])),
                             first_path)
-            suppressed[(M, N)] += count
-            y_n = y[..., cols]
+            suppressed[(M, N)] += off[:, r]
+            y_n = y[..., segs[r]]
             if is_reference:
                 y_ref = y_n
             for target in members:

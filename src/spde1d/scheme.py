@@ -129,6 +129,17 @@ def _keeps_drift(y_norm, o_norm, thr: float, out=None):
     return np.less_equal(y_norm + o_norm, thr, out=out)
 
 
+def lockstep_layout(widths, drift_on: bool) -> tuple[np.ndarray, list[slice]]:
+    """(The mode of each Y column, each width's Y columns) of a lockstep run.
+    A drift couples the modes of one width: one segment per width, side by
+    side.  With zero drift each mode steps on its own: one block at the
+    widest width, whose prefix each width reads."""
+    if drift_on:
+        return (np.concatenate([np.arange(n) for n in widths]),
+                [slice(e - n, e) for n, e in zip(widths, np.cumsum(widths))])
+    return np.arange(max(widths)), [slice(n) for n in widths]
+
+
 def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
                start: tuple[np.ndarray, np.ndarray] | None = None, widths=None):
     """Trajectory kernel on raw increment arrays; the hot loop of every driver.
@@ -142,19 +153,20 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     indicator was false.  Each path's numbers are the same bits whatever P is.
 
     `widths` steps several mode counts n <= N of one M in lockstep, each
-    reading the first n modes of dw: Y holds their segments side by side,
-    (P, k+1, sum(widths)), O is stepped once at N, and suppressed is
-    (P, len(widths)).  Each segment has the bits of a run at its width alone;
-    all share each step's linear update, square-and-weight pass and compare.
+    reading the first n modes of dw: lockstep_layout lays out Y (and start's
+    Y), O is stepped once at N, and suppressed is (P, len(widths)).  Each
+    width's columns have the bits of a run at that width alone; all share
+    each step's linear update, square-and-weight pass and compare.
 
     O steps as O_{m+1} = e^{hA}(O_m + Delta W_m), the exponential Euler OU.
     It is not exact in law: per mode its variance at T is the continuum
     (1 - e^{-2 mu T})/(2 mu) times 2 mu h/(e^{2 mu h} - 1), far below it
     when mu h >> 1.  O does not depend on Y, so it steps first and its norms
     are taken next.  With a drift, each step of the Y loop writes its
-    indicator into one (steps, paths, segments) bool block; with zero drift
-    the norms of all Y rows fill that block after the loop.  The suppressed
-    counts are one sum over the block.  The bits are those of one joint step.
+    indicator into one (steps, paths, widths) bool block; with zero drift
+    one square-and-weight pass over all Y rows after the loop fills that
+    block, every width's norm from its prefix.  The suppressed counts are one
+    sum over the block.  The bits are those of one joint step.
     Every H_gamma norm is spectral.weighted_norm with the weights
     mu^{2 gamma} taken once per run, the arithmetic of spectral.hr_norm.
     """
@@ -166,15 +178,14 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     sizes = (d.N,) if widths is None else tuple(widths)
     if not sizes or not all(1 <= n <= d.N for n in sizes):
         raise ValueError(f"widths {sizes} must be mode counts in [1, N={d.N}]")
-    y_segs = [slice(e - n, e) for n, e in zip(sizes, np.cumsum(sizes))]
-    cols = np.concatenate([np.arange(n) for n in sizes])  # the mode of each Y column
+    drift_on = any(v != 0 for v in model.a.as_tuple())
+    cols, y_segs = lockstep_layout(sizes, drift_on)
     paths, steps = dw.shape[:2]
     h = model.T / d.M
     decay = spectral.semigroup_factors(d.N, model.nu, h)
     weights = spectral.eigenvalues(d.N, model.nu) ** (2 * d.gamma)
     decay_y, weights_y = decay[cols], weights[cols]
     thr = d.threshold(model.T)
-    drift_on = any(v != 0 for v in model.a.as_tuple())
 
     # time-major while stepping, so that each step writes contiguous rows
     y_path = np.empty((steps + 1, paths, len(cols)))
@@ -191,7 +202,7 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
         drifts = [(seg, spectral.default_grid(n), phi[:n]) for seg, n in zip(y_segs, sizes)]
         y_norm = np.empty((paths, len(sizes)))
         on_rows = np.empty((steps, paths, len(sizes)), dtype=bool)  # each step's indicator
-    gather = len(sizes) > 1
+    gather = not np.array_equal(cols, np.arange(d.N))
     if gather:  # O_m and O_{m+1} in Y's layout, the two buffers taking turns
         o_pair = (o_path[0][:, cols], np.empty((paths, len(cols))))
     decay_o = np.empty((paths, len(cols)))  # e^{hA} O_m

@@ -365,15 +365,12 @@ def test_zero_drift_cells_at_one_m_equal_each_cell_alone():
         == [row for cell in cells for row in ex.activation_fractions(cfg, [cell])]
 
 
-@pytest.mark.parametrize("model, runs", [
-    # zero drift: each M once at its widest N, read as prefixes, and N = 1 on its own
-    (ou_model(), [(128, (16,)), (4, (16,)), (8, (16,)), (16, (16,)), (128, (1,))]),
-    # a drift couples the modes: each N >= 2 of an M is one segment of its M's
-    # run, in target order after the reference, and N = 1 still steps alone
-    (scheme.allen_cahn_model(n_xi_modes=16),
-     [(128, (16, 4, 8)), (4, (16,)), (8, (16,)), (16, (16,)), (128, (1,))]),
-], ids=["zero_drift", "allen_cahn"])
-def test_study_steps_each_run_of_the_plan_once_per_block(monkeypatch, model, runs):
+@pytest.mark.parametrize("model", [ou_model(), scheme.allen_cahn_model(n_xi_modes=16)],
+                         ids=["zero_drift", "allen_cahn"])
+def test_study_steps_each_run_of_the_plan_once_per_block(monkeypatch, model):
+    # whatever the drift, each N >= 2 of an M is one width of its M's run, in
+    # target order after the reference, and N = 1 steps alone
+    runs = [(128, (16, 4, 8)), (4, (16,)), (8, (16,)), (16, (16,)), (128, (1,))]
     # experiments.run_scheme is the name the benchmark's trace wraps
     calls = []
     kernel = ex.run_scheme

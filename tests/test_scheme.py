@@ -350,15 +350,29 @@ def test_run_scheme_equals_the_stepwise_oracle_bit_for_bit(case):
 
 def test_lockstep_widths_equal_each_width_alone_bit_for_bit():
     # Allen-Cahn at the study's batch width of 64 paths, so that steps are
-    # mixed; unsorted, odd widths, run in two halves through `start`
+    # mixed; unsorted, odd widths, one width below N, or a repeated width
+    # whose columns add up to N, run in two halves through `start`.  A drift
+    # lays the widths side by side; zero drift steps one block at the widest
+    # width, whose prefixes the widths read.
+    for drift in (True, False):
+        for widths in ((16, 3, 12, 5), (4,), (8, 8)):
+            _check_lockstep_widths(drift, widths)
+
+
+def _check_lockstep_widths(drift, widths):
     model, d, dw, (y0, o0) = _batch_inputs(paths=64)
-    widths, cut = (16, 3, 12, 5), 13
-    ends = np.cumsum(widths)
-    y_start = np.concatenate([y0[:, :n] for n in widths], axis=1)
+    if not drift:
+        model = scheme.ModelParams(T=model.T, nu=model.nu, xi=model.xi,
+                                   a=nonlinearity.CubicCoefficients(0, 0, 0, 0))
+    ends, cut = np.cumsum(widths), 13
+    columns = [slice(e - n, e) if drift else slice(n) for n, e in zip(widths, ends)]
+    y_start = np.concatenate([y0[:, :n] for n in widths], axis=1) if drift \
+        else y0[:, :max(widths)]
     y1, o1, s1 = scheme.run_scheme(model, d, dw[:, :cut], start=(y_start, o0), widths=widths)
     y2, o2, s2 = scheme.run_scheme(model, d, dw[:, cut:], start=(y1[:, -1], o1[:, -1]),
                                    widths=widths)
-    assert y1.shape == (len(y0), cut + 1, sum(widths)) and s1.shape == (len(y0), len(widths))
+    assert y1.shape == (len(y0), cut + 1, y_start.shape[1])
+    assert s1.shape == (len(y0), len(widths))
     y, o = np.concatenate([y1, y2[:, 1:]], axis=1), np.concatenate([o1, o2[:, 1:]], axis=1)
     for r, n in enumerate(widths):
         dn, start = scheme.DiscretizationParams(M=d.M, N=n), (y0[:, :n], o0[:, :n])
@@ -367,7 +381,7 @@ def test_lockstep_widths_equal_each_width_alone_bit_for_bit():
         steps_on = on.sum(axis=1)
         assert 0 < steps_on.min() and steps_on.max() < len(y0)  # every step is mixed
         for ref_y, ref_o, ref_s in (alone, (ys, os_, sup)):
-            np.testing.assert_array_equal(_bits(y[..., ends[r] - n:ends[r]]), _bits(ref_y))
+            np.testing.assert_array_equal(_bits(y[..., columns[r]]), _bits(ref_y))
             np.testing.assert_array_equal(_bits(o[..., :n]), _bits(ref_o))
             np.testing.assert_array_equal(s1[:, r] + s2[:, r], ref_s)
 
@@ -428,8 +442,15 @@ def test_zero_drift_runs_are_prefixes_of_a_wider_run(nu, resume):
         start = tuple(rng.standard_normal((paths, wide)) * xi[:wide] for _ in range(2))
     y, o, suppressed = scheme.run_scheme(model, scheme.DiscretizationParams(M=M, N=wide),
                                          dw, start=start)
+    # the same run with widths: one block at the widest, each width's count from its prefix
+    widths = (1, 7, 8, 64)
+    yw, ow, sw = scheme.run_scheme(model, scheme.DiscretizationParams(M=M, N=wide), dw,
+                                   start=None if start is None else (start[0][:, :64], start[1]),
+                                   widths=widths)
+    np.testing.assert_array_equal(_bits(yw), _bits(y[..., :64]))
+    np.testing.assert_array_equal(_bits(ow), _bits(o))
     counts = {}
-    for n in (1, 7, 8, 64):
+    for r, n in enumerate(widths):
         d = scheme.DiscretizationParams(M=M, N=n)
         part = None if start is None else tuple(s[:, :n] for s in start)
         yn, on, sn = scheme.run_scheme(model, d, dw[..., :n], start=part)
@@ -443,6 +464,7 @@ def test_zero_drift_runs_are_prefixes_of_a_wider_run(nu, resume):
             np.testing.assert_array_equal(_bits(yp), _bits(y[p, :, :n]))
             np.testing.assert_array_equal(_bits(op), _bits(o[p, :, :n]))
             assert sp == sn[p]
+        np.testing.assert_array_equal(sw[:, r], sn)
         counts[n] = tuple(sn)
     np.testing.assert_array_equal(suppressed, len(dw[0]) - scheme.truncation_indicator(
         y[:, :-1], o[:, :-1], scheme.DiscretizationParams(M=M, N=wide), 1.0, nu).sum(1))
