@@ -15,7 +15,9 @@ variances); N may be the string "all" to include every spatial mode.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,6 +33,8 @@ ALL_MODES = "all"
 # N would otherwise ask for gigabytes (the series branch of the temporal
 # terms holds a (modes, 43) table).
 MAX_MODES = 100_000
+# Largest M or N accepted: the closed forms take 2M and N + 64 as floats.
+MAX_COUNT = int(sys.float_info.max) // 2
 
 # x = mu*h below this uses the Taylor branch of the per-mode integral J;
 # branches agree to ~1e-15 at the crossover
@@ -50,13 +54,17 @@ def _validate_positive(**kwargs) -> None:
 
 
 def _int_at_least(value, requirement: str, least: int = 1) -> int:
-    """value as an int, if it is a number (not a bool) with an integral value >= least."""
+    """value as an int, if it is a number (not a bool) with an integral value
+    in [least, MAX_COUNT]."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = least - 1
     if n != value or n < least or isinstance(value, bool):
         raise ValueError(f"{requirement}, got {value!r}")
+    if n > MAX_COUNT:
+        raise ValueError(f"{requirement}, at most {MAX_COUNT:.6g}; "
+                         f"got a {len(str(n))}-digit integer")
     return n
 
 
@@ -92,17 +100,23 @@ def _fsum(values) -> float:
 # ---------------------------------------------------------------------------
 # temporal error: exact per-mode integrals
 
-def _temporal_mode_terms(mu: np.ndarray, M: int, T: float) -> np.ndarray:
+def _temporal_mode_terms(mu: np.ndarray, M: int, T: float,
+                         g_numer: np.ndarray | None = None) -> np.ndarray:
     """Per-mode value of int_0^T e^{-2 mu (T-s)} (1 - e^{-mu (s - floor(s))})^2 ds.
 
     Factorizes as G * J: G sums the geometric decay over steps, J is the
     single-step integral.  J cancels catastrophically for small x = mu*h
     (three terms of size 1 leaving O(x^3)), hence the series branch; the
     closed branch is written against e^{-x} only so it cannot overflow.
+    G's numerator expm1(-2 mu T) does not depend on M: a caller that reuses
+    mu for several M passes it as g_numer.  expm1(-2x) is G's denominator
+    and J's first term, and e^{-2x} serves both branches of J.
     """
     h = T / M
     x = mu * h
-    G = np.expm1(-2 * mu * T) / np.expm1(-2 * mu * h)
+    expm1_2x = np.expm1(-2 * x)
+    G = (np.expm1(-2 * mu * T) if g_numer is None else g_numer) / expm1_2x
+    exp_2x = np.exp(-2 * x)
 
     J = np.empty_like(mu)
     small = x < _J_SERIES_CUTOFF
@@ -111,16 +125,28 @@ def _temporal_mode_terms(mu: np.ndarray, M: int, T: float) -> np.ndarray:
         powers = xs[:, None] ** _J_SERIES_N[None, :]
         # ascending-term series; sum smallest terms first
         series = (powers * _J_SERIES_COEFFS[None, :])[:, ::-1].sum(axis=1)
-        J[small] = np.exp(-2 * xs) * series / mu[small]
+        J[small] = exp_2x[small] * series / mu[small]
     big = ~small
     if np.any(big):
-        xb = x[big]
+        xb, exp_2xb = x[big], exp_2x[big]
         J[big] = (
-            -np.expm1(-2 * xb) / 2
-            - 2 * (np.exp(-xb) - np.exp(-2 * xb))
-            + xb * np.exp(-2 * xb)
+            -expm1_2x[big] / 2
+            - 2 * (np.exp(-xb) - exp_2xb)
+            + xb * exp_2xb
         ) / mu[big]
     return G * J
+
+
+def _all_modes_cutoff(M: int, T: float, nu: float) -> int:
+    """Modes summed explicitly for N = "all": every mode with mu_k h < 45, and at least 8."""
+    k_max = math.sqrt(45.0 / (nu * math.pi**2 * (T / M)))
+    _check_modes(k_max, f"the temporal error at M={M}, N='all'")  # before ceil: k_max may be inf
+    return max(8, math.ceil(k_max))
+
+
+def _trigamma_tail(cutoff: int, nu: float) -> float:
+    """sum_{k > cutoff} 1/(2 mu_k), in closed form."""
+    return float(polygamma(1, cutoff + 1)) / (2 * nu * math.pi**2)
 
 
 def temporal_error_exact(M: int, N, T: float, nu: float) -> float:
@@ -134,27 +160,12 @@ def temporal_error_exact(M: int, N, T: float, nu: float) -> float:
     _validate_positive(T=T, nu=nu)
     M = _int_at_least(M, "M must be a positive integer")
     n = _mode_count(N)
-    h = T / M
-    if n is None:
-        k_max = math.sqrt(45.0 / (nu * math.pi**2 * h))
-        _check_modes(k_max, f"the temporal error at M={M}, N='all'")
-        cutoff = max(8, math.ceil(k_max))
-        mu = spectral.eigenvalues(cutoff, nu)
-        tail = float(polygamma(1, cutoff + 1)) / (2 * nu * math.pi**2)
-        return math.sqrt(_fsum(_temporal_mode_terms(mu, M, T)) + tail)
-    return _temporal_errors(M, [n], T, nu)[0]
-
-
-def _temporal_errors(M: int, counts, T: float, nu: float) -> list[float]:
-    """temporal_error_exact(M, n, T, nu) for each positive integer n in counts.
-
-    One term vector up to max(counts) serves every prefix: the per-mode terms
-    are elementwise and fsum of a prefix is correctly rounded, so each value
-    is bit for bit the one a vector of exactly n terms gives.
-    """
-    _check_modes(max(counts), f"the temporal error at N={max(counts)}")
-    terms = _temporal_mode_terms(spectral.eigenvalues(max(counts), nu), M, T).tolist()
-    return [math.sqrt(math.fsum(terms[:n])) for n in counts]
+    if n is not None:
+        _check_modes(n, f"the temporal error at N={n}")
+        return math.sqrt(_fsum(_temporal_mode_terms(spectral.eigenvalues(n, nu), M, T)))
+    cutoff = _all_modes_cutoff(M, T, nu)
+    terms = _temporal_mode_terms(spectral.eigenvalues(cutoff, nu), M, T)
+    return math.sqrt(_fsum(terms) + _trigamma_tail(cutoff, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +189,7 @@ def spatial_error_exact(N: int, T: float, nu: float) -> float:
         ks = np.arange(N + 1, cutoff + 1, dtype=np.float64)
         mu = nu * math.pi**2 * ks * ks
         explicit = _fsum(-np.expm1(-2 * mu * T) / (2 * mu))
-        tail = float(polygamma(1, cutoff + 1)) / (2 * nu * math.pi**2)
-        total = explicit + tail
+        total = explicit + _trigamma_tail(cutoff, nu)
         # neglected part <= e^{-2 mu_{K+1} T} * (pi^2/6)/(2 nu pi^2)
         neglected = math.exp(-2 * nu * math.pi**2 * (cutoff + 1) ** 2 * T) / (12 * nu)
         if neglected <= 1e-12 * total:
@@ -219,14 +229,16 @@ def _lower_temporal_sq(M: int, n, T: float, nu: float) -> np.ndarray:
     One value per entry of n, the mode counts as floats (inf for every
     mode).  The damping factor takes math.expm1 and a Python square entry by
     entry: numpy's SIMD expm1 and its x*x square differ from libm in the
-    last bit on some of these inputs, and the CSV bytes are libm's.
+    last bit on some of these inputs, and the CSV bytes are libm's.  Every
+    entry with T n^2/(2M) >= 1 is clipped to 1 and shares one value.
     """
     n = np.asarray(n, dtype=np.float64)
     ratio_n2 = T * n**2 / (2 * M)
     ratio_np1 = T * (n + 1) ** 2 / (2 * M)
     rate = -nu * math.pi**2
-    damp_sq = np.array([(-math.expm1(rate * r)) ** 2
-                        for r in np.minimum(1.0, ratio_n2).tolist()])
+    clipped = (-math.expm1(rate)) ** 2
+    damp_sq = np.array([clipped if r >= 1.0 else (-math.expm1(rate * r)) ** 2
+                        for r in ratio_n2.tolist()])
     c = math.sqrt(T) * -math.expm1(-nu * math.pi**2 * T) * damp_sq \
         / (8 * nu * math.pi**2 * math.sqrt(2))
     a = (1 + math.sqrt(T)) ** 2
@@ -420,17 +432,23 @@ def error_table(m_grid, n_grid, T: float, nu: float) -> tuple[list[ErrorBoundsRe
     one line per row, each value as %.17g.
 
     Everything is evaluated per axis, and each value is formatted once.
-    Per distinct M: one temporal term vector whose prefixes give every
-    integer N (the "all" entry keeps its trigamma tail), the temporal upper
-    bound, and the temporal lower bound as one array over the N axis.  Per
-    distinct N: the spatial series and both spatial bounds.  A full value is
-    the hypot of its two parts, as in full_error_exact, and its bounds are
-    those of bounds_full, from the same per-axis values.
+    Per table: the eigenvalues up to the widest integer N and the numerator
+    of the geometric factor G.  Per distinct M: one temporal term vector
+    whose prefixes give every integer N and, when its cutoff fits, the
+    "all" entry (with its trigamma tail), the temporal upper bound, and the
+    temporal lower bound as one array over the N axis.  Per distinct N: the
+    spatial series and both spatial bounds.  A full value is the hypot of
+    its two parts, as in full_error_exact, and its bounds are those of
+    bounds_full, from the same per-axis values.  Each prefix is summed by
+    fsum, correctly rounded, so it is bit for bit the value a vector of
+    exactly that many terms gives.
     """
     _validate_positive(T=T, nu=nu)
     ms = [_int_at_least(M, "M must be a positive integer") for M in m_grid]
     ns = [_mode_count(N) for N in n_grid]
     counts = sorted({n for n in ns if n is not None})
+    width = counts[-1] if counts else 0  # the widest integer N
+    _check_modes(width, f"the temporal error at N={width}")
     n_axis = [math.inf if n is None else n for n in ns]
     n_txt = [ALL_MODES if n is None else str(n) for n in ns]
 
@@ -440,11 +458,18 @@ def error_table(m_grid, n_grid, T: float, nu: float) -> tuple[list[ErrorBoundsRe
                   bound_upper_spatial(n, T, nu))
         spatial[n] = (*values, "%.17g,%.17g,%.17g" % values)
 
+    mu = spectral.eigenvalues(width, nu) if counts else np.empty(0)
+    g_numer = np.expm1(-2 * mu * T)
     temporal = {}  # M -> (exact by n, lower by N entry, upper, text)
     for M in dict.fromkeys(ms):
-        exact = dict(zip(counts, _temporal_errors(M, counts, T, nu))) if counts else {}
+        terms = _temporal_mode_terms(mu, M, T, g_numer).tolist()
+        exact = {n: math.sqrt(math.fsum(itertools.islice(terms, n))) for n in counts}
         if None in ns:
-            exact[None] = temporal_error_exact(M, ALL_MODES, T, nu)
+            cutoff = _all_modes_cutoff(M, T, nu)
+            exact[None] = (
+                math.sqrt(math.fsum(itertools.islice(terms, cutoff))
+                          + _trigamma_tail(cutoff, nu))
+                if cutoff <= width else temporal_error_exact(M, ALL_MODES, T, nu))
         lower = np.sqrt(_lower_temporal_sq(M, n_axis, T, nu)).tolist()
         upper = bound_upper_temporal(M, T, nu)
         temporal[M] = (exact, lower, upper, "%.17g" % upper)

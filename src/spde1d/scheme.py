@@ -110,6 +110,7 @@ def initial_coefficients(preset: str, n_modes: int) -> np.ndarray:
     raise ValueError(f"unknown initial preset {preset!r}; expected one of {INITIAL_PRESETS}")
 
 
+@np.errstate(over="ignore")
 def truncation_indicator(Y: np.ndarray, O: np.ndarray, d: DiscretizationParams,
                          T: float, nu: float) -> np.ndarray:
     """Per row of Y and O (..., N), a numpy bool: True iff the drift stays on,
@@ -117,7 +118,8 @@ def truncation_indicator(Y: np.ndarray, O: np.ndarray, d: DiscretizationParams,
 
     The comparison is non-strict; the boundary case keeps the drift.  The
     norms are spectral.hr_norm, whose arithmetic run_scheme shares, so this
-    is run_scheme's decision to the bit.
+    is run_scheme's decision to the bit.  A norm that overflows is inf, which
+    turns the drift off, and warns of nothing.
     """
     return _keeps_drift(spectral.hr_norm(Y, d.gamma, nu), spectral.hr_norm(O, d.gamma, nu),
                         d.threshold(T))
@@ -235,11 +237,14 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
             suppressed[:, 0] if widths is None else suppressed)
 
 
+@np.errstate(over="ignore")
 def simulate_trajectory(model: ModelParams, d: DiscretizationParams,
                         tape: NoiseTape) -> tuple[np.ndarray, np.ndarray]:
     """(Y rows, O rows) at grid times 0, h, ..., T, each (M+1, N); Y_0 = O_0 = P_N xi.
 
-    The tape's one path runs through run_scheme as a batch of P = 1."""
+    The tape's one path runs through run_scheme as a batch of P = 1.  An
+    H_gamma norm that overflows is inf, drift off, without a warning, as in
+    the batched driver (experiments._step_block)."""
     if tape.T != model.T:
         raise ValueError(f"tape horizon {tape.T} differs from model horizon {model.T}")
     y_path, o_path, _ = run_scheme(model, d, tape.increments(d.M, d.N)[None])

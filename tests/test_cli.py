@@ -99,12 +99,15 @@ def test_heat_errors_violation_exits_3_and_keeps_the_report(tmp_path, capsys, mo
     {"output": {"prefix": None}},
     {"output": {"prefix": 5}},
     {"study": {"m_grid": [2], "n_grid": [2]}, "output": {"prefix": "x" * 300}},
+    {"study": {"m_grid": [10**308], "n_grid": [4]}},
+    {"study": {"n_grid": [10**400]}},
 ], ids=["infinite_T", "fractional_M", "infinite_M", "empty_m_grid", "empty_n_grid",
         "grid_not_a_list", "negative_infinite_N", "infinite_N", "null_N",
         "tolerance_as_string", "T_as_string", "nu_as_bool", "nan_tolerance",
         "infinite_tolerance", "negative_tolerance", "T_overflowing_the_errors",
         "prefix_naming_a_subdirectory", "null_prefix", "prefix_not_a_string",
-        "prefix_longer_than_a_file_name"])
+        "prefix_longer_than_a_file_name", "M_whose_double_leaves_the_float_range",
+        "N_beyond_the_float_range"])
 def test_bad_heat_errors_values_exit_2(tmp_path, capsys, payload):
     cfg = write_cfg(tmp_path, payload)
     rc = cli.main(["heat-errors", "--config", cfg, "--out", str(tmp_path)])
@@ -119,7 +122,10 @@ def test_bad_heat_errors_values_exit_2(tmp_path, capsys, payload):
     {"study": {"m_grid": [4], "n_grid": [1e9]}},
     {"model": {"nu": 1e-12}, "study": {"m_grid": [4], "n_grid": [8]}},
     {"model": {"nu": 1e-320}, "study": {"m_grid": [4], "n_grid": ["all"]}},
-], ids=["tiny_nu_all_modes", "huge_N", "tiny_nu_spatial_series", "subnormal_nu"])
+    # the integer N is valid, but the "all" cutoff sqrt(45 M / (nu pi^2 T)) is inf
+    {"study": {"m_grid": [5 * 10**307], "n_grid": [4, "all"]}},
+], ids=["tiny_nu_all_modes", "huge_N", "tiny_nu_spatial_series", "subnormal_nu",
+        "all_modes_cutoff_beyond_the_float_range"])
 def test_heat_errors_mode_cap_exits_2_before_allocating(tmp_path, capsys, monkeypatch,
                                                         payload):
     arange = np.arange
@@ -195,6 +201,7 @@ _ZERO_DRIFT = {"a": [0.0, 0.0, 0.0, 0.0], "initial": "zero"}
     ("converge", {"model": {"a": [0, 1]}, "study": _SMALL_STUDY}),
     ("simulate", {"model": {"initial": []}, "discretization": {"M": 8, "N": 4}}),
     ("converge", {"model": {"initial": []}, "study": _SMALL_STUDY}),
+    ("converge", {"model": _ZERO_DRIFT, "study": dict(_SMALL_STUDY, exact=True, M_ref=10**400)}),
 ], ids=["m_not_dividing_master", "m_grid_not_a_list", "study_not_an_object",
         "misspelled_key", "overflowing_initial_value", "fractional_M", "fractional_paths",
         "exact_as_string", "seed_as_bool", "master_as_string", "simulate_fractional_M",
@@ -204,7 +211,8 @@ _ZERO_DRIFT = {"a": [0.0, 0.0, 0.0, 0.0], "initial": "zero"}
         "simulate_T_too_large_for_a_float", "exact_errors_overflowing_a_float",
         "simulate_prefix_naming_a_subdirectory", "prefix_naming_a_subdirectory",
         "simulate_null_prefix", "null_prefix", "config_root_not_an_object",
-        "a_with_two_entries", "simulate_empty_initial", "empty_initial"])
+        "a_with_two_entries", "simulate_empty_initial", "empty_initial",
+        "exact_M_ref_beyond_the_float_range"])
 def test_bad_study_values_exit_2(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
@@ -331,6 +339,17 @@ def test_simulate_writes_and_reruns_identically(tmp_path):
     assert len(rows) == 9 * 8
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
     assert out.read_bytes() == first
+
+
+def test_simulate_overflowing_norm_is_drift_off_without_warnings(tmp_path):
+    # ||xi||_{H_gamma} overflows to inf, which the indicator reads as drift off; a
+    # fresh interpreter, because pytest would catch a numpy warning before stderr
+    cfg = write_cfg(tmp_path, {"model": {"initial": [1e300, 1e300]},
+                               "discretization": {"M": 4, "N": 4}})
+    out = run_python("-m", "spde1d.cli", "simulate", "--config", cfg, "--out", str(tmp_path))
+    assert (out.returncode, out.stderr) == (0, "")
+    _, rows = read_rows(tmp_path / "spde1d_trajectory.csv")
+    assert rows[0].endswith(",0")
 
 
 def test_simulate_zero_drift_trajectory_is_ou(tmp_path):

@@ -233,6 +233,24 @@ def test_error_report_all_modes_row():
     assert text.splitlines()[1].startswith("16,all,")
 
 
+def test_error_table_all_modes_entry_from_the_prefix_or_the_scalar_function(monkeypatch):
+    # "all" cutoffs: 8 at M=1, inside the widest integer N (a prefix of its term
+    # vector), and 2187 at M=2^20, beyond it (temporal_error_exact itself)
+    calls, scalar = [], he.temporal_error_exact
+
+    def counted(*args):
+        calls.append(args)
+        return scalar(*args)
+
+    monkeypatch.setattr(he, "temporal_error_exact", counted)
+    rows, _ = he.error_table([1, 1048576], [2, 512, "all"], 1.0, 1.0)
+    assert calls == [(1048576, "all", 1.0, 1.0)]
+    all_rows = [r for r in rows if r.N == "all"]
+    assert [r.M for r in all_rows] == [1, 1048576]
+    for r in all_rows:
+        assert r.exact == scalar(r.M, "all", 1.0, 1.0)
+
+
 _M = st.one_of(st.integers(1, 64), st.integers(65, 5000), st.integers(5001, he.MAX_MODES))
 _N = st.one_of(st.integers(1, 64), st.integers(65, 5000), st.integers(5001, he.MAX_MODES),
                st.just("all"))
