@@ -186,12 +186,11 @@ def spatial_error_exact(N: int, T: float, nu: float) -> float:
     cutoff = max(N + 64, math.ceil(k_min))
     while True:
         _check_modes(cutoff - N, f"the spatial error at N={N}")
-        ks = np.arange(N + 1, cutoff + 1, dtype=np.float64)
-        mu = nu * math.pi**2 * ks * ks
-        explicit = _fsum(-np.expm1(-2 * mu * T) / (2 * mu))
+        mu = spectral.eigenvalues(cutoff + 1, nu, first=N + 1)  # mu_{N+1}..mu_{K+1}
+        explicit = _fsum(-np.expm1(-2 * mu[:-1] * T) / (2 * mu[:-1]))
         total = explicit + _trigamma_tail(cutoff, nu)
         # neglected part <= e^{-2 mu_{K+1} T} * (pi^2/6)/(2 nu pi^2)
-        neglected = math.exp(-2 * nu * math.pi**2 * (cutoff + 1) ** 2 * T) / (12 * nu)
+        neglected = math.exp(-2 * mu[-1] * T) / (12 * nu)
         if neglected <= 1e-12 * total:
             return math.sqrt(total)
         cutoff *= 2
@@ -327,12 +326,18 @@ def ou_pair_mismatch_exact(M: int, M_ref: int, N: int, N_ref: int,
                            T: float, nu: float) -> np.ndarray:
     """E||O^{M_ref,N_ref}_t - O^{M,N}_t||_H^2 at the coarse grid times, exactly.
 
-    Both processes integrate the same noise against step-frozen decay
-    profiles, so the squared gap is a deterministic sum.  Per resolved mode
-    the gap variance obeys V(m+1) = e^{-2 mu h} V(m) + S with a constant
-    per-step injection S (the within-step profile difference), giving a
-    geometric closed form; modes above N contribute the reference process
-    variance itself.  Shape of the result: (M+1,), entry m at time mT/M.
+    Both processes start from O_0 = 0 and integrate the same noise against
+    step-frozen decay profiles, so the squared gap is a deterministic sum.
+    One law covers every reference mode k = 1..N_ref: the gap variance obeys
+    V(m+1) = e^{-2 mu h} V(m) + S_k, so V(m) = S_k expm1(-2 mu m h) /
+    expm1(-2 mu h).  The per-step injection is the within-step profile
+    difference, S_k = h_f sum_{i<r} (e^{-mu (h - i h_f)} - c_k e^{-mu h})^2
+    with r = M_ref/M, h_f = T/M_ref, c_k = 1 on the kept modes k <= N and 0
+    above N, where S_k is the reference's own exponential-Euler variance
+    injected per coarse step.  Another reference law changes S_k only.  A
+    start P xi != 0 would add e^{-2 mu_k t} xi_k^2 for N < k <= N_ref, a
+    term this function leaves out.  Shape of the result: (M+1,), entry m at
+    time mT/M.
     """
     _validate_positive(T=T, nu=nu)
     M = _int_at_least(M, "M must be a positive integer")
@@ -343,27 +348,13 @@ def ou_pair_mismatch_exact(M: int, M_ref: int, N: int, N_ref: int,
         raise ValueError(f"M must divide M_ref, got {M} vs {M_ref}")
     if not N <= N_ref:
         raise ValueError(f"need 0 <= N <= N_ref, got {N} vs {N_ref}")
-    h = T / M
-    h_f = T / M_ref
-    r = M_ref // M
+    h, h_f, r = T / M, T / M_ref, M_ref // M
+    mu = spectral.eigenvalues(N_ref, nu) if N_ref else np.empty(0)
+    kept = np.arange(N_ref) < N  # c_k
+    i = np.arange(r, dtype=np.float64)[:, None]
+    injection = h_f * np.sum((np.exp(-mu * (h - i * h_f)) - kept * np.exp(-mu * h)) ** 2, axis=0)
     m_times = np.arange(M + 1, dtype=np.float64)[:, None] * h
-
-    total = np.zeros(M + 1)
-    if N >= 1:
-        mu = spectral.eigenvalues(N, nu)
-        i = np.arange(r, dtype=np.float64)[:, None]
-        step_profile_gap = np.exp(-mu * (h - i * h_f)) - np.exp(-mu * h)
-        injection = h_f * np.sum(step_profile_gap**2, axis=0)
-        geom = np.expm1(-2 * mu * m_times) / np.expm1(-2 * mu * h)
-        total += geom @ injection
-
-    if N_ref > N:
-        ks = np.arange(N + 1, N_ref + 1, dtype=np.float64)
-        mu = nu * math.pi**2 * ks * ks
-        var_t = h_f * np.exp(-2 * mu * h_f) \
-            * np.expm1(-2 * mu * m_times) / np.expm1(-2 * mu * h_f)
-        total += var_t.sum(axis=1)
-    return total
+    return np.expm1(-2 * mu * m_times) / np.expm1(-2 * mu * h) @ injection
 
 
 # ---------------------------------------------------------------------------

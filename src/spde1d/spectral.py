@@ -20,13 +20,13 @@ SQRT2 = np.sqrt(2.0)
 PHI1_SERIES_THRESHOLD = 1e-5
 
 
-def eigenvalues(n_modes: int, nu: float) -> np.ndarray:
-    """mu_k = nu pi^2 k^2 for k = 1..n_modes."""
+def eigenvalues(n_modes: int, nu: float, first: int = 1) -> np.ndarray:
+    """mu_k = nu pi^2 k^2 for k = first..n_modes."""
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu}")
-    k = np.arange(1, n_modes + 1, dtype=np.float64)
+    k = np.arange(first, n_modes + 1, dtype=np.float64)
     return nu * np.pi**2 * k * k
 
 
