@@ -42,12 +42,14 @@ AUDIT_TOL = 1e-8
 
 # parsers: (value, "section.key") -> the value a command reads
 
-def _at_least(least: int):
+def _at_least(least: int, most: int = heat_errors.MAX_COUNT):
     return lambda value, name: heat_errors._int_at_least(
-        value, f"{name} must be an integer >= {least}", least)
+        value, f"{name} must be an integer >= {least}", least, most)
 
 
 _positive, _natural = _at_least(1), _at_least(0)
+# a mode count sizes vectors (the initial value, the tape's rows) before any run
+_modes, _modes_or_0 = _at_least(1, heat_errors.MAX_MODES), _at_least(0, heat_errors.MAX_MODES)
 
 
 def _is(kind, what: str):
@@ -106,7 +108,7 @@ def _tolerance(value, name: str) -> float:
 _MODEL = {"T": (1.0, _number), "nu": (1.0, _number),
           "a": ([0.0, 1.0, 0.0, -1.0], _coefficients), "initial": ("bump", _initial)}
 _SCHEME = {"gamma": (scheme.DEFAULT_GAMMA, _number), "chi": (scheme.DEFAULT_CHI, _number)}
-_MASTER = {"M_master": (0, _natural), "N_master": (0, _natural)}  # 0: the run's own M, N
+_MASTER = {"M_master": (0, _natural), "N_master": (0, _modes_or_0)}  # 0: the run's own M, N
 _SEED = {"seed": (0, _natural)}
 _OUTPUT = {"dir": (".", _directory), "prefix": ("spde1d", _file_prefix)}
 SETTINGS = {
@@ -116,12 +118,12 @@ SETTINGS = {
                               "sandwich_tol": (1e-12, _tolerance)},
                     "output": _OUTPUT},
     "simulate": {"model": _MODEL,
-                 "discretization": {"M": (64, _positive), "N": (64, _positive), **_SCHEME},
+                 "discretization": {"M": (64, _positive), "N": (64, _modes), **_SCHEME},
                  "study": {**_SEED, "path": (0, _natural), **_MASTER}, "output": _OUTPUT},
     "converge": {"model": _MODEL, "discretization": _SCHEME,
                  "study": {"m_grid": ([16, 32, 64, 128], _int_grid),
                            "n_grid": ([8, 16, 32, 64], _int_grid),
-                           "M_ref": (2048, _positive), "N_ref": (128, _positive), **_MASTER,
+                           "M_ref": (2048, _positive), "N_ref": (128, _modes), **_MASTER,
                            "paths": (200, _positive), **_SEED, "threads": (1, _positive),
                            "exact": (False, _is(bool, "true or false"))},
                  "output": _OUTPUT},
@@ -221,6 +223,9 @@ def cmd_heat_errors(v: dict) -> int:
 
 def cmd_simulate(v: dict) -> int:
     M, N = v["M"], v["N"]
+    # the tape's raw block, the increments, Y, O and the dump's lines
+    heat_errors._check_values(float((v["M_master"] or M) + 1) * (v["N_master"] or N),
+                              f"simulate at M={M}, N={N}")
     d = scheme.DiscretizationParams(M=M, N=N, gamma=v["gamma"], chi=v["chi"])
     model = _model(v, n_xi=max(N, 512))
     tape = NoiseTape(seed=v["seed"], M_master=v["M_master"] or M,

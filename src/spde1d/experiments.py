@@ -187,10 +187,15 @@ def _path_batch(job):
         cols, segs = lockstep_layout(widths, any(cfg.model.a.as_tuple()))
         xi = cfg.model.xi_projected(max(widths))
         runs[(M, widths)], states[(M, widths)] = (readers, segs), (xi[cols], xi)
+    block = math.lcm(*(cfg.m_master // M for M, _ in runs))
+    # before allocating: each target's samples, and per block the master
+    # increments, a tape's raw rows, and a run's Y (at most sum(widths) columns)
+    heat_errors._check_values(float(len(tapes)) * max(
+        (block + 1) * max(cfg.n_master, *(sum(widths) for _, widths in runs)),
+        *(t[-2] + 1 for t in targets)), f"a batch of {len(tapes)} paths")
     suppressed = dict.fromkeys(by_resolution, 0)
     samples = {t: np.empty((len(tapes), t[-2] + 1)) if coupled else None for t in targets}
 
-    block = math.lcm(*(cfg.m_master // M for M, _ in runs))
     master = np.empty((len(tapes), block, max(max(widths) for _, widths in runs)))
     for first in range(0, cfg.m_master, block):
         for p, tape in enumerate(tapes):

@@ -33,6 +33,10 @@ ALL_MODES = "all"
 # N would otherwise ask for gigabytes (the series branch of the temporal
 # terms holds a (modes, 43) table).
 MAX_MODES = 100_000
+# Most float values any one array of a run may hold (512 MiB of float64), checked
+# before it is allocated.  The largest arrays of the tests, CI, demos and
+# benchmarks hold about 2^21 values.
+MAX_VALUES = 2**26
 # Largest M or N accepted: the closed forms take 2M and N + 64 as floats.
 MAX_COUNT = int(sys.float_info.max) // 2
 
@@ -53,17 +57,17 @@ def _validate_positive(**kwargs) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _int_at_least(value, requirement: str, least: int = 1) -> int:
+def _int_at_least(value, requirement: str, least: int = 1, most: int = MAX_COUNT) -> int:
     """value as an int, if it is a number (not a bool) with an integral value
-    in [least, MAX_COUNT]."""
+    in [least, most]."""
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = least - 1
     if n != value or n < least or isinstance(value, bool):
         raise ValueError(f"{requirement}, got {value!r}")
-    if n > MAX_COUNT:
-        raise ValueError(f"{requirement}, at most {MAX_COUNT:.6g}; "
+    if n > most:
+        raise ValueError(f"{requirement}, at most {most:.6g}; "
                          f"got a {len(str(n))}-digit integer")
     return n
 
@@ -90,6 +94,14 @@ def _check_modes(count: float, what: str) -> None:
     if not count <= MAX_MODES:  # inf and nan too
         raise ValueError(f"{what} needs {count:.6g} modes, more than the limit "
                          f"of {MAX_MODES}")
+
+
+def _check_values(count: float, what: str) -> None:
+    """Refuse, before allocating, an array of more than MAX_VALUES floats;
+    count is a float, so a product of huge counts is inf, not an error."""
+    if not count <= MAX_VALUES:
+        raise ValueError(f"{what} needs {count:.6g} values in one array, more than "
+                         f"the limit of {MAX_VALUES}")
 
 
 def _fsum(values) -> float:
@@ -146,7 +158,8 @@ def _all_modes_cutoff(M: int, T: float, nu: float) -> int:
 
 def _trigamma_tail(cutoff: int, nu: float) -> float:
     """sum_{k > cutoff} 1/(2 mu_k), in closed form."""
-    return float(polygamma(1, cutoff + 1)) / (2 * nu * math.pi**2)
+    # a float: scipy takes no int beyond int64; below 2^53 the bits are the int's
+    return float(polygamma(1, float(cutoff + 1))) / (2 * nu * math.pi**2)
 
 
 def temporal_error_exact(M: int, N, T: float, nu: float) -> float:
@@ -171,6 +184,7 @@ def temporal_error_exact(M: int, N, T: float, nu: float) -> float:
 # ---------------------------------------------------------------------------
 # spatial error: eigenvalue tail series
 
+@np.errstate(over="ignore")  # mu_k past k ~ 1e154 is inf, whose term 1/inf = 0 is right
 def spatial_error_exact(N: int, T: float, nu: float) -> float:
     """||O_T - P_N O_T||_{L^2(P;H)} = sqrt(sum_{k>N} (1 - e^{-2 mu_k T})/(2 mu_k)).
 
@@ -222,6 +236,7 @@ def bound_upper_temporal(M: int, T: float, nu: float) -> float:
     return M ** -0.25 * math.sqrt(const)
 
 
+@np.errstate(over="ignore")  # n^2 past 1e154 is inf: the value of N = "all"
 def _lower_temporal_sq(M: int, n, T: float, nu: float) -> np.ndarray:
     """Closed form of M^{-1/2} int_0^X c / (x+a)^{3/2} dx via -2(x+a)^{-1/2}.
 
@@ -348,6 +363,9 @@ def ou_pair_mismatch_exact(M: int, M_ref: int, N: int, N_ref: int,
         raise ValueError(f"M must divide M_ref, got {M} vs {M_ref}")
     if not N <= N_ref:
         raise ValueError(f"need 0 <= N <= N_ref, got {N} vs {N_ref}")
+    _check_modes(N_ref, f"the OU mismatch at N_ref={N_ref}")
+    _check_values(float(max(M + 1, M_ref // M)) * max(N_ref, 1),
+                  f"the OU mismatch at M={M}, M_ref={M_ref}")
     h, h_f, r = T / M, T / M_ref, M_ref // M
     mu = spectral.eigenvalues(N_ref, nu) if N_ref else np.empty(0)
     kept = np.arange(N_ref) < N  # c_k

@@ -23,12 +23,21 @@ def read_rows(path):
     return lines[0], lines[1:]
 
 
-def run_python(*argv):
-    """Run a fresh interpreter that imports this checkout's spde1d."""
+def run_python(*argv, address_space=None):
+    """Run a fresh interpreter that imports this checkout's spde1d, with at
+    most address_space bytes of virtual memory if given."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    cap = None
+    if address_space is not None:
+        import resource
+        env["OPENBLAS_NUM_THREADS"] = "1"  # its per-thread buffers count against the cap
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          preexec_fn=cap)
 
 
 def test_help_lists_subcommands():
@@ -219,6 +228,31 @@ def test_bad_study_values_exit_2(tmp_path, capsys, command, payload):
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command, payload, limit", [
+    ("simulate", {"discretization": {"M": 10**8, "N": 64}}, "more than the limit of 67108864"),
+    ("simulate", {"discretization": {"N": 10**8}}, "discretization.N must be an integer >= 1, "
+                                                   "at most 100000"),
+    ("simulate", {"discretization": {"M": 8, "N": 4}, "study": {"M_master": 10**12}},
+     "more than the limit of 67108864"),
+    ("converge", {"study": {"M_ref": 2**30}}, "more than the limit of 67108864"),
+    ("converge", {"study": {"N_ref": 10**8}}, "study.N_ref must be an integer >= 1, "
+                                              "at most 100000"),
+    ("converge", {"study": {"N_master": 10**8}}, "study.N_master must be an integer >= 0, "
+                                                 "at most 100000"),
+], ids=["simulate_M", "simulate_N", "simulate_M_master", "converge_M_ref", "converge_N_ref",
+        "converge_N_master"])
+def test_oversized_runs_exit_2_before_allocating(tmp_path, command, payload, limit):
+    # under a 1 GiB address-space cap, a run that allocated its arrays first
+    # would die of a MemoryError with exit code 1
+    cfg = write_cfg(tmp_path, payload)
+    out = run_python("-m", "spde1d.cli", command, "--config", cfg, "--out", str(tmp_path),
+                     address_space=1 << 30)
+    assert out.returncode == cli.EXIT_CONFIG, out.stderr
+    assert out.stderr.startswith("configuration error") and out.stderr.count("\n") == 1
+    assert limit in out.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 

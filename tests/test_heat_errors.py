@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from spde1d import heat_errors as he
 
-from oracles import (lower_temporal_sq_scalar, ou_pair_mismatch_brute, spatial_tail_mp,
-                     temporal_mode_integral, temporal_mode_integral_quadrature,
+from oracles import (lower_temporal_sq_scalar, ou_pair_mismatch_brute, ou_variance_discrete,
+                     spatial_tail_mp, temporal_mode_integral, temporal_mode_integral_quadrature,
                      temporal_mode_mp, temporal_mode_quad_mp)
 
 # values pinned from the mp oracles in oracles.py; regression guards
@@ -170,11 +170,36 @@ def test_hs_monotonicity_audit_clean():
     assert he.run_hs_monotonicity_audit(trials=200, seed=3) == 0
 
 
-def test_ou_pair_mismatch_against_brute_force():
-    got = he.ou_pair_mismatch_exact(4, 16, 2, 3, 1.0, 1.0)
-    want = ou_pair_mismatch_brute(4, 16, 2, 3, 1.0, 1.0)
+@pytest.mark.parametrize("M, M_ref, N, N_ref, T, nu", [
+    (4, 16, 2, 3, 1.0, 1.0),
+    (4, 16, 0, 3, 1.0, 1.0),
+    (4, 16, 3, 3, 0.5, 2.0),
+    (16, 16, 2, 5, 1.0, 1.0),
+    (4, 16, 0, 0, 1.0, 1.0),
+], ids=["mixed", "no_kept_mode", "every_mode_kept", "same_steps", "no_mode"])
+def test_ou_pair_mismatch_against_brute_force(M, M_ref, N, N_ref, T, nu):
+    got = he.ou_pair_mismatch_exact(M, M_ref, N, N_ref, T, nu)
+    want = ou_pair_mismatch_brute(M, M_ref, N, N_ref, T, nu)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-16)
     assert got[0] == 0.0
+
+
+@pytest.mark.parametrize("M, N, T, nu", [(1, 1, 1.0, 1.0), (16, 64, 1.0, 1.0),
+                                         (64, 128, 2.0, 0.5), (2048, 128, 0.5, 2.0)])
+def test_ou_pair_mismatch_with_no_kept_mode_is_the_discrete_ou_variance(M, N, T, nu):
+    # r = 1 and c_k = 0: the injection is h e^{-2 mu h}, summed over the steps
+    got = he.ou_pair_mismatch_exact(M, M, 0, N, T, nu)[-1]
+    assert got == pytest.approx(math.fsum(ou_variance_discrete(M, N, T, nu)), rel=1e-13)
+
+
+@pytest.mark.parametrize("r", [10**3, 10**4])
+@pytest.mark.parametrize("mu_h", [0.01, 0.62, 9.9, 39.5])
+def test_ou_pair_mismatch_injection_tends_to_the_one_step_integral(r, mu_h):
+    # one coarse step of one kept mode against r fine ones: the injection is a
+    # Riemann sum of the one-step integral J of _temporal_mode_terms, O(1/r) off
+    h = mu_h / math.pi**2  # nu = 1, mode 1
+    got = he.ou_pair_mismatch_exact(1, r, 1, 1, h, 1.0)[-1]
+    assert abs(got / temporal_mode_integral(1, 1, h, 1.0) - 1) <= (2 + mu_h) / r
 
 
 def test_ou_pair_mismatch_guards():
@@ -187,6 +212,30 @@ def test_ou_pair_mismatch_guards():
             he.ou_pair_mismatch_exact(1, 4, bad, 2, 1.0, 1.0)
         with pytest.raises(ValueError, match="N_ref must be a nonnegative integer"):
             he.ou_pair_mismatch_exact(1, 4, 1, bad, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("args", [(1, 2**40, 2, 3, 1.0, 1.0), (2**40, 2**40, 2, 3, 1.0, 1.0),
+                                  (1, 2, 1, he.MAX_MODES + 1, 1.0, 1.0)],
+                         ids=["fine_steps", "coarse_times", "modes"])
+def test_ou_pair_mismatch_refuses_oversized_arrays_before_allocating(args):
+    with pytest.raises(ValueError, match="more than the limit of"):
+        he.ou_pair_mismatch_exact(*args)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N", [2**64 + 5, 10**155, he.MAX_COUNT],
+                         ids=["beyond_int64", "mu_beyond_the_float_range", "max_count"])
+def test_spatial_error_at_huge_N_is_the_trigamma_tail(N):
+    # past int64 scipy takes no int, and past k ~ 1e154 mu_k is inf; the
+    # explicit terms are then below 1/N of the tail sum_{k>N} 1/(2 mu_k) ~ 1/(2 pi^2 N)
+    assert he.spatial_error_exact(N, 1.0, 1.0) == pytest.approx(
+        math.sqrt(1 / (2 * math.pi**2 * N)), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("N", [10**200, he.MAX_COUNT], ids=["1e200", "max_count"])
+def test_lower_temporal_at_huge_N_is_the_all_modes_value(N):
+    assert he.bound_lower_temporal(4, N, 1.0, 1.0) == he.bound_lower_temporal(4, "all", 1.0, 1.0)
 
 
 def test_fit_rate_recovers_synthetic_power_law():
