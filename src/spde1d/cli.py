@@ -223,13 +223,13 @@ def cmd_heat_errors(v: dict) -> int:
 
 def cmd_simulate(v: dict) -> int:
     M, N = v["M"], v["N"]
-    # the tape's raw block, the increments, Y, O and the dump's lines
-    heat_errors._check_values(float((v["M_master"] or M) + 1) * (v["N_master"] or N),
-                              f"simulate at M={M}, N={N}")
+    M_master, N_master = v["M_master"] or M, v["N_master"] or N
+    # bounds the tape's raw block, the increments, Y and O
+    heat_errors._check_values(float(M_master + 1) * N_master, f"simulate at M={M}, N={N}")
     d = scheme.DiscretizationParams(M=M, N=N, gamma=v["gamma"], chi=v["chi"])
     model = _model(v, n_xi=max(N, 512))
-    tape = NoiseTape(seed=v["seed"], M_master=v["M_master"] or M,
-                     N_master=v["N_master"] or N, T=model.T, path=v["path"])
+    tape = NoiseTape(seed=v["seed"], M_master=M_master, N_master=N_master, T=model.T,
+                     path=v["path"])
     Y, O = scheme.simulate_trajectory(model, d, tape)
     out = _write(v, "trajectory.csv", scheme.trajectory_csv(model, d, Y, O))
     print(f"wrote {out} ({len(Y)} grid times x {N} modes)")
