@@ -108,7 +108,8 @@ def constant_term_coeffs(n_modes: int) -> np.ndarray:
     return SQRT2 * (1.0 - (-1.0) ** k) / (k * np.pi)
 
 
-def project_F(coeffs: np.ndarray, a: CubicCoefficients, grid: int | None = None) -> np.ndarray:
+def project_F(coeffs: np.ndarray, a: CubicCoefficients,
+              grid: spectral.GridLayout | int | None = None) -> np.ndarray:
     """First N sine coefficients of F(v) for band-limited v, exact to roundoff.
 
     Parameters
@@ -116,35 +117,48 @@ def project_F(coeffs: np.ndarray, a: CubicCoefficients, grid: int | None = None)
     coeffs : array, shape (..., N)
         Sine coefficients of v; batched input is allowed.
     a : CubicCoefficients
-    grid : int, optional
-        Transform grid for the odd part; must satisfy grid-1 >= 3N+1
-        (alias-free analysis of the cubic), defaults to
-        spectral.default_grid(N).
+    grid : spectral.GridLayout or int, optional
+        Transform grids for the odd part.  A layout projects each of its
+        segments (columns layout.modes[i]) on its own, with the bits of a
+        separate call per segment; the odd part u (a1 + a3 u^2) is formed
+        once over the whole grid array.  An int is the grid of one segment
+        of all N columns, and the default is spectral.default_grid(N).
+        Every segment needs grid-1 >= 3N+1 (alias-free analysis of the
+        cubic).
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     n = coeffs.shape[-1]
-    if grid is None:
-        grid = spectral.default_grid(n)
-    if grid - 1 < 3 * n + 1:
-        raise ValueError(
-            f"alias risk: need grid-1 >= 3N+1 = {3 * n + 1}, got grid-1 = {grid - 1}"
-        )
+    layout = grid if isinstance(grid, spectral.GridLayout) else spectral.GridLayout(
+        (n,), None if grid is None else (grid,))
+    for w, g in zip(layout.widths, layout.grids):
+        if g - 1 < 3 * w + 1:
+            raise ValueError(f"alias risk: need grid-1 >= 3N+1 = {3 * w + 1}, "
+                             f"got grid-1 = {g - 1}")
     a0, a1, a2, a3 = a.as_tuple()
     if a1 != 0.0 or a3 != 0.0:
-        out = spectral.from_grid(_odd_part_on_grid(spectral.to_grid(coeffs, grid), a1, a3), n)
+        out = spectral.from_grid(_odd_part_on_grid(spectral.to_grid(coeffs, layout), a1, a3),
+                                 layout)
     else:
         out = np.zeros_like(coeffs)
     if a2 != 0.0:
-        g = cos_to_sine_matrix(n, 2 * n + 1)
-        flat = coeffs.reshape(-1, n)
-        proj = np.empty_like(flat)
-        for i, row in enumerate(flat):             # even part is off the hot path
-            b = np.concatenate(([0.0], SQRT2 * row))
-            proj[i] = g @ cos_coeffs_of_square(b, sine=True)
-        out += a2 * proj.reshape(coeffs.shape)
+        for seg in layout.modes:
+            out[..., seg] += a2 * _even_part(coeffs[..., seg])
     if a0 != 0.0:
-        out += a0 * constant_term_coeffs(n)
+        out += a0 * np.concatenate([constant_term_coeffs(w) for w in layout.widths])
     return out
+
+
+def _even_part(coeffs: np.ndarray) -> np.ndarray:
+    """First N sine coefficients of v^2 for v = sum c_k e_k, (..., N), by
+    coefficient convolution; the even part is off the hot path."""
+    n = coeffs.shape[-1]
+    g = cos_to_sine_matrix(n, 2 * n + 1)
+    flat = coeffs.reshape(-1, n)
+    proj = np.empty_like(flat)
+    for i, row in enumerate(flat):
+        b = np.concatenate(([0.0], SQRT2 * row))
+        proj[i] = g @ cos_coeffs_of_square(b, sine=True)
+    return proj.reshape(coeffs.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,12 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     reading the first n modes of dw: lockstep_layout lays out Y (and start's
     Y), O is stepped once at N, and suppressed is (P, len(widths)).  Each
     width's columns have the bits of a run at that width alone; all share
-    each step's linear update, square-and-weight pass and compare.
+    each step's linear update, square-and-weight pass and compare, and with
+    a drift one project_F call on a spectral.GridLayout of the widths (each
+    segment its own DST-I) and one phi1(h) scale.  That call takes the rows
+    that keep the drift in any segment; each segment's drift is added to its
+    own on-rows only, so a segment whose indicator is off is projected but
+    never added, and the overflow of its cube is silenced where it is made.
 
     O steps as O_{m+1} = e^{hA}(O_m + Delta W_m), the exponential Euler OU.
     It is not exact in law: per mode its variance at T is the continuum
@@ -200,8 +205,8 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
         o_path[m + 1] *= decay
     o_norm = spectral.weighted_norm(weights, o_path[:-1], segments=[slice(n) for n in sizes])
     if drift_on:
-        phi = spectral.phi1_factors(d.N, model.nu, h)
-        drifts = [(seg, spectral.default_grid(n), phi[:n]) for seg, n in zip(y_segs, sizes)]
+        grids = spectral.GridLayout(sizes)  # one projection pass for every segment
+        phi = spectral.phi1_factors(d.N, model.nu, h)[cols]
         y_norm = np.empty((paths, len(sizes)))
         on_rows = np.empty((steps, paths, len(sizes)), dtype=bool)  # each step's indicator
     gather = not np.array_equal(cols, np.arange(d.N))
@@ -222,13 +227,24 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
         if drift_on:
             on = _keeps_drift(spectral.weighted_norm(weights_y, y, out=y_norm, segments=y_segs),
                               o_norm[m], thr, out=on_rows[m])
-            for r, (seg, grid, phi_n) in enumerate(drifts):
-                n_on = np.count_nonzero(on[:, r])
-                if n_on:  # masked, never multiplied by a 0/1 mask: 0*inf would be NaN
-                    rows = slice(None) if n_on == paths else on[:, r]
-                    drift = project_F(y[rows, seg], model.a, grid)
-                    drift *= phi_n
-                    y_next[rows, seg] += drift
+            n_on = np.count_nonzero(on)
+            if n_on == on.size:  # every row keeps every segment's drift
+                drift = project_F(y, model.a, grids)
+                drift *= phi
+                y_next += drift
+            elif n_on:  # masked, never multiplied by a 0/1 mask: 0*inf would be NaN
+                kept = on.any(axis=1)  # the rows that keep the drift in any segment
+                n_kept = np.count_nonzero(kept)
+                rows = slice(None) if n_kept == paths else kept
+                with np.errstate(over="ignore", invalid="ignore"):  # an off segment's cube
+                    drift = project_F(y[rows], model.a, grids)
+                drift *= phi
+                for r, seg in enumerate(y_segs):  # each segment's drift on its own on-rows
+                    n_seg = np.count_nonzero(on[:, r])
+                    if n_seg == n_kept:
+                        y_next[rows, seg] += drift[:, seg]
+                    elif n_seg:
+                        y_next[on[:, r], seg] += drift[on[rows, r], seg]
     if not drift_on:  # every row in one pass, time-major, which reads contiguous rows
         on_rows = _keeps_drift(spectral.weighted_norm(weights_y, y_path[:-1], segments=y_segs),
                                o_norm, thr)

@@ -102,36 +102,85 @@ def default_grid(n_modes: int) -> int:
     return scipy.fft.next_fast_len(3 * n_modes + 2, real=True)
 
 
-def to_grid(coeffs: np.ndarray, grid: int) -> np.ndarray:
+class GridLayout:
+    """Coefficient segments side by side, each on its own transform grid, all
+    on one shared grid array.
+
+    Segment i holds widths[i] sine coefficients (columns `modes[i]` of a
+    coefficient array) and their values at the grids[i] - 1 interior nodes
+    (columns `views[i]` of a grid array of `points` columns).  `columns` is
+    the grid column of each coefficient column (a slice for one segment) and
+    `scale` its inverse-transform factor sqrt(2)/(2G).  Grids default to
+    default_grid; each needs G-1 >= its width.  Built once per run: every
+    call of to_grid, from_grid and nonlinearity.project_F on it then takes
+    one scatter, one scale and one gather for all segments, and one DST-I
+    per segment.
+    """
+
+    def __init__(self, widths, grids=None):
+        self.widths = tuple(int(n) for n in widths)
+        self.grids = (tuple(default_grid(n) for n in self.widths) if grids is None
+                      else tuple(int(g) for g in grids))
+        if not self.widths or len(self.grids) != len(self.widths):
+            raise ValueError(f"need one grid per width, got widths {self.widths} "
+                             f"and grids {self.grids}")
+        for n, g in zip(self.widths, self.grids):
+            if n > g - 1:
+                raise ValueError(f"need grid-1 >= n_modes, got grid={g}, n_modes={n}")
+        starts = np.cumsum((0,) + self.widths)
+        self.modes = [slice(s, s + n) for s, n in zip(starts, self.widths)]
+        self.n_modes = int(starts[-1])
+        starts = np.cumsum((0,) + tuple(g - 1 for g in self.grids))
+        self.views = [slice(s, s + g - 1) for s, g in zip(starts, self.grids)]
+        self.points = int(starts[-1])
+        self.columns = (slice(self.widths[0]) if len(self.widths) == 1 else
+                        np.concatenate([np.arange(v.start, v.start + n)
+                                        for v, n in zip(self.views, self.widths)]))
+        self.scale = np.concatenate([np.full(n, SQRT2 / (2.0 * g))
+                                     for n, g in zip(self.widths, self.grids)])
+
+
+def to_grid(coeffs: np.ndarray, layout: GridLayout | int) -> np.ndarray:
     """Evaluate sum_k c_k e_k at the interior nodes j/G via DST-I.
 
-    Accepts batched input (..., N); returns (..., G-1).  Requires N <= G-1,
-    otherwise the input is not representable on the grid.
+    Accepts batched input (..., N); returns (..., layout.points), each
+    segment's values in its view.  An int is the grid G of one segment of
+    all N columns, which returns (..., G-1); it requires N <= G-1, otherwise
+    the input is not representable on the grid.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    n = coeffs.shape[-1]
-    if n > grid - 1:
-        raise ValueError(f"need grid-1 >= n_modes, got grid={grid}, n_modes={n}")
-    pad = np.zeros(coeffs.shape[:-1] + (grid - 1,))
-    pad[..., :n] = coeffs
+    if not isinstance(layout, GridLayout):
+        layout = GridLayout((coeffs.shape[-1],), (layout,))
+    if coeffs.shape[-1] != layout.n_modes:
+        raise ValueError(f"{coeffs.shape[-1]} coefficient columns do not match "
+                         f"widths {layout.widths}")
+    pad = np.zeros(coeffs.shape[:-1] + (layout.points,))
+    pad[..., layout.columns] = coeffs
+    for view in layout.views:  # in place, each segment's own DST-I
+        scipy.fftpack.dst(pad[..., view], type=1, axis=-1, overwrite_x=True)
     # dst-I computes 2 sum_j x_j sin(pi j m / G); fold in the sqrt(2) basis factor
-    values = scipy.fftpack.dst(pad, type=1, axis=-1, overwrite_x=True)
-    values *= SQRT2 / 2.0
-    return values
+    pad *= SQRT2 / 2.0
+    return pad
 
 
-def from_grid(values: np.ndarray, n_modes: int) -> np.ndarray:
+def from_grid(values: np.ndarray, layout: GridLayout | int) -> np.ndarray:
     """Sine coefficients of the trigonometric interpolant through grid values.
 
     Exact inverse of to_grid for band-limited input.  `values` has shape
-    (..., G-1) at the interior nodes of a size-G grid.
+    (..., layout.points); each segment keeps its first widths[i] modes.
+    With a layout the transforms run in place, so `values` is overwritten.
+    An int is the mode count N of one segment on the size-G grid of
+    `values`, (..., G-1); then the caller's array is left as it was.
     """
     values = np.asarray(values, dtype=np.float64)
-    grid = values.shape[-1] + 1
-    if n_modes > grid - 1:
-        raise ValueError(f"need grid-1 >= n_modes, got grid={grid}, n_modes={n_modes}")
-    # scaling the kept modes into a new array leaves the caller contiguous rows
-    return scipy.fftpack.dst(values, type=1, axis=-1)[..., :n_modes] * (SQRT2 / (2.0 * grid))
+    if not isinstance(layout, GridLayout):
+        layout = GridLayout((layout,), (values.shape[-1] + 1,))
+        values = values.copy()
+    if values.shape[-1] != layout.points:
+        raise ValueError(f"{values.shape[-1]} grid columns do not match grids {layout.grids}")
+    for view in layout.views:
+        scipy.fftpack.dst(values[..., view], type=1, axis=-1, overwrite_x=True)
+    return values[..., layout.columns] * layout.scale
 
 
 def lq_norm_on_grid(values: np.ndarray, q: float) -> float | np.ndarray:

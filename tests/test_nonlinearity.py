@@ -74,6 +74,36 @@ def test_project_F_odd_part_has_the_reference_bits(n, a):
         assert got.tobytes() == want.tobytes(), (lead, n)
 
 
+@pytest.mark.parametrize("widths", [(128, 8, 16, 32, 64), (1, 3), (8, 8)])
+@pytest.mark.parametrize("coeffs", nl.AUDIT_COEFFICIENT_SETS)
+def test_project_F_on_a_layout_equals_one_call_per_segment(widths, coeffs):
+    # a lockstep run projects all its segments in one call; each segment must
+    # keep the bytes of its own call on its default grid, with the a0 and a2
+    # branches too
+    a = nl.CubicCoefficients(*coeffs)
+    layout = spectral.GridLayout(widths)
+    k = np.concatenate([np.arange(1, n + 1) for n in widths])
+    rng = np.random.default_rng(len(widths))
+    for lead in [(), (1,), (4,)]:
+        rows = rng.standard_normal(lead + (sum(widths),)) / k
+        if lead:
+            rows[0, layout.modes[-1]] = 0.0  # a zero segment beside nonzero ones
+        got = nl.project_F(rows, a, layout)
+        assert got.shape == rows.shape
+        for seg, n in zip(layout.modes, widths):
+            want = nl.project_F(rows[..., seg], a, spectral.default_grid(n))
+            assert got[..., seg].tobytes() == want.tobytes(), (lead, n)
+
+
+def test_from_grid_with_a_mode_count_leaves_its_input_alone():
+    # with a layout from_grid transforms in place; given a mode count it
+    # works on a copy, since its caller may read the values again
+    v = np.random.default_rng(5).standard_normal((3, 26))
+    before = v.tobytes()
+    spectral.from_grid(v, 8)
+    assert v.tobytes() == before
+
+
 def _signed(lo, hi):
     # zero, or a magnitude in [lo, hi]: keeps products clear of underflow
     return st.one_of(st.just(0.0), st.floats(lo, hi), st.floats(-hi, -lo))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -359,11 +360,18 @@ def test_lockstep_widths_equal_each_width_alone_bit_for_bit():
             _check_lockstep_widths(drift, widths)
 
 
-def _check_lockstep_widths(drift, widths):
+def test_lockstep_widths_of_the_general_cubic_equal_each_width_alone_bit_for_bit():
+    # the even part a2 v^2 and the constant a0 are added segment by segment
+    general = nonlinearity.CubicCoefficients(1, 2, 3, -4)
+    for widths in ((16, 3, 12, 5), (4,), (8, 8)):
+        _check_lockstep_widths(True, widths, a=general)
+
+
+def _check_lockstep_widths(drift, widths, a=None):
     model, d, dw, (y0, o0) = _batch_inputs(paths=64)
-    if not drift:
+    if not drift or a is not None:
         model = scheme.ModelParams(T=model.T, nu=model.nu, xi=model.xi,
-                                   a=nonlinearity.CubicCoefficients(0, 0, 0, 0))
+                                   a=a or nonlinearity.CubicCoefficients(0, 0, 0, 0))
     ends, cut = np.cumsum(widths), 13
     columns = [slice(e - n, e) if drift else slice(n) for n, e in zip(widths, ends)]
     y_start = np.concatenate([y0[:, :n] for n in widths], axis=1) if drift \
@@ -384,6 +392,32 @@ def _check_lockstep_widths(drift, widths):
             np.testing.assert_array_equal(_bits(y[..., columns[r]]), _bits(ref_y))
             np.testing.assert_array_equal(_bits(o[..., :n]), _bits(ref_o))
             np.testing.assert_array_equal(s1[:, r] + s2[:, r], ref_s)
+
+
+def test_lockstep_segment_with_a_huge_state_warns_of_nothing():
+    # path 1's width-8 segment starts near 1e103, so its indicator is off,
+    # while its width-16 segment keeps the drift: the one projection of that
+    # row takes the huge segment too, whose cube overflows and is never added
+    model, d, dw, _ = _batch_inputs(paths=3)
+    widths = (16, 8)
+    y0 = np.tile(model.xi_projected(d.N), (3, 1))
+    o0 = y0.copy()
+    y_start = np.concatenate([y0[:, :n] for n in widths], axis=1)
+    y_start[1, 16:] = 1e103
+    on = scheme.truncation_indicator(y_start[1, :16], o0[1], d, model.T, model.nu)
+    off = scheme.truncation_indicator(y_start[1, 16:], o0[1, :8], d, model.T, model.nu)
+    assert on and not off
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        nonlinearity.project_F(y_start[1], model.a, spectral.GridLayout(widths))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, o, suppressed = scheme.run_scheme(model, d, dw, start=(y_start, o0), widths=widths)
+    assert suppressed[1, 1] == d.M and suppressed[1, 0] < d.M
+    for seg, n in zip((slice(16), slice(16, 24)), widths):
+        dn, start = scheme.DiscretizationParams(M=d.M, N=n), (y_start[:, seg], o0[:, :n])
+        alone, _, sup = scheme.run_scheme(model, dn, dw[..., :n], start=start)
+        np.testing.assert_array_equal(_bits(y[..., seg]), _bits(alone))
+        np.testing.assert_array_equal(suppressed[:, widths.index(n)], sup)
 
 
 def test_run_scheme_shape_guards():
