@@ -262,11 +262,6 @@ def cmd_check(v: dict) -> int:
         results.append((f"drift-{name}", residual <= AUDIT_TOL,
                         f"max_residual={residual:.3e} tol={AUDIT_TOL:g} trials={trials}"))
 
-    hs_violations = heat_errors.run_hs_monotonicity_audit(trials=max(trials // 2, 50),
-                                                          seed=seed)
-    results.append(("hs-factor-monotonicity", hs_violations == 0,
-                    f"violations={hs_violations}"))
-
     temporal = [heat_errors.temporal_error_exact(M, 32, 1.0, 1.0)
                 for M in (1, 2, 4, 8, 16, 32, 64)]
     ok_t = all(b <= a * (1 + 1e-12) for a, b in zip(temporal, temporal[1:]))

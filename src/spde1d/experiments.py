@@ -265,9 +265,9 @@ def _require_finite(finite_per_path, what: str, first_path: int) -> None:
 
 
 def _accumulate(cfg: StudyConfig, targets, coupled: bool):
-    """Run every path batch, on up to cfg.threads worker processes, and merge
-    the batch moments in batch order, so the totals do not depend on the
-    number of workers."""
+    """Run every path batch, on up to cfg.threads worker processes but never
+    more than there are batches, and merge the batch moments in batch order,
+    so the totals do not depend on the number of workers."""
     targets = list(dict.fromkeys(targets))  # a repeated target is sampled once
     # every block must hold whole steps of each target, and a coupled
     # target's grid times must be reference grid times
@@ -281,7 +281,7 @@ def _accumulate(cfg: StudyConfig, targets, coupled: bool):
     if cfg.threads <= 1 or len(jobs) == 1:
         parts = [_path_batch(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.threads, len(jobs))) as pool:
             parts = list(pool.map(_path_batch, jobs))  # map preserves job order
     total = parts[0]
     for part in parts[1:]:

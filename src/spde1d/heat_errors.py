@@ -294,47 +294,6 @@ def bounds_full(M: int, N: int, T: float, nu: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# monotonicity of the Hilbert-Schmidt factors
-
-def _hs_factor_sq(N: int, s: float, t: float, nu: float = 1.0) -> float:
-    """sum_{k<=N} ||e^{sA}(Id - e^{tA}) e_k||^2 = sum e^{-2 mu s}(1-e^{-mu t})^2."""
-    mu = spectral.eigenvalues(N, nu)
-    return _fsum(np.exp(-2 * mu * s) * np.expm1(-mu * t) ** 2)
-
-
-def hs_factor_monotone_in_semigroup_time(N: int, s1: float, s2: float, t: float,
-                                         nu: float = 1.0) -> bool:
-    """True iff the factor does not grow when the semigroup time s1 -> s2 >= s1."""
-    if not (0 <= s1 <= s2):
-        raise ValueError(f"need 0 <= s1 <= s2, got {s1}, {s2}")
-    return _hs_factor_sq(N, s2, t, nu) <= _hs_factor_sq(N, s1, t, nu)
-
-
-def hs_factor_monotone_in_increment_time(N: int, s: float, t1: float, t2: float,
-                                         nu: float = 1.0) -> bool:
-    """True iff the factor does not shrink when the increment time t1 -> t2 >= t1."""
-    if not (0 <= t1 <= t2):
-        raise ValueError(f"need 0 <= t1 <= t2, got {t1}, {t2}")
-    return _hs_factor_sq(N, s, t1, nu) <= _hs_factor_sq(N, s, t2, nu)
-
-
-def run_hs_monotonicity_audit(trials: int = 200, seed: int = 0) -> int:
-    """Randomized audit of both monotonicity directions; returns violation count."""
-    rng = np.random.default_rng(seed)
-    violations = 0
-    for _ in range(trials):
-        N = int(rng.integers(1, 65))  # 1 to 64 modes
-        nu = float(rng.uniform(0.25, 4.0))
-        a, b = np.sort(rng.uniform(0.0, 2.0, size=2))
-        t = float(rng.uniform(0.0, 2.0))
-        if not hs_factor_monotone_in_semigroup_time(N, float(a), float(b), t, nu):
-            violations += 1
-        if not hs_factor_monotone_in_increment_time(N, t, float(a), float(b), nu):
-            violations += 1
-    return violations
-
-
-# ---------------------------------------------------------------------------
 # mismatch between two nested discretizations of the same noise
 
 def ou_pair_mismatch_exact(M: int, M_ref: int, N: int, N_ref: int,

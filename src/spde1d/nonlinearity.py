@@ -109,7 +109,7 @@ def constant_term_coeffs(n_modes: int) -> np.ndarray:
 
 
 def project_F(coeffs: np.ndarray, a: CubicCoefficients,
-              grid: spectral.GridLayout | int | None = None) -> np.ndarray:
+              grid: spectral.GridLayout | None = None) -> np.ndarray:
     """First N sine coefficients of F(v) for band-limited v, exact to roundoff.
 
     Parameters
@@ -117,19 +117,16 @@ def project_F(coeffs: np.ndarray, a: CubicCoefficients,
     coeffs : array, shape (..., N)
         Sine coefficients of v; batched input is allowed.
     a : CubicCoefficients
-    grid : spectral.GridLayout or int, optional
-        Transform grids for the odd part.  A layout projects each of its
-        segments (columns layout.modes[i]) on its own, with the bits of a
+    grid : spectral.GridLayout, optional
+        Transform grids for the odd part.  Each segment of the layout
+        (columns layout.modes[i]) is projected on its own, with the bits of a
         separate call per segment; the odd part u (a1 + a3 u^2) is formed
-        once over the whole grid array.  An int is the grid of one segment
-        of all N columns, and the default is spectral.default_grid(N).
-        Every segment needs grid-1 >= 3N+1 (alias-free analysis of the
-        cubic).
+        once over the whole grid array.  The default is one segment of all
+        N columns on spectral.default_grid(N).  Every segment needs
+        grid-1 >= 3N+1 (alias-free analysis of the cubic).
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    n = coeffs.shape[-1]
-    layout = grid if isinstance(grid, spectral.GridLayout) else spectral.GridLayout(
-        (n,), None if grid is None else (grid,))
+    layout = spectral.GridLayout(coeffs.shape[-1:]) if grid is None else grid
     for w, g in zip(layout.widths, layout.grids):
         if g - 1 < 3 * w + 1:
             raise ValueError(f"alias risk: need grid-1 >= 3N+1 = {3 * w + 1}, "
@@ -188,15 +185,15 @@ def check_monotonicity(
 
 
 def _f_difference_h_norm_sq(
-    v: np.ndarray, w: np.ndarray, a: CubicCoefficients, grid: int
+    v: np.ndarray, w: np.ndarray, a: CubicCoefficients, uv: np.ndarray, uw: np.ndarray
 ) -> float:
-    """||F(v) - F(w)||_H^2, exact: sine block + cosine block + mixed Gram term."""
+    """||F(v) - F(w)||_H^2, exact: sine block + cosine block + mixed Gram term;
+    uv and uw are v and w on the default grid of their N modes."""
     n = v.shape[0]
     a0, a1, a2, a3 = a.as_tuple()
-    uv = spectral.to_grid(v, grid)
-    uw = spectral.to_grid(w, grid)
     odd = _odd_part_on_grid(uv, a1, a3) - _odd_part_on_grid(uw, a1, a3)
-    s = spectral.from_grid(odd, 3 * n)             # normalized sine coeffs, exact
+    # normalized sine coeffs of the degree-3N odd part, exact
+    s = spectral.from_grid(odd, spectral.GridLayout((3 * n,), (uv.shape[-1] + 1,)))
     total = float(np.dot(s, s))
     if a2 != 0.0:
         bv = np.concatenate(([0.0], SQRT2 * v))
@@ -208,9 +205,7 @@ def _f_difference_h_norm_sq(
     return total
 
 
-def check_lipschitz(
-    v: np.ndarray, w: np.ndarray, a: CubicCoefficients, grid: int | None = None
-) -> float:
+def check_lipschitz(v: np.ndarray, w: np.ndarray, a: CubicCoefficients) -> float:
     """Residual of the polynomial Lipschitz bound in L^6-weighted form.
 
     ||F(v)-F(w)||_H^2 <= 36 max(|a1|,|a2|,|a3|)^2 ||v-w||_{L^6}^2
@@ -220,14 +215,10 @@ def check_lipschitz(
     w = np.asarray(w, dtype=np.float64)
     if v.shape != w.shape or v.ndim != 1:
         raise ValueError("v and w must be coefficient vectors of equal length")
-    n = v.shape[0]
-    if grid is None:
-        grid = spectral.default_grid(n)
-    if grid - 1 < 3 * n + 1:
-        raise ValueError(f"need grid-1 >= 3N+1 for exact norms, got {grid - 1}")
-    lhs = _f_difference_h_norm_sq(v, w, a, grid)
-    uv = spectral.to_grid(v, grid)
-    uw = spectral.to_grid(w, grid)
+    layout = spectral.GridLayout(v.shape)  # grid-1 >= 3N+1: the norms are exact
+    uv = spectral.to_grid(v, layout)
+    uw = spectral.to_grid(w, layout)
+    lhs = _f_difference_h_norm_sq(v, w, a, uv, uw)
     l6v = spectral.lq_norm_on_grid(uv, 6)
     l6w = spectral.lq_norm_on_grid(uw, 6)
     l6d = spectral.lq_norm_on_grid(uv - uw, 6)

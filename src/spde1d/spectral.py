@@ -140,17 +140,14 @@ class GridLayout:
                                      for n, g in zip(self.widths, self.grids)])
 
 
-def to_grid(coeffs: np.ndarray, layout: GridLayout | int) -> np.ndarray:
-    """Evaluate sum_k c_k e_k at the interior nodes j/G via DST-I.
+def to_grid(coeffs: np.ndarray, layout: GridLayout) -> np.ndarray:
+    """Evaluate sum_k c_k e_k at the interior nodes j/G of each segment's grid
+    via DST-I.
 
-    Accepts batched input (..., N); returns (..., layout.points), each
-    segment's values in its view.  An int is the grid G of one segment of
-    all N columns, which returns (..., G-1); it requires N <= G-1, otherwise
-    the input is not representable on the grid.
+    Accepts batched input (..., layout.n_modes); returns (...,
+    layout.points), each segment's values in its view.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if not isinstance(layout, GridLayout):
-        layout = GridLayout((coeffs.shape[-1],), (layout,))
     if coeffs.shape[-1] != layout.n_modes:
         raise ValueError(f"{coeffs.shape[-1]} coefficient columns do not match "
                          f"widths {layout.widths}")
@@ -163,19 +160,14 @@ def to_grid(coeffs: np.ndarray, layout: GridLayout | int) -> np.ndarray:
     return pad
 
 
-def from_grid(values: np.ndarray, layout: GridLayout | int) -> np.ndarray:
+def from_grid(values: np.ndarray, layout: GridLayout) -> np.ndarray:
     """Sine coefficients of the trigonometric interpolant through grid values.
 
     Exact inverse of to_grid for band-limited input.  `values` has shape
-    (..., layout.points); each segment keeps its first widths[i] modes.
-    With a layout the transforms run in place, so `values` is overwritten.
-    An int is the mode count N of one segment on the size-G grid of
-    `values`, (..., G-1); then the caller's array is left as it was.
+    (..., layout.points); each segment keeps its first widths[i] modes.  The
+    transforms run in place, so `values` is overwritten.
     """
     values = np.asarray(values, dtype=np.float64)
-    if not isinstance(layout, GridLayout):
-        layout = GridLayout((layout,), (values.shape[-1] + 1,))
-        values = values.copy()
     if values.shape[-1] != layout.points:
         raise ValueError(f"{values.shape[-1]} grid columns do not match grids {layout.grids}")
     for view in layout.views:

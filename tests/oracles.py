@@ -228,7 +228,7 @@ def run_scheme_stepwise(model, d, dw, start=None):
               + np.sqrt((w * (o * o)).sum(axis=-1))) <= thr
         if drift_on and on.any():
             y_next[on] += phi * nonlinearity.project_F(y[on], model.a,
-                                                       spectral.default_grid(n))
+                                                       spectral.GridLayout((n,)))
         y, o = y_next, o_next
         ys.append(y)
         os_.append(o)

@@ -489,7 +489,7 @@ def test_check_passes_on_healthy_library(tmp_path, capsys):
     rc = cli.main(["check", "--config", cfg])
     assert rc == cli.EXIT_OK
     out = capsys.readouterr().out
-    assert out.count("PASS") == 6 and "FAIL" not in out
+    assert out.count("PASS") == 5 and "FAIL" not in out
 
 
 def test_check_audit_failure_exits_4(monkeypatch, capsys):

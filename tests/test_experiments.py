@@ -102,6 +102,29 @@ def test_study_threads_do_not_change_bytes():
     assert ex.fits_json(fits1) == ex.fits_json(fits2) == ex.fits_json(fits3)
 
 
+def test_threads_are_capped_at_the_number_of_path_batches(monkeypatch):
+    # the pool starts all its workers at the first submit, so a large
+    # --threads must not become that many processes; the fake runs in process
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", FakePool)
+    ex.run_convergence_study(small_cfg(paths=3 * ex.BATCH_PATHS, threads=100_000))
+    assert seen and set(seen) == {3}
+
+
 def test_exact_mode_study():
     cfg = ex.StudyConfig(model=ou_model(), m_grid=(4, 16, 64, 256),
                          n_grid=(4, 8, 16, 32, 64), m_ref=2048, n_ref=128,

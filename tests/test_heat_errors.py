@@ -159,17 +159,6 @@ def test_upper_spatial_closed_form():
         1.0 / (math.pi * math.sqrt(2.0 * 2.0)) / math.sqrt(9.0), rel=1e-15)
 
 
-def test_hs_factor_monotonicity_edges():
-    assert he.hs_factor_monotone_in_semigroup_time(4, 0.3, 0.3, 1.0)
-    assert he.hs_factor_monotone_in_increment_time(4, 0.5, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        he.hs_factor_monotone_in_semigroup_time(4, 0.5, 0.2, 1.0)
-
-
-def test_hs_monotonicity_audit_clean():
-    assert he.run_hs_monotonicity_audit(trials=200, seed=3) == 0
-
-
 @pytest.mark.parametrize("M, M_ref, N, N_ref, T, nu", [
     (4, 16, 2, 3, 1.0, 1.0),
     (4, 16, 0, 3, 1.0, 1.0),

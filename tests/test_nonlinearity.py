@@ -91,17 +91,32 @@ def test_project_F_on_a_layout_equals_one_call_per_segment(widths, coeffs):
         got = nl.project_F(rows, a, layout)
         assert got.shape == rows.shape
         for seg, n in zip(layout.modes, widths):
-            want = nl.project_F(rows[..., seg], a, spectral.default_grid(n))
+            want = nl.project_F(rows[..., seg], a, spectral.GridLayout((n,)))
             assert got[..., seg].tobytes() == want.tobytes(), (lead, n)
 
 
-def test_from_grid_with_a_mode_count_leaves_its_input_alone():
-    # with a layout from_grid transforms in place; given a mode count it
-    # works on a copy, since its caller may read the values again
-    v = np.random.default_rng(5).standard_normal((3, 26))
-    before = v.tobytes()
-    spectral.from_grid(v, 8)
-    assert v.tobytes() == before
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4), st.integers(0, 3),
+       st.sampled_from(nl.AUDIT_COEFFICIENT_SETS), st.integers(0, 2**32 - 1))
+def test_layout_transforms_and_projection_equal_one_call_per_segment(widths, paths, coeffs,
+                                                                     seed):
+    # the lockstep identities for any multiset of widths and path count
+    # (0 is one unbatched row): project_F on a layout, and to_grid then
+    # from_grid, give each segment the bytes of its own one-segment call
+    layout = spectral.GridLayout(widths)
+    a = nl.CubicCoefficients(*coeffs)
+    rng = np.random.default_rng(seed)
+    lead = (paths,) if paths else ()
+    rows = rng.standard_normal(lead + (layout.n_modes,))
+    values = spectral.to_grid(rows, layout)
+    back = spectral.from_grid(values.copy(), layout)
+    got = nl.project_F(rows, a, layout)
+    for seg, view, n in zip(layout.modes, layout.views, widths):
+        alone = spectral.GridLayout((n,))
+        assert values[..., view].tobytes() == spectral.to_grid(rows[..., seg], alone).tobytes()
+        assert back[..., seg].tobytes() == spectral.from_grid(
+            values[..., view].copy(), alone).tobytes()
+        assert got[..., seg].tobytes() == nl.project_F(rows[..., seg], a).tobytes()
 
 
 def _signed(lo, hi):
@@ -123,13 +138,13 @@ def test_project_on_default_grid_matches_oracle_and_4n_grid(c, coeffs):
     # relative to the a priori size of F: |v| <= sqrt(2) sum |c_k| on (0,1)
     s = SQRT2 * np.sum(np.abs(c))
     size = sum(abs(ai) * s**i for i, ai in enumerate(coeffs))
-    wide = nl.project_F(c, a, grid=4 * c.size + 1)
+    wide = nl.project_F(c, a, grid=spectral.GridLayout((c.size,), (4 * c.size + 1,)))
     assert np.max(np.abs(got - wide)) <= 1e-13 * size
 
 
 def test_project_alias_guard():
     with pytest.raises(ValueError, match="alias"):
-        nl.project_F(np.ones(8), nl.allen_cahn(), grid=16)
+        nl.project_F(np.ones(8), nl.allen_cahn(), grid=spectral.GridLayout((8,), (16,)))
 
 
 def test_project_grid_override_consistent():
@@ -137,7 +152,7 @@ def test_project_grid_override_consistent():
     c = rng.standard_normal(6)
     a = nl.CubicCoefficients(0.2, 1.0, -0.4, -1.0)
     base = nl.project_F(c, a)
-    finer = nl.project_F(c, a, grid=257)
+    finer = nl.project_F(c, a, grid=spectral.GridLayout((6,), (257,)))
     np.testing.assert_allclose(finer, base, rtol=1e-11, atol=1e-13)
 
 

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spde1d import noise, nonlinearity, scheme, spectral
 
@@ -75,7 +76,7 @@ def test_bump_preset_reconstructs_parabola():
     c = scheme.initial_coefficients("bump", 256)
     G = spectral.default_grid(256)
     x = np.arange(1, G) / G
-    err = np.max(np.abs(spectral.to_grid(c, G) - x * (1 - x)))
+    err = np.max(np.abs(spectral.to_grid(c, spectral.GridLayout((256,), (G,))) - x * (1 - x)))
     assert err < 1e-6
 
 
@@ -392,6 +393,53 @@ def _check_lockstep_widths(drift, widths, a=None):
             np.testing.assert_array_equal(_bits(y[..., columns[r]]), _bits(ref_y))
             np.testing.assert_array_equal(_bits(o[..., :n]), _bits(ref_o))
             np.testing.assert_array_equal(s1[:, r] + s2[:, r], ref_s)
+
+
+_DRIFTS = ((0, 0, 0, 0), (0, 1, 0, -1), (1, 2, 3, -4))
+
+
+@st.composite
+def _lockstep_cases(draw):
+    widths = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    n = draw(st.sampled_from((max(widths), sum(widths), sum(widths) + 3)))
+    m = draw(st.sampled_from((1, 2, 4, 8)))
+    return widths, n, m, draw(st.integers(0, m)), draw(st.integers(1, 5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_lockstep_cases(), st.sampled_from(_DRIFTS), st.integers(0, 2**32 - 1))
+def test_lockstep_run_resumed_anywhere_equals_each_width_alone(case, coeffs, seed):
+    # widths a multiset of [1, N], N their maximum, their sum or more; path
+    # 0 starts far above the threshold, so steps mix kept and dropped drift.
+    # The run split at `cut` through `start` equals the unsplit run, and each
+    # width's columns equal a run at that width alone, bit for bit
+    widths, n, m, cut, paths = case
+    model = scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.CubicCoefficients(*coeffs),
+                               xi=scheme.initial_coefficients("bump", n))
+    drift = any(coeffs)
+    d = scheme.DiscretizationParams(M=m, N=n)
+    rng = np.random.default_rng(seed)
+    dw = rng.standard_normal((paths, m, n)) * math.sqrt(model.T / m)
+    y0 = np.tile(model.xi_projected(n), (paths, 1))
+    y0[0, 0] = 5.0
+    o0 = y0.copy()
+    ends = np.cumsum(widths)
+    columns = [slice(e - w, e) if drift else slice(w) for w, e in zip(widths, ends)]
+    y_start = np.concatenate([y0[:, :w] for w in widths], axis=1) if drift \
+        else y0[:, :max(widths)]
+    y, o, s = scheme.run_scheme(model, d, dw, start=(y_start, o0), widths=widths)
+    y1, o1, s1 = scheme.run_scheme(model, d, dw[:, :cut], start=(y_start, o0), widths=widths)
+    y2, o2, s2 = scheme.run_scheme(model, d, dw[:, cut:], start=(y1[:, -1], o1[:, -1]),
+                                   widths=widths)
+    np.testing.assert_array_equal(_bits(np.concatenate([y1, y2[:, 1:]], axis=1)), _bits(y))
+    np.testing.assert_array_equal(_bits(np.concatenate([o1, o2[:, 1:]], axis=1)), _bits(o))
+    np.testing.assert_array_equal(s1 + s2, s)
+    for r, w in enumerate(widths):
+        dn = scheme.DiscretizationParams(M=m, N=w)
+        ya, oa, sa = scheme.run_scheme(model, dn, dw[..., :w], start=(y0[:, :w], o0[:, :w]))
+        np.testing.assert_array_equal(_bits(y[..., columns[r]]), _bits(ya))
+        np.testing.assert_array_equal(_bits(o[..., :w]), _bits(oa))
+        np.testing.assert_array_equal(s[:, r], sa)
 
 
 def test_lockstep_segment_with_a_huge_state_warns_of_nothing():

@@ -118,7 +118,7 @@ def test_phi1_semigroup_identity():
 
 
 def test_to_grid_first_mode_explicit():
-    vals = spectral.to_grid(np.array([1.0]), 9)
+    vals = spectral.to_grid(np.array([1.0]), spectral.GridLayout((1,), (9,)))
     nodes = np.arange(1, 9) / 9
     np.testing.assert_allclose(vals, math.sqrt(2) * np.sin(math.pi * nodes),
                                rtol=1e-13, atol=1e-15)
@@ -128,7 +128,8 @@ def test_to_grid_first_mode_explicit():
 def test_grid_roundtrip():
     rng = np.random.default_rng(16)
     v = rng.standard_normal(16)
-    back = spectral.from_grid(spectral.to_grid(v, 65), 16)
+    layout = spectral.GridLayout((16,), (65,))
+    back = spectral.from_grid(spectral.to_grid(v, layout), layout)
     np.testing.assert_allclose(back, v, rtol=1e-12, atol=1e-12)
 
 
@@ -137,13 +138,13 @@ def test_grid_quadrature_parseval():
     rng = np.random.default_rng(21)
     v = rng.standard_normal(20)
     G = spectral.default_grid(20)
-    vals = spectral.to_grid(v, G)
+    vals = spectral.to_grid(v, spectral.GridLayout((20,), (G,)))
     quad = spectral.lq_norm_on_grid(vals, 2.0) ** 2
     assert quad == pytest.approx(float(np.dot(v, v)), rel=1e-10)
 
 
 def test_lq_and_sup_norms_of_first_mode():
-    vals = spectral.to_grid(np.array([1.0]), 1025)
+    vals = spectral.to_grid(np.array([1.0]), spectral.GridLayout((1,), (1025,)))
     assert spectral.lq_norm_on_grid(vals, 2.0) == pytest.approx(1.0, rel=1e-8)
     assert np.max(np.abs(vals)) == pytest.approx(math.sqrt(2), rel=1e-4)
 
@@ -169,10 +170,10 @@ def test_default_grid_rule():
 def test_transform_batched_rows_match_single():
     rng = np.random.default_rng(31)
     block = rng.standard_normal((4, 12))
-    G = spectral.default_grid(12)
-    stacked = spectral.to_grid(block, G)
+    layout = spectral.GridLayout((12,))
+    stacked = spectral.to_grid(block, layout)
     for i in range(4):
-        np.testing.assert_array_equal(stacked[i], spectral.to_grid(block[i], G))
+        np.testing.assert_array_equal(stacked[i], spectral.to_grid(block[i], layout))
 
 
 @pytest.mark.parametrize("lead", [(), (1,), (4,), (64,)])
@@ -180,13 +181,14 @@ def test_transform_batched_rows_match_single():
 def test_transforms_equal_scipy_fft_dst_bit_for_bit(n_modes, lead):
     # to_grid / from_grid take the DST-I through scipy.fftpack; a scipy whose
     # fftpack and fft kernels part ways fails here first
-    G = spectral.default_grid(n_modes)
+    layout = spectral.GridLayout((n_modes,))
+    G = layout.grids[0]
     rng = np.random.default_rng(n_modes)
     c = rng.standard_normal(lead + (n_modes,))
     pad = np.zeros(lead + (G - 1,))
     pad[..., :n_modes] = c
-    np.testing.assert_array_equal(spectral.to_grid(c, G),
+    np.testing.assert_array_equal(spectral.to_grid(c, layout),
                                   scipy.fft.dst(pad, type=1, axis=-1) * (np.sqrt(2.0) / 2.0))
     v = rng.standard_normal(lead + (G - 1,))
     want = scipy.fft.dst(v, type=1, axis=-1) * (np.sqrt(2.0) / (2.0 * G))
-    np.testing.assert_array_equal(spectral.from_grid(v, n_modes), want[..., :n_modes])
+    np.testing.assert_array_equal(spectral.from_grid(v, layout), want[..., :n_modes])
