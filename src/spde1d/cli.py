@@ -191,7 +191,7 @@ def _model(v: dict, n_xi: int) -> scheme.ModelParams:
                               a=nonlinearity.CubicCoefficients(*v["a"]), xi=xi)
 
 
-def _write(v: dict, suffix: str, text: str) -> Path:
+def _write(v: dict, suffix: str, text) -> Path:
     """Write <dir>/<prefix>_<suffix>; a path the OS refuses is a configuration error."""
     out = Path(v["dir"]) / f"{v['prefix']}_{suffix}"
     try:

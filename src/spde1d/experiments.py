@@ -115,8 +115,10 @@ def error_table_csv(rows) -> str:
     return "\n".join([ERROR_TABLE_HEADER, *(r.as_csv_row() for r in rows)]) + "\n"
 
 
-def write_text_atomic(path, text: str) -> None:
+def write_text_atomic(path, text) -> None:
     """Write-then-rename so readers never observe a partial file.
+
+    `text` is one str, or an iterable of str chunks written one after another.
 
     The temporary file has a unique name next to the target, so concurrent
     writers into one directory cannot clobber each other's halves.
@@ -125,7 +127,10 @@ def write_text_atomic(path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # the mode a plain open() would give

@@ -161,9 +161,11 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     each step's linear update, square-and-weight pass and compare, and with
     a drift one project_F call on a spectral.GridLayout of the widths (each
     segment its own DST-I) and one phi1(h) scale.  That call takes the rows
-    that keep the drift in any segment; each segment's drift is added to its
-    own on-rows only, so a segment whose indicator is off is projected but
-    never added, and the overflow of its cube is silenced where it is made.
+    that keep the drift in any segment.  On a step where some row or segment
+    drops the drift, each Y column takes its segment's indicator and one
+    masked add (np.add with where=) adds the drift to the kept columns of
+    those rows: a segment whose indicator is off is projected but its drift
+    is never read, and the overflow of its cube is silenced where it is made.
 
     O steps as O_{m+1} = e^{hA}(O_m + Delta W_m), the exponential Euler OU.
     It is not exact in law: per mode its variance at T is the continuum
@@ -207,6 +209,7 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     if drift_on:
         grids = spectral.GridLayout(sizes)  # one projection pass for every segment
         phi = spectral.phi1_factors(d.N, model.nu, h)[cols]
+        seg_of_col = np.repeat(np.arange(len(sizes)), sizes)  # the segment of each Y column
         y_norm = np.empty((paths, len(sizes)))
         on_rows = np.empty((steps, paths, len(sizes)), dtype=bool)  # each step's indicator
     gather = not np.array_equal(cols, np.arange(d.N))
@@ -233,18 +236,18 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
                 drift *= phi
                 y_next += drift
             elif n_on:  # masked, never multiplied by a 0/1 mask: 0*inf would be NaN
+                keep = on.take(seg_of_col, axis=1)  # each Y column's indicator
                 kept = on.any(axis=1)  # the rows that keep the drift in any segment
-                n_kept = np.count_nonzero(kept)
-                rows = slice(None) if n_kept == paths else kept
+                every_row = np.count_nonzero(kept) == paths
                 with np.errstate(over="ignore", invalid="ignore"):  # an off segment's cube
-                    drift = project_F(y[rows], model.a, grids)
+                    drift = project_F(y if every_row else y[kept], model.a, grids)
                 drift *= phi
-                for r, seg in enumerate(y_segs):  # each segment's drift on its own on-rows
-                    n_seg = np.count_nonzero(on[:, r])
-                    if n_seg == n_kept:
-                        y_next[rows, seg] += drift[:, seg]
-                    elif n_seg:
-                        y_next[on[:, r], seg] += drift[on[rows, r], seg]
+                if every_row:
+                    np.add(y_next, drift, out=y_next, where=keep)
+                else:  # the kept rows out and back
+                    rows = y_next[kept]
+                    np.add(rows, drift, out=rows, where=keep[kept])
+                    y_next[kept] = rows
     if not drift_on:  # every row in one pass, time-major, which reads contiguous rows
         on_rows = _keeps_drift(spectral.weighted_norm(weights_y, y_path[:-1], segments=y_segs),
                                o_norm, thr)
@@ -268,20 +271,25 @@ def simulate_trajectory(model: ModelParams, d: DiscretizationParams,
 
 
 TRAJECTORY_HEADER = "t,mode_index,Y_coeff,O_coeff,indicator"
+CSV_CHUNK_VALUES = 8192  # (grid time, mode) values per chunk of trajectory_csv
 
 
 def trajectory_csv(model: ModelParams, d: DiscretizationParams,
-                   Y: np.ndarray, O: np.ndarray) -> str:
+                   Y: np.ndarray, O: np.ndarray):
     """CSV dump of the (M+1, N) rows, one line per (grid time, mode); the
     indicator is re-evaluated at each time so the column can be cross-checked
-    from the dumped coefficients."""
+    from the dumped coefficients.  Yields the text in chunks of whole grid
+    times, about CSV_CHUNK_VALUES values each, so that writing it takes
+    memory for one chunk, not for the whole dump."""
     h = model.T / d.M
-    lines = [TRAJECTORY_HEADER]
     on = truncation_indicator(Y, O, d, model.T, model.nu)
-    for m, (y, o, ind) in enumerate(zip(Y, O, on)):
-        for k in range(d.N):
-            lines.append("%.17g,%d,%.17g,%.17g,%d" % (m * h, k + 1, y[k], o[k], ind))
-    return "\n".join(lines) + "\n"
+    yield TRAJECTORY_HEADER + "\n"
+    step = max(1, CSV_CHUNK_VALUES // d.N)
+    for first in range(0, len(Y), step):
+        rows = zip(Y[first:first + step].tolist(), O[first:first + step].tolist(),
+                   on[first:first + step].tolist())
+        yield "".join(["%.17g,%d,%.17g,%.17g,%d\n" % (m * h, k + 1, y[k], o[k], ind)
+                       for m, (y, o, ind) in enumerate(rows, first) for k in range(d.N)])
 
 
 def allen_cahn_model(T: float = 1.0, nu: float = 1.0, preset: str = "bump",

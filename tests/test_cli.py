@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,22 @@ def test_oversized_runs_exit_2_before_allocating(tmp_path, command, payload, lim
     assert out.stderr.startswith("configuration error") and out.stderr.count("\n") == 1
     assert limit in out.stderr
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_simulate_memory_is_bounded_by_its_arrays(tmp_path, capsys):
+    # the CSV goes to disk in chunks of grid times: 262,208 values, about
+    # 18 MB of text, more than the peak allowed for the whole run
+    M, N = 4096, 64
+    cfg = write_cfg(tmp_path, {"model": _ZERO_DRIFT, "discretization": {"M": M, "N": N}})
+    tracemalloc.start()
+    try:
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    y_and_o = 2 * (M + 1) * N * 8
+    assert (tmp_path / "spde1d_trajectory.csv").stat().st_size > 3 * y_and_o
+    assert peak < 3 * y_and_o, f"peak {peak} B against {y_and_o} B of Y and O"
 
 
 @pytest.mark.parametrize("study", [

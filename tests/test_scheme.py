@@ -146,7 +146,8 @@ def test_indicator_is_the_kernels_decision_at_the_boundary():
     assert scheme.truncation_indicator(hit, hit, d, 1.0, 1.0) == (suppressed == 0)
     assert (2.0 * float(spectral.hr_norm(hit, d.gamma, 1.0)) <= 1.0) == (suppressed == 0)
     Y, O = scheme.simulate_trajectory(model, d, noise.NoiseTape(0, 1, 8, 1.0))
-    indicator_column = scheme.trajectory_csv(model, d, Y, O).split("\n")[1].split(",")[-1]
+    first_row = "".join(scheme.trajectory_csv(model, d, Y, O)).split("\n")[1]
+    indicator_column = first_row.split(",")[-1]
     assert indicator_column == str(int(suppressed == 0))
 
 
@@ -247,7 +248,7 @@ def test_trajectory_csv_roundtrip_and_indicator():
     d = scheme.DiscretizationParams(M=4, N=4)
     tape = noise.NoiseTape(seed=13, M_master=4, N_master=4, T=1.0)
     Y, O = scheme.simulate_trajectory(model, d, tape)
-    text = scheme.trajectory_csv(model, d, Y, O)
+    text = "".join(scheme.trajectory_csv(model, d, Y, O))
     lines = text.strip().split("\n")
     assert lines[0] == scheme.TRAJECTORY_HEADER
     assert len(lines) == 1 + 5 * 4
@@ -440,6 +441,34 @@ def test_lockstep_run_resumed_anywhere_equals_each_width_alone(case, coeffs, see
         np.testing.assert_array_equal(_bits(y[..., columns[r]]), _bits(ya))
         np.testing.assert_array_equal(_bits(o[..., :w]), _bits(oa))
         np.testing.assert_array_equal(s[:, r], sa)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.sampled_from(_DRIFTS),
+       st.integers(2, 6), st.sampled_from((1, 2, 4, 8)), st.integers(0, 2**32 - 1))
+def test_each_path_alone_equals_its_row_of_the_lockstep_run(widths, coeffs, paths, m, seed):
+    # path 0 starts far above the threshold and path 1 in its last segment
+    # only, so steps mix rows and segments that keep and drop the drift;
+    # the kernel adds the drift to the kept rows and columns only, which
+    # each path run alone (P = 1) must see as the same bits
+    n = max(widths)
+    model = scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.CubicCoefficients(*coeffs),
+                               xi=scheme.initial_coefficients("bump", n))
+    d = scheme.DiscretizationParams(M=m, N=n)
+    rng = np.random.default_rng(seed)
+    dw = rng.standard_normal((paths, m, n)) * math.sqrt(model.T / m)
+    o0 = np.tile(model.xi_projected(n), (paths, 1))
+    cols, _ = scheme.lockstep_layout(widths, any(coeffs))
+    y0 = o0[:, cols]
+    y0[0, 0] = 5.0
+    y0[1, -widths[-1]] = 5.0
+    y, o, s = scheme.run_scheme(model, d, dw, start=(y0, o0), widths=widths)
+    for p in range(paths):
+        [yp], [op], [sp] = scheme.run_scheme(model, d, dw[p:p + 1], start=(y0[p], o0[p]),
+                                             widths=widths)
+        np.testing.assert_array_equal(_bits(yp), _bits(y[p]))
+        np.testing.assert_array_equal(_bits(op), _bits(o[p]))
+        np.testing.assert_array_equal(sp, s[p])
 
 
 def test_lockstep_segment_with_a_huge_state_warns_of_nothing():
