@@ -20,7 +20,8 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-_KEY_SALT = 0x9E3779B97F4A7C15  # decouples the 128-bit Philox key from small seeds
+# keeps the 128-bit Philox key apart from small seeds; 0x9E3779B97F4A7C15 as the
+_KEY_SALT = 0x9E3779B97F4A8000  # float64 it was always rounded to, so tapes keep their bits
 
 SUBSTREAM_INCREMENTS = 0
 SUBSTREAM_AUX = 1  # residual draws for the exact true-vs-discrete coupling
@@ -37,11 +38,11 @@ class NoiseTape:
 
     Fields
     ------
-    seed : master seed shared by a whole experiment
+    seed : master seed shared by a whole experiment, an integer in [0, 2^64)
     M_master, N_master : master resolution; every consumed (M, N) must satisfy
         M | M_master and N <= N_master
     T : time horizon; master step is T/M_master
-    path : sub-stream index of this sample path
+    path : sub-stream index of this sample path, an integer in [0, 2^64)
     """
 
     seed: int
@@ -51,13 +52,17 @@ class NoiseTape:
     path: int = 0
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2**64):
+        for name in ("seed", "M_master", "N_master", "path"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.M_master < 1 or self.N_master < 1:
             raise ValueError("master resolution must be at least (1, 1)")
         if not self.T > 0:
             raise ValueError(f"horizon T must be positive, got {self.T}")
-        if not (0 <= int(self.path) < 2**64):
+        if not (0 <= self.path < 2**64):
             raise ValueError(f"path index must fit in 64 bits, got {self.path}")
 
     @property
@@ -67,10 +72,9 @@ class NoiseTape:
     def _raw(self, substream: int, start: int, count: int) -> np.ndarray:
         """count raw 64-bit words from stream position `start`."""
         block, offset = divmod(start, 4)
-        bg = Philox(
-            counter=[block, substream, self.path, 0],
-            key=[self.seed, _KEY_SALT],
-        )
+        bg = Philox(  # as uint64 arrays: a list with a word past 2^63 would round as floats
+            counter=np.array([block, substream, self.path, 0], dtype=np.uint64),
+            key=np.array([self.seed, _KEY_SALT], dtype=np.uint64))
         return bg.random_raw(offset + count)[offset:]
 
     def normals(self, rows: int | None = None, cols: int | None = None,

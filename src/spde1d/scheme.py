@@ -161,11 +161,10 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     each step's linear update, square-and-weight pass and compare, and with
     a drift one project_F call on a spectral.GridLayout of the widths (each
     segment its own DST-I) and one phi1(h) scale.  That call takes the rows
-    that keep the drift in any segment.  On a step where some row or segment
-    drops the drift, each Y column takes its segment's indicator and one
-    masked add (np.add with where=) adds the drift to the kept columns of
-    those rows: a segment whose indicator is off is projected but its drift
-    is never read, and the overflow of its cube is silenced where it is made.
+    that keep the drift in any segment, and one masked add (np.add with
+    where=) adds the drift to their columns whose segment keeps it: a
+    segment whose indicator is off is projected but its drift is never
+    read, and the overflow of its cube is silenced where it is made.
 
     O steps as O_{m+1} = e^{hA}(O_m + Delta W_m), the exponential Euler OU.
     It is not exact in law: per mode its variance at T is the continuum
@@ -230,24 +229,14 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
         if drift_on:
             on = _keeps_drift(spectral.weighted_norm(weights_y, y, out=y_norm, segments=y_segs),
                               o_norm[m], thr, out=on_rows[m])
-            n_on = np.count_nonzero(on)
-            if n_on == on.size:  # every row keeps every segment's drift
-                drift = project_F(y, model.a, grids)
-                drift *= phi
-                y_next += drift
-            elif n_on:  # masked, never multiplied by a 0/1 mask: 0*inf would be NaN
-                keep = on.take(seg_of_col, axis=1)  # each Y column's indicator
-                kept = on.any(axis=1)  # the rows that keep the drift in any segment
-                every_row = np.count_nonzero(kept) == paths
+            kept = on.any(axis=1)  # the rows that keep the drift in any segment
+            if kept.any():  # a masked add, not a 0/1 product: 0*inf would be NaN
                 with np.errstate(over="ignore", invalid="ignore"):  # an off segment's cube
-                    drift = project_F(y if every_row else y[kept], model.a, grids)
+                    drift = project_F(y[kept], model.a, grids)
                 drift *= phi
-                if every_row:
-                    np.add(y_next, drift, out=y_next, where=keep)
-                else:  # the kept rows out and back
-                    rows = y_next[kept]
-                    np.add(rows, drift, out=rows, where=keep[kept])
-                    y_next[kept] = rows
+                rows = y_next[kept]  # out and back; each column takes its segment's indicator
+                np.add(rows, drift, out=rows, where=on[kept].take(seg_of_col, axis=1))
+                y_next[kept] = rows
     if not drift_on:  # every row in one pass, time-major, which reads contiguous rows
         on_rows = _keeps_drift(spectral.weighted_norm(weights_y, y_path[:-1], segments=y_segs),
                                o_norm, thr)

@@ -109,7 +109,7 @@ class GridLayout:
     Segment i holds widths[i] sine coefficients (columns `modes[i]` of a
     coefficient array) and their values at the grids[i] - 1 interior nodes
     (columns `views[i]` of a grid array of `points` columns).  `columns` is
-    the grid column of each coefficient column (a slice for one segment) and
+    the grid column of each coefficient column, an index array, and
     `scale` its inverse-transform factor sqrt(2)/(2G).  Grids default to
     default_grid; each needs G-1 >= its width.  Built once per run: every
     call of to_grid, from_grid and nonlinearity.project_F on it then takes
@@ -133,9 +133,8 @@ class GridLayout:
         starts = np.cumsum((0,) + tuple(g - 1 for g in self.grids))
         self.views = [slice(s, s + g - 1) for s, g in zip(starts, self.grids)]
         self.points = int(starts[-1])
-        self.columns = (slice(self.widths[0]) if len(self.widths) == 1 else
-                        np.concatenate([np.arange(v.start, v.start + n)
-                                        for v, n in zip(self.views, self.widths)]))
+        self.columns = np.concatenate([np.arange(v.start, v.start + n)
+                                       for v, n in zip(self.views, self.widths)])
         self.scale = np.concatenate([np.full(n, SQRT2 / (2.0 * g))
                                      for n, g in zip(self.widths, self.grids)])
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spde1d import heat_errors, noise, nonlinearity, scheme, spectral
 
@@ -34,6 +35,20 @@ def test_tape_validation():
         small_tape(M_master=0)
     with pytest.raises(ValueError):
         small_tape(T=0.0)
+    # a non-integral index would be truncated to another tape's; a bool is
+    # not an integer, a numpy integer is
+    for bad in (dict(seed=1.5), dict(seed=True), dict(seed=np.float64(3.0)), dict(path=2.7),
+                dict(path=False), dict(M_master=4.0), dict(N_master=5.0), dict(N_master=True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            small_tape(**bad)
+    np.testing.assert_array_equal(small_tape(seed=np.uint64(42), path=np.int32(0),
+                                             M_master=np.int64(8)).increments(8, 5),
+                                  small_tape().increments(8, 5))
+    # every 64-bit seed and path is its own tape, also past 2^53 and 2^63
+    for big in (2**60, 2**64 - 2):
+        for field in ("seed", "path"):
+            assert not np.array_equal(small_tape(**{field: big}).increments(8, 5),
+                                      small_tape(**{field: big + 1}).increments(8, 5))
 
 
 def test_identical_tapes_reproduce_bitwise():
@@ -83,16 +98,32 @@ def test_coarsening_keeps_leading_path_axis():
     assert noise.coarsen_increments(blocks, 8) is blocks  # nothing to sum
 
 
-def test_coarsening_of_two_or_more_modes_is_a_prefix_of_a_wider_one():
+@st.composite
+def _coarsening_cases(draw):
+    modes = draw(st.integers(2, 40))
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 17)), draw(st.integers(1, 9)), modes)
+    return shape, draw(st.lists(st.integers(2, modes), min_size=1, max_size=3))
+
+
+_PREFIXES = (2, 3, 7, 8, 64, 127)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_coarsening_cases(), st.integers(0, 2**32 - 1))
+@example(((1, 16, 4, 128), _PREFIXES), 8)
+@example(((3, 9, 1, 128), _PREFIXES), 8)
+@example(((64, 128, 1, 128), _PREFIXES), 8)
+@example(((64, 2, 8, 128), _PREFIXES), 8)
+def test_coarsening_of_two_or_more_modes_is_a_prefix_of_a_wider_one(case, seed):
     # zero-drift studies read N >= 2 from a run at a wider N on the strength of
-    # this; one mode is summed in another order by numpy and steps on its own
-    rng = np.random.default_rng(8)
-    for paths, group, steps in [(1, 16, 4), (3, 9, 1), (64, 128, 1), (64, 2, 8)]:
-        master = rng.standard_normal((paths, group * steps, 128))
-        wide = noise.coarsen_increments(master, steps)
-        for n in (2, 3, 7, 8, 64, 127):
-            np.testing.assert_array_equal(noise.coarsen_increments(master[..., :n], steps),
-                                          wide[..., :n])
+    # this; one mode is summed in another order by numpy and steps on its own.
+    # Shapes are (paths, group, steps, modes); each n >= 2 is a prefix width
+    (paths, group, steps, modes), prefixes = case
+    master = np.random.default_rng(seed).standard_normal((paths, group * steps, modes))
+    wide = noise.coarsen_increments(master, steps)
+    for n in prefixes:
+        np.testing.assert_array_equal(noise.coarsen_increments(master[..., :n], steps),
+                                      wide[..., :n])
 
 
 def test_substreams_are_distinct():

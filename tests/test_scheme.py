@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -411,9 +412,13 @@ def _lockstep_cases(draw):
 @given(_lockstep_cases(), st.sampled_from(_DRIFTS), st.integers(0, 2**32 - 1))
 def test_lockstep_run_resumed_anywhere_equals_each_width_alone(case, coeffs, seed):
     # widths a multiset of [1, N], N their maximum, their sum or more; path
-    # 0 starts far above the threshold, so steps mix kept and dropped drift.
-    # The run split at `cut` through `start` equals the unsplit run, and each
-    # width's columns equal a run at that width alone, bit for bit
+    # 0 starts far above the threshold, and with a drift path 1 in its last
+    # segment only, so steps mix kept and dropped drift across rows and
+    # segments.  The run split at `cut` through `start` equals the unsplit
+    # run, and each width's columns equal a run at that width alone and the
+    # stepwise oracle, bit for bit.  With a drift, the unsplit run projects
+    # once per step that keeps any drift, exactly the rows that the oracle
+    # keeps in some segment
     widths, n, m, cut, paths = case
     model = scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.CubicCoefficients(*coeffs),
                                xi=scheme.initial_coefficients("bump", n))
@@ -424,23 +429,34 @@ def test_lockstep_run_resumed_anywhere_equals_each_width_alone(case, coeffs, see
     y0 = np.tile(model.xi_projected(n), (paths, 1))
     y0[0, 0] = 5.0
     o0 = y0.copy()
+    starts = [y0[:, :w].copy() for w in widths]  # each width's own Y_0
+    if drift and paths > 1:
+        starts[-1][1, 0] = 5.0
     ends = np.cumsum(widths)
     columns = [slice(e - w, e) if drift else slice(w) for w, e in zip(widths, ends)]
-    y_start = np.concatenate([y0[:, :w] for w in widths], axis=1) if drift \
-        else y0[:, :max(widths)]
-    y, o, s = scheme.run_scheme(model, d, dw, start=(y_start, o0), widths=widths)
+    y_start = np.concatenate(starts, axis=1) if drift else y0[:, :max(widths)]
+    with mock.patch.object(scheme, "project_F", wraps=scheme.project_F) as projected:
+        y, o, s = scheme.run_scheme(model, d, dw, start=(y_start, o0), widths=widths)
     y1, o1, s1 = scheme.run_scheme(model, d, dw[:, :cut], start=(y_start, o0), widths=widths)
     y2, o2, s2 = scheme.run_scheme(model, d, dw[:, cut:], start=(y1[:, -1], o1[:, -1]),
                                    widths=widths)
     np.testing.assert_array_equal(_bits(np.concatenate([y1, y2[:, 1:]], axis=1)), _bits(y))
     np.testing.assert_array_equal(_bits(np.concatenate([o1, o2[:, 1:]], axis=1)), _bits(o))
     np.testing.assert_array_equal(s1 + s2, s)
+    kept = np.zeros((m, paths), dtype=bool)  # the oracle's rows that keep any drift
     for r, w in enumerate(widths):
-        dn = scheme.DiscretizationParams(M=m, N=w)
-        ya, oa, sa = scheme.run_scheme(model, dn, dw[..., :w], start=(y0[:, :w], o0[:, :w]))
-        np.testing.assert_array_equal(_bits(y[..., columns[r]]), _bits(ya))
-        np.testing.assert_array_equal(_bits(o[..., :w]), _bits(oa))
-        np.testing.assert_array_equal(s[:, r], sa)
+        dn, start = scheme.DiscretizationParams(M=m, N=w), (starts[r], o0[:, :w])
+        alone = scheme.run_scheme(model, dn, dw[..., :w], start=start)
+        ys, os_, sup, on = run_scheme_stepwise(model, dn, dw[..., :w], start=start)
+        kept |= on
+        for ref_y, ref_o, ref_s in (alone, (ys, os_, sup)):
+            np.testing.assert_array_equal(_bits(y[..., columns[r]]), _bits(ref_y))
+            np.testing.assert_array_equal(_bits(o[..., :w]), _bits(ref_o))
+            np.testing.assert_array_equal(s[:, r], ref_s)
+    steps = np.flatnonzero(kept.any(axis=1)) if drift else []
+    assert projected.call_count == len(steps)
+    for call, k in zip(projected.call_args_list, steps):
+        np.testing.assert_array_equal(_bits(call.args[0]), _bits(y[kept[k], k]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
