@@ -152,21 +152,21 @@ def _check_reference_ratios(cfg: StudyConfig, targets) -> None:
 
 def _path_batch(job):
     """Moments of one batch of paths: per target, the path count, the sum
-    of a per-path sample and its M2 (see noise.sum_and_m2), plus truncation
-    counts.
+    of its samples and their M2 (see noise.sum_and_m2), and truncation counts.
 
     All paths of the batch step together through the master grid, one time
     block at a time.  A block is the least common multiple of the master
     steps per step of every run of the plan (on power-of-two grids, one
     step of the coarsest), so each run takes whole steps inside
     it and memory grows with the block, not with M_master.  Per block the
-    paths draw their master increments for those rows only.  A coupled
-    study (targets keyed (kind, M, N)) also advances the reference and
-    samples the squared H distance to it at each target grid time; a cell
-    run (targets keyed (M, N)) samples ||Y_T||_{H_gamma}^p at the end, the
-    power of spectral.hr_norm, the norm of the taming indicator.  Samples
-    are added path by path in path order, so the sums have the bits of
-    stepping one path at a time.
+    paths draw their master increments for those rows only.  The key of a
+    target says what it samples into its one (paths, columns) float array:
+    a (kind, M, N) target the squared H distance to the reference at each of
+    its grid times, so the reference joins the plan when any target is
+    keyed so; an (M, N) cell ||Y_T||_{H_gamma}^p in one column, the power of
+    spectral.hr_norm, the norm of the taming indicator.  Samples are added
+    path by path in path order, so the sums have the bits of stepping one
+    path at a time.
 
     The plan, made once per batch, maps each stepped run (M, widths) to the
     resolutions (M, N) it serves and their columns of the run's Y, the
@@ -177,10 +177,10 @@ def _path_batch(job):
     drift.  N = 1 steps alone: numpy sums a group of one-mode rows pairwise,
     not row by row, so its coarsened increments are not a prefix.
     """
-    cfg, targets, coupled, start, stop = job
+    cfg, targets, start, stop = job
     tapes = [NoiseTape(seed=cfg.seed, M_master=cfg.m_master, N_master=cfg.n_master,
                        T=cfg.model.T, path=path) for path in range(start, stop)]
-    by_resolution = {(cfg.m_ref, cfg.n_ref): []} if coupled else {}  # reference first
+    by_resolution = {(cfg.m_ref, cfg.n_ref): []} if any(len(t) == 3 for t in targets) else {}
     for target in targets:
         by_resolution.setdefault(target[-2:], []).append(target)
     plan = {}  # (M, N == 1) -> {(M, N): targets}
@@ -193,19 +193,20 @@ def _path_batch(job):
         xi = cfg.model.xi_projected(max(widths))
         runs[(M, widths)], states[(M, widths)] = (readers, segs), (xi[cols], xi)
     block = math.lcm(*(cfg.m_master // M for M, _ in runs))
+    columns = {t: t[-2] + 1 if len(t) == 3 else 1 for t in targets}  # grid times, or T
     # before allocating: each target's samples, and per block the master
     # increments, a tape's raw rows, and a run's Y (at most sum(widths) columns)
     heat_errors._check_values(float(len(tapes)) * max(
         (block + 1) * max(cfg.n_master, *(sum(widths) for _, widths in runs)),
-        *(t[-2] + 1 for t in targets)), f"a batch of {len(tapes)} paths")
+        *columns.values()), f"a batch of {len(tapes)} paths")
     suppressed = dict.fromkeys(by_resolution, 0)
-    samples = {t: np.empty((len(tapes), t[-2] + 1)) if coupled else None for t in targets}
+    samples = {t: np.empty((len(tapes), c)) for t, c in columns.items()}
 
     master = np.empty((len(tapes), block, max(max(widths) for _, widths in runs)))
     for first in range(0, cfg.m_master, block):
         for p, tape in enumerate(tapes):
             master[p] = tape.master_increments(master.shape[2], rows=(first, first + block))
-        _step_block(cfg, coupled, runs, master, first, states, suppressed, samples, start)
+        _step_block(cfg, runs, master, first, states, suppressed, samples, start)
 
     acc = {}
     for target in targets:
@@ -217,13 +218,16 @@ def _path_batch(job):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finite checks report these
-def _step_block(cfg: StudyConfig, coupled: bool, runs, master, first: int,
-                states, suppressed, samples, first_path: int) -> None:
+def _step_block(cfg: StudyConfig, runs, master, first: int, states, suppressed, samples,
+                first_path: int) -> None:
     """Advance each run of the plan through one block of master increments
     (paths, rows, modes) from master step `first`, carry its state on, and
     let each resolution it serves, in target order, read its columns of the
-    run's Y rows: finite check, suppressed count and samples."""
+    run's Y rows: its finite check and suppressed count, then the samples
+    each of its targets takes in this block (see _path_batch), which take
+    one finite check, of their squares, and one store into their columns."""
     block = master.shape[1]
+    reference = (cfg.m_ref, cfg.n_ref) if any(len(t) == 3 for t in samples) else None
     for (M, widths), (readers, segs) in runs.items():
         group = cfg.m_master // M
         steps = block // group
@@ -234,27 +238,27 @@ def _step_block(cfg: StudyConfig, coupled: bool, runs, master, first: int,
         finite_y, finite_o = np.isfinite(y).all(axis=1), np.isfinite(o).all(axis=1)
         del o  # before the samples and the next run allocate
         for r, ((_, N), members) in enumerate(readers.items()):
-            is_reference = coupled and (M, N) == (cfg.m_ref, cfg.n_ref)
             _require_finite(finite_y[:, segs[r]].all(axis=1) & finite_o[:, :N].all(axis=1),
-                            "state of " + ("reference" if is_reference else _name(members[0])),
-                            first_path)
+                            "state of " + ("reference" if (M, N) == reference
+                                           else _name(members[0])), first_path)
             suppressed[(M, N)] += off[:, r]
             y_n = y[..., segs[r]]
-            if is_reference:
+            if (M, N) == reference:
                 y_ref = y_n
             for target in members:
-                if coupled:
+                if len(target) == 3:  # the target's grid times in this block
                     diff = y_ref[:, :: cfg.m_ref // M].copy()
                     diff[..., :N] -= y_n
-                    rows = np.einsum("pij,pij->pi", diff, diff)
-                    _require_finite(np.isfinite(rows * rows).all(axis=1),  # squares feed m2
-                                    f"squared-distance sample of {_name(target)}", first_path)
-                    samples[target][:, first // group:first // group + steps + 1] = rows
-                elif first + block == cfg.m_master:
-                    samples[target] = (spectral.hr_norm(y_n[:, -1], cfg.gamma, cfg.model.nu)
-                                       ** cfg.moment_p).tolist()
-                    _require_finite(np.isfinite(np.square(samples[target])),
-                                    f"moment sample of {_name(target)}", first_path)
+                    what, col = "squared-distance", first // group
+                    values = np.einsum("pij,pij->pi", diff, diff)
+                elif first + block < cfg.m_master:
+                    continue  # a cell samples at T only
+                else:
+                    what, col = "moment", 0
+                    values = spectral.hr_norm(y_n[:, -1:], cfg.gamma, cfg.model.nu) ** cfg.moment_p
+                _require_finite(np.isfinite(values * values).all(axis=1),  # squares feed m2
+                                f"{what} sample of {_name(target)}", first_path)
+                samples[target][:, col:col + values.shape[1]] = values
 
 
 def _name(target) -> str:
@@ -269,19 +273,21 @@ def _require_finite(finite_per_path, what: str, first_path: int) -> None:
         raise ValueError(f"non-finite {what} on path {path}")
 
 
-def _accumulate(cfg: StudyConfig, targets, coupled: bool):
+def _accumulate(cfg: StudyConfig, targets):
     """Run every path batch, on up to cfg.threads worker processes but never
     more than there are batches, and merge the batch moments in batch order,
     so the totals do not depend on the number of workers."""
     targets = list(dict.fromkeys(targets))  # a repeated target is sampled once
-    # every block must hold whole steps of each target, and a coupled
+    if not targets:
+        return {}  # no target, no batch
+    # every block must hold whole steps of each target, and a (kind, M, N)
     # target's grid times must be reference grid times
-    m_max, n_max = (cfg.m_ref, cfg.n_ref) if coupled else (cfg.m_master, cfg.n_master)
-    for *_, M, N in targets:
+    for *kind, M, N in targets:
+        m_max, n_max = (cfg.m_ref, cfg.n_ref) if kind else (cfg.m_master, cfg.n_master)
         if not (M >= 1 and m_max % M == 0 and 1 <= N <= n_max):
             raise ValueError(f"target M={M}, N={N} needs M dividing {m_max} "
                              f"and N in [1, {n_max}]")
-    jobs = [(cfg, targets, coupled, s, min(s + BATCH_PATHS, cfg.paths))
+    jobs = [(cfg, targets, s, min(s + BATCH_PATHS, cfg.paths))
             for s in range(0, cfg.paths, BATCH_PATHS)]
     if cfg.threads <= 1 or len(jobs) == 1:
         parts = [_path_batch(job) for job in jobs]
@@ -302,10 +308,11 @@ def _activation(a) -> float:
     return a["suppressed"] / a["steps"]
 
 
-def _estimate(a) -> tuple[float, float, float]:
-    """Strong error at the grid time of largest mean squared error."""
-    m_star = int(np.argmax(a["sum"] / a["paths"]))
-    est, se = mean_stderr(a["sum"][m_star], a["m2"][m_star], a["paths"], root=True)
+def _estimate(a, root: bool = True) -> tuple[float, float, float]:
+    """Mean, stderr and activation fraction at the sample column of largest mean:
+    a cell's moment, or (root) a strong error at its worst grid time."""
+    col = int(np.argmax(a["sum"] / a["paths"]))
+    est, se = mean_stderr(float(a["sum"][col]), float(a["m2"][col]), a["paths"], root)
     return est, se, _activation(a)
 
 
@@ -330,30 +337,25 @@ def run_convergence_study(cfg: StudyConfig):
             raise ValueError(
                 f"{name} needs at least 3 distinct values to fit a rate{other}: {list(grid)}")
     T, nu = cfg.model.T, cfg.model.nu
-    temporal_targets = [("temporal", M, cfg.n_ref) for M in cfg.m_grid]
-    spatial_targets = [("spatial", cfg.m_ref, N) for N in cfg.n_grid]
+    targets = [("temporal", M, cfg.n_ref) for M in cfg.m_grid] \
+        + [("spatial", cfg.m_ref, N) for N in cfg.n_grid]
 
     if cfg.exact:
         reports, _ = heat_errors.error_table([*cfg.m_grid, cfg.m_ref],
                                              [*cfg.n_grid, cfg.n_ref], T, nu)
         exact = {(r.kind, r.M, r.N): r.exact for r in reports}
         rows = [ErrorTableRow(kind, M, N, exact[("full", M, N)], 0.0, math.nan, 0, cfg.seed)
-                for kind, M, N in temporal_targets + spatial_targets]
+                for kind, M, N in targets]
         axes = {"temporal": {M: exact[("temporal", M, cfg.n_ref)] for M in cfg.m_grid},
                 "spatial": {N: exact[("spatial", cfg.m_ref, N)] for N in cfg.n_grid}}
-        return rows, {axis: heat_errors.fit_rate(pts) for axis, pts in axes.items()}
-
-    targets = temporal_targets + spatial_targets
-    _check_reference_ratios(cfg, targets)
-    acc = _accumulate(cfg, targets, True)
-    rows = [ErrorTableRow(kind, M, N, *_estimate(acc[(kind, M, N)]),
-                          cfg.paths, cfg.seed) for kind, M, N in targets]
-    fits = {}
-    for axis, resolution_of in (("temporal", lambda r: r.M), ("spatial", lambda r: r.N)):
-        pts = {resolution_of(r): r.estimate for r in rows
-               if r.kind == axis and r.estimate > 0}
-        fits[axis] = heat_errors.fit_rate(pts)
-    return rows, fits
+    else:
+        _check_reference_ratios(cfg, targets)
+        acc = _accumulate(cfg, targets)
+        rows = [ErrorTableRow(kind, M, N, *_estimate(acc[(kind, M, N)]),
+                              cfg.paths, cfg.seed) for kind, M, N in targets]
+        axes = {axis: {r.M if axis == "temporal" else r.N: r.estimate for r in rows
+                       if r.kind == axis and r.estimate > 0} for axis in ("temporal", "spatial")}
+    return rows, {axis: heat_errors.fit_rate(pts) for axis, pts in axes.items()}
 
 
 def fits_json(fits: dict) -> str:
@@ -384,12 +386,8 @@ def moment_audit(cfg: StudyConfig):
     a scale-free proxy for 'the moments do not blow up with resolution'.
     """
     cells = [(M, N) for M in cfg.m_grid for N in cfg.n_grid]
-    acc = _accumulate(cfg, cells, False)
-    rows = []
-    for M, N in cells:
-        a = acc[(M, N)]
-        rows.append(MomentRow(M, N, *mean_stderr(a["sum"], a["m2"], a["paths"]),
-                              _activation(a)))
+    acc = _accumulate(cfg, cells)
+    rows = [MomentRow(M, N, *_estimate(acc[(M, N)], root=False)) for M, N in cells]
     median = float(np.median([r.estimate for r in rows]))
     flagged = any(
         r.estimate > 3.0 * median + 3.0 * r.stderr
@@ -400,5 +398,5 @@ def moment_audit(cfg: StudyConfig):
 
 def activation_fractions(cfg: StudyConfig, cells):
     """Drift-suppression fraction per (M, N) cell, [(M, N, fraction), ...]."""
-    acc = _accumulate(cfg, list(cells), False)
+    acc = _accumulate(cfg, cells)
     return [(M, N, _activation(acc[(M, N)])) for M, N in cells]

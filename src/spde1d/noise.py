@@ -60,8 +60,8 @@ class NoiseTape:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.M_master < 1 or self.N_master < 1:
             raise ValueError("master resolution must be at least (1, 1)")
-        if not self.T > 0:
-            raise ValueError(f"horizon T must be positive, got {self.T}")
+        if not (self.T > 0 and math.isfinite(self.T)):
+            raise ValueError(f"horizon T must be positive and finite, got {self.T}")
         if not (0 <= self.path < 2**64):
             raise ValueError(f"path index must fit in 64 bits, got {self.path}")
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spde1d import experiments as ex
 from spde1d import heat_errors, noise, nonlinearity, scheme, spectral
@@ -28,7 +29,7 @@ def small_cfg(**kw):
 def strong_error(cfg, M, N):
     """(estimate, stderr, activation_fraction) of one target, with no reference-ratio guard."""
     target = ("single", M, N)
-    return ex._estimate(ex._accumulate(cfg, [target], True)[target])
+    return ex._estimate(ex._accumulate(cfg, [target])[target])
 
 
 def test_config_validation():
@@ -123,6 +124,41 @@ def test_threads_are_capped_at_the_number_of_path_batches(monkeypatch):
     monkeypatch.setattr(ex, "ProcessPoolExecutor", FakePool)
     ex.run_convergence_study(small_cfg(paths=3 * ex.BATCH_PATHS, threads=100_000))
     assert seen and set(seen) == {3}
+
+
+_M_DIVIDING_16 = st.sampled_from((1, 2, 4, 8, 16))
+_TARGETS = st.one_of(st.tuples(st.sampled_from(("temporal", "spatial")), _M_DIVIDING_16,
+                               st.integers(1, 4)),
+                     st.tuples(_M_DIVIDING_16, st.integers(1, 4)))
+_MODELS = (ou_model(4), scheme.allen_cahn_model(n_xi_modes=4),
+           scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.CubicCoefficients(1, 2, 3, -4),
+                              xi=scheme.initial_coefficients("bump", 4)))
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, ex.BATCH_PATHS), st.lists(_TARGETS, min_size=1,
+       max_size=4), st.sampled_from(_MODELS), st.integers(0, 2**32 - 1))
+def test_accumulate_totals_do_not_depend_on_the_thread_count(batches, last, targets, model,
+                                                             seed):
+    # one to three path batches, the last one partial or full; (kind, M, N)
+    # targets and (M, N) cells in any mix: the totals merged from 2 or 3
+    # worker processes equal the serial ones bit for bit
+    cfg = ex.StudyConfig(model=model, m_grid=(16,), n_grid=(4,), m_ref=16, n_ref=4,
+                         paths=(batches - 1) * ex.BATCH_PATHS + last, seed=seed)
+    serial = ex._accumulate(cfg, targets)
+    for threads in (2, 3):
+        pooled = ex._accumulate(replace(cfg, threads=threads), targets)
+        assert pooled.keys() == serial.keys()
+        for target in serial:
+            _assert_same_moments(pooled[target], serial[target])
+
+
+def test_no_target_runs_no_batch(monkeypatch):
+    def never(job):
+        raise AssertionError("a path batch ran")
+    monkeypatch.setattr(ex, "_path_batch", never)
+    assert ex._accumulate(small_cfg(), []) == {}
+    assert ex.activation_fractions(small_cfg(), []) == []
 
 
 def test_exact_mode_study():
@@ -285,7 +321,7 @@ def test_traced_layers_are_reached_once_per_drift_step(monkeypatch):
     shim(spectral, "from_grid")
     cfg = small_cfg(model=scheme.allen_cahn_model(n_xi_modes=16), paths=6)
     targets = [(16, 8), (32, 16), (128, 4)]
-    acc = ex._accumulate(cfg, targets, False)
+    acc = ex._accumulate(cfg, targets)
     steps = sum(acc[t]["steps"] for t in targets)
     kept = steps - sum(acc[t]["suppressed"] for t in targets)
     assert 0 < kept < steps  # the indicator switched the drift both ways
@@ -303,7 +339,7 @@ def _criterion_7_peak_bytes(model):
         + [("spatial", 2048, N) for N in cfg.n_grid]
     tracemalloc.start()
     try:
-        ex._accumulate(cfg, targets, True)
+        ex._accumulate(cfg, targets)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -364,22 +400,22 @@ def test_zero_drift_study_steps_shared_and_alone_give_the_same_moments():
     cfg = _zero_drift_cfg()
     targets = [("temporal", M, cfg.n_ref) for M in cfg.m_grid] \
         + [("spatial", cfg.m_ref, N) for N in cfg.n_grid]
-    shared = ex._accumulate(cfg, targets, True)
+    shared = ex._accumulate(cfg, targets)
     for target in targets:
-        _assert_same_moments(shared[target], ex._accumulate(cfg, [target], True)[target])
+        _assert_same_moments(shared[target], ex._accumulate(cfg, [target])[target])
     # a cell run of one (M, N) steps that N on its own
     for _, M, N in targets[len(cfg.m_grid):]:
         assert shared[("spatial", M, N)]["suppressed"] \
-            == ex._accumulate(cfg, [(M, N)], False)[(M, N)]["suppressed"]
+            == ex._accumulate(cfg, [(M, N)])[(M, N)]["suppressed"]
     assert len({shared[t]["suppressed"] for t in targets}) > 2
 
 
 def test_zero_drift_cells_at_one_m_equal_each_cell_alone():
     cfg = _zero_drift_cfg(m_grid=(16,), n_grid=(1, 8, 16))
     cells = [(16, 8), (16, 16), (16, 1)]  # the widest N is not first
-    shared = ex._accumulate(cfg, cells, False)
+    shared = ex._accumulate(cfg, cells)
     for cell in cells:
-        _assert_same_moments(shared[cell], ex._accumulate(cfg, [cell], False)[cell])
+        _assert_same_moments(shared[cell], ex._accumulate(cfg, [cell])[cell])
     # N = 8 is read from the run at N = 16, and its own count differs
     assert shared[(16, 8)]["suppressed"] != shared[(16, 16)]["suppressed"]
     rows, _ = ex.moment_audit(cfg)

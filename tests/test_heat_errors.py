@@ -299,6 +299,19 @@ _SCALE = st.floats(0.25, 4.0)
 @given(st.lists(_M, min_size=1, max_size=4), st.lists(_N, min_size=1, max_size=5),
        _SCALE, _SCALE)
 def test_error_reports_equal_the_per_cell_functions(m_grid, n_grid, T, nu):
+    _assert_rows_equal_the_per_cell_functions(m_grid, n_grid, T, nu)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 4096), min_size=1, max_size=4),
+       st.lists(st.one_of(st.integers(1, 512), st.just("all")), min_size=1, max_size=5),
+       st.sampled_from((0.5, 1.0, 2.0)), st.sampled_from((0.5, 1.0, 2.0)))
+def test_error_table_rows_equal_the_per_cell_functions_on_drawn_grids(m_grid, n_grid, T, nu):
+    # the same identity on the grids users run, drawn the same way on every run
+    _assert_rows_equal_the_per_cell_functions(m_grid, n_grid, T, nu)
+
+
+def _assert_rows_equal_the_per_cell_functions(m_grid, n_grid, T, nu):
     m_grid, n_grid = m_grid + m_grid[:1], n_grid + n_grid[:1]  # a repeat on each axis
     rows, text = he.error_table(m_grid, n_grid, T, nu)
     assert text.splitlines() == [he.REPORT_HEADER, *(

@@ -35,6 +35,9 @@ def test_tape_validation():
         small_tape(M_master=0)
     with pytest.raises(ValueError):
         small_tape(T=0.0)
+    for bad in (math.inf, -math.inf, math.nan):  # as ModelParams: increments would be +-inf
+        with pytest.raises(ValueError, match="horizon T must be positive and finite"):
+            small_tape(T=bad)
     # a non-integral index would be truncated to another tape's; a bool is
     # not an integer, a numpy integer is
     for bad in (dict(seed=1.5), dict(seed=True), dict(seed=np.float64(3.0)), dict(path=2.7),
