@@ -64,26 +64,28 @@ class StudyConfig:
     moment_p: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "m_grid", tuple(int(m) for m in self.m_grid))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        def count(value, name: str, least: int = 1) -> int:  # a bool is not a count
+            return heat_errors._int_at_least(value, f"{name} must be an integer >= {least}", least)
+        for name in ("m_grid", "n_grid"):
+            object.__setattr__(self, name, tuple(count(v, name + " entries")
+                                                 for v in getattr(self, name)))
+        for name, least in (("m_ref", 1), ("n_ref", 1), ("paths", 1), ("seed", 0),
+                            ("m_master", 0), ("n_master", 0), ("threads", 1), ("moment_p", 1)):
+            object.__setattr__(self, name, count(getattr(self, name), name, least))
         if not self.m_grid or not self.n_grid:
             raise ValueError("m_grid and n_grid must be nonempty")
         if self.m_master == 0:
-            object.__setattr__(self, "m_master", int(self.m_ref))
+            object.__setattr__(self, "m_master", self.m_ref)
         if self.n_master == 0:
-            object.__setattr__(self, "n_master", int(self.n_ref))
+            object.__setattr__(self, "n_master", self.n_ref)
         for m in (*self.m_grid, self.m_ref):
-            if m < 1 or self.m_master % m != 0:
+            if self.m_master % m != 0:
                 raise ValueError(f"M={m} must divide the master step count {self.m_master}")
         for n in self.n_grid:
-            if not (1 <= n <= self.n_ref):
+            if n > self.n_ref:
                 raise ValueError(f"N={n} must lie in [1, N_ref={self.n_ref}]")
-        if not (1 <= self.n_ref <= self.n_master):
+        if self.n_ref > self.n_master:
             raise ValueError(f"need N_ref <= N_master, got {self.n_ref} vs {self.n_master}")
-        if self.paths < 1:
-            raise ValueError(f"need at least one path, got {self.paths}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.moment_p not in (2, 4, 8):
             raise ValueError(f"moment_p must be one of 2, 4, 8, got {self.moment_p}")
         if self.exact and any(v != 0 for v in self.model.a.as_tuple()):
@@ -168,26 +170,21 @@ def _path_batch(job):
     path by path in path order, so the sums have the bits of stepping one
     path at a time.
 
-    The plan, made once per batch, maps each stepped run (M, widths) to the
-    resolutions (M, N) it serves and their columns of the run's Y, the
-    reference's run first: every N >= 2 of one M is a width of one run, in
-    target order after the reference, and the run steps at its widest N
-    (see run_scheme).  The kernel lays Y out (scheme.lockstep_layout), so
-    every reader reads its own columns and suppressed count whatever the
-    drift.  N = 1 steps alone: numpy sums a group of one-mode rows pairwise,
-    not row by row, so its coarsened increments are not a prefix.
+    The plan, made once per batch, maps each M to the resolutions (M, N)
+    its one run serves, the reference's first: every N of one M is a width
+    of that run, in target order after the reference, and the run steps at
+    its widest N (see run_scheme).  The kernel lays Y out
+    (scheme.lockstep_layout), so every reader reads its own columns and
+    suppressed count whatever the drift.
     """
     cfg, targets, start, stop = job
     tapes = [NoiseTape(seed=cfg.seed, M_master=cfg.m_master, N_master=cfg.n_master,
                        T=cfg.model.T, path=path) for path in range(start, stop)]
-    by_resolution = {(cfg.m_ref, cfg.n_ref): []} if any(len(t) == 3 for t in targets) else {}
-    for target in targets:
-        by_resolution.setdefault(target[-2:], []).append(target)
-    plan = {}  # (M, N == 1) -> {(M, N): targets}
-    for (M, N), members in by_resolution.items():
-        plan.setdefault((M, N == 1), {})[(M, N)] = members
+    plan = {cfg.m_ref: {(cfg.m_ref, cfg.n_ref): []}} if any(len(t) == 3 for t in targets) else {}
+    for target in targets:  # M -> {(M, N): targets}
+        plan.setdefault(target[-2], {}).setdefault(target[-2:], []).append(target)
     runs, states = {}, {}  # (M, widths) -> (readers, their Y columns); the carried (Y, O)
-    for (M, _), readers in plan.items():
+    for M, readers in plan.items():
         widths = tuple(N for _, N in readers)
         cols, segs = lockstep_layout(widths, any(cfg.model.a.as_tuple()))
         xi = cfg.model.xi_projected(max(widths))
@@ -199,7 +196,7 @@ def _path_batch(job):
     heat_errors._check_values(float(len(tapes)) * max(
         (block + 1) * max(cfg.n_master, *(sum(widths) for _, widths in runs)),
         *columns.values()), f"a batch of {len(tapes)} paths")
-    suppressed = dict.fromkeys(by_resolution, 0)
+    suppressed = {resolution: 0 for readers in plan.values() for resolution in readers}
     samples = {t: np.empty((len(tapes), c)) for t, c in columns.items()}
 
     master = np.empty((len(tapes), block, max(max(widths) for _, widths in runs)))

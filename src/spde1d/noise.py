@@ -89,9 +89,9 @@ class NoiseTape:
     def _block(self, substream: int, first: int, stop: int, cols: int | None) -> np.ndarray:
         """Normals of rows first..stop-1 and the leading cols columns."""
         cols = self.N_master if cols is None else cols
-        if not 0 <= first <= stop <= self.M_master or cols > self.N_master:
+        if not (0 <= first <= stop <= self.M_master and 0 <= cols <= self.N_master):
             raise ValueError(
-                f"requested rows [{first},{stop}) x {cols} columns exceed master "
+                f"requested rows [{first},{stop}) x {cols} columns lie outside master "
                 f"({self.M_master},{self.N_master})"
             )
         raw = self._raw(substream, first * self.N_master, (stop - first) * self.N_master)
@@ -122,24 +122,27 @@ class NoiseTape:
         Coarse step j is the in-order group sum of master increments; the
         result is a deterministic function of the tape identity alone.
         """
-        if self.M_master % n_steps != 0:
-            raise ValueError(
-                f"n_steps must divide M_master, got {n_steps} vs {self.M_master}"
-            )
         return coarsen_increments(self.master_increments(n_modes), n_steps)
 
 
 def coarsen_increments(master: np.ndarray, n_steps: int) -> np.ndarray:
     """Group-sum master-resolution increments (..., m_master, n_modes) down to
     n_steps rows; leading axes (paths) are kept.  With n_steps = m_master
-    there is nothing to sum and the input itself is returned."""
+    there is nothing to sum and the input itself is returned.  Every group
+    is summed row by row, so coarsening the first n modes gives the first n
+    modes of a wider coarsening: numpy sums the group axis so for two or
+    more modes, but a lone mode's pairwise, so one mode takes a running sum."""
     *lead, m_master, n_modes = master.shape
-    if m_master % n_steps != 0:
-        raise ValueError(f"{n_steps} does not divide master step count {m_master}")
+    if not (n_steps >= 1 and m_master % n_steps == 0):
+        raise ValueError(f"n_steps must be a positive divisor of the master step count "
+                         f"{m_master}, got {n_steps}")
     group = m_master // n_steps
     if group == 1:
         return master
-    return master.reshape(*lead, n_steps, group, n_modes).sum(axis=-2)
+    grouped = master.reshape(*lead, n_steps, group, n_modes)
+    if n_modes == 1:
+        return np.add.accumulate(grouped, axis=-2)[..., -1, :]
+    return grouped.sum(axis=-2)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,20 @@ def test_config_validation():
         small_cfg(moment_p=3)
     with pytest.raises(ValueError):
         small_cfg(model=scheme.allen_cahn_model(), exact=True)
+    # every count is an integer, never rounded to one; a bool is not a count
+    for bad in (dict(m_grid=(4.7, 8, 16)), dict(m_grid=("4", 8, 16)), dict(n_grid=(2, 4.5)),
+                dict(paths=True), dict(paths=2.5), dict(threads=1.5), dict(threads=0),
+                dict(m_ref=128.5), dict(n_ref="16"), dict(seed=-1), dict(seed=False),
+                dict(m_master=256.5), dict(n_master=True), dict(moment_p=2.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            small_cfg(**bad)
+    # an integral float or a numpy integer is the integer it equals
+    cfg = small_cfg(m_grid=(np.int32(4), 8.0, 16), m_ref=128.0, n_ref=np.int64(16),
+                    paths=np.uint8(2), threads=2.0)
+    assert (cfg.m_grid, cfg.m_ref, cfg.n_ref, cfg.paths, cfg.threads) \
+        == ((4, 8, 16), 128, 16, 2, 2)
+    assert all(type(v) is int for v in (*cfg.m_grid, cfg.m_ref, cfg.n_ref, cfg.paths))
+    assert ex.run_convergence_study(cfg) == ex.run_convergence_study(small_cfg(paths=2))
     cfg = small_cfg()
     assert cfg.m_master == 128 and cfg.n_master == 16
 
@@ -410,14 +424,18 @@ def test_zero_drift_study_steps_shared_and_alone_give_the_same_moments():
     assert len({shared[t]["suppressed"] for t in targets}) > 2
 
 
-def test_zero_drift_cells_at_one_m_equal_each_cell_alone():
+@pytest.mark.parametrize("model", [None, scheme.allen_cahn_model(n_xi_modes=16)],
+                         ids=["zero_drift", "allen_cahn"])
+def test_cells_at_one_m_equal_each_cell_alone(model):
+    # N = 1 shares the run of N = 16 at a coarsening group of 8 master steps
     cfg = _zero_drift_cfg(m_grid=(16,), n_grid=(1, 8, 16))
+    cfg = cfg if model is None else replace(cfg, model=model)
     cells = [(16, 8), (16, 16), (16, 1)]  # the widest N is not first
     shared = ex._accumulate(cfg, cells)
     for cell in cells:
         _assert_same_moments(shared[cell], ex._accumulate(cfg, [cell])[cell])
-    # N = 8 is read from the run at N = 16, and its own count differs
-    assert shared[(16, 8)]["suppressed"] != shared[(16, 16)]["suppressed"]
+    # with zero drift N = 8 is read from the run at N = 16, and its own count differs
+    assert model is not None or shared[(16, 8)]["suppressed"] != shared[(16, 16)]["suppressed"]
     rows, _ = ex.moment_audit(cfg)
     assert rows == [ex.moment_audit(replace(cfg, n_grid=(N,)))[0][0] for N in cfg.n_grid]
     assert ex.activation_fractions(cfg, cells) \
@@ -427,9 +445,9 @@ def test_zero_drift_cells_at_one_m_equal_each_cell_alone():
 @pytest.mark.parametrize("model", [ou_model(), scheme.allen_cahn_model(n_xi_modes=16)],
                          ids=["zero_drift", "allen_cahn"])
 def test_study_steps_each_run_of_the_plan_once_per_block(monkeypatch, model):
-    # whatever the drift, each N >= 2 of an M is one width of its M's run, in
-    # target order after the reference, and N = 1 steps alone
-    runs = [(128, (16, 4, 8)), (4, (16,)), (8, (16,)), (16, (16,)), (128, (1,))]
+    # whatever the drift, each N of an M, N = 1 included, is one width of its
+    # M's run, in target order after the reference
+    runs = [(128, (16, 1, 4, 8)), (4, (16,)), (8, (16,)), (16, (16,))]
     # experiments.run_scheme is the name the benchmark's trace wraps
     calls = []
     kernel = ex.run_scheme

@@ -105,10 +105,10 @@ def test_coarsening_keeps_leading_path_axis():
 def _coarsening_cases(draw):
     modes = draw(st.integers(2, 40))
     shape = (draw(st.integers(1, 5)), draw(st.integers(1, 17)), draw(st.integers(1, 9)), modes)
-    return shape, draw(st.lists(st.integers(2, modes), min_size=1, max_size=3))
+    return shape, draw(st.lists(st.integers(1, modes), min_size=1, max_size=3))
 
 
-_PREFIXES = (2, 3, 7, 8, 64, 127)
+_PREFIXES = (1, 2, 3, 7, 8, 64, 127)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -117,10 +117,10 @@ _PREFIXES = (2, 3, 7, 8, 64, 127)
 @example(((3, 9, 1, 128), _PREFIXES), 8)
 @example(((64, 128, 1, 128), _PREFIXES), 8)
 @example(((64, 2, 8, 128), _PREFIXES), 8)
-def test_coarsening_of_two_or_more_modes_is_a_prefix_of_a_wider_one(case, seed):
-    # zero-drift studies read N >= 2 from a run at a wider N on the strength of
-    # this; one mode is summed in another order by numpy and steps on its own.
-    # Shapes are (paths, group, steps, modes); each n >= 2 is a prefix width
+def test_coarsening_is_a_prefix_of_a_wider_one(case, seed):
+    # zero-drift studies read every N from a run at a wider N on the strength
+    # of this, one mode included, which numpy alone would sum in another order.
+    # Shapes are (paths, group, steps, modes); each n >= 1 is a prefix width
     (paths, group, steps, modes), prefixes = case
     master = np.random.default_rng(seed).standard_normal((paths, group * steps, modes))
     wide = noise.coarsen_increments(master, steps)
@@ -140,6 +140,10 @@ def test_block_bounds_guard():
         tape.normals(rows=9)
     with pytest.raises(ValueError):
         tape.normal_at(8, 0)
+    with pytest.raises(ValueError, match="-1 columns"):
+        tape.normals(cols=-1)
+    with pytest.raises(ValueError, match="-2 columns"):
+        tape.master_increments(n_modes=-2)
 
 
 def test_increment_moments_large_sample():
@@ -170,6 +174,11 @@ def test_coarsen_telescopes_to_total():
 def test_coarsen_rejects_nondivisor():
     with pytest.raises(ValueError):
         small_tape().increments(3, 5)
+    for n_steps in (0, -4):  # a zero or negative count, not a division or reshape error
+        with pytest.raises(ValueError, match=f"got {n_steps}"):
+            small_tape().increments(n_steps, 5)
+        with pytest.raises(ValueError, match=f"got {n_steps}"):
+            noise.coarsen_increments(np.zeros((2, 8, 3)), n_steps)
 
 
 def test_ou_pure_decay():
