@@ -287,12 +287,15 @@ def _accumulate(cfg: StudyConfig, targets):
     jobs = [(cfg, targets, s, min(s + BATCH_PATHS, cfg.paths))
             for s in range(0, cfg.paths, BATCH_PATHS)]
     if cfg.threads <= 1 or len(jobs) == 1:
-        parts = [_path_batch(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=min(cfg.threads, len(jobs))) as pool:
-            parts = list(pool.map(_path_batch, jobs))  # map preserves job order
-    total = parts[0]
-    for part in parts[1:]:
+        return _merge_in_order(map(_path_batch, jobs))
+    with ProcessPoolExecutor(max_workers=min(cfg.threads, len(jobs))) as pool:
+        return _merge_in_order(pool.map(_path_batch, jobs))  # map preserves job order
+
+
+def _merge_in_order(parts):
+    """Merge an iterator of batch moments into the first as each arrives, holding no other."""
+    total = next(parts)
+    for part in parts:
         for key, b in part.items():
             a = total[key]
             a["m2"] = merge_m2(a["paths"], a["sum"], a["m2"], b["paths"], b["sum"], b["m2"])

@@ -277,8 +277,10 @@ def trajectory_csv(model: ModelParams, d: DiscretizationParams,
     for first in range(0, len(Y), step):
         rows = zip(Y[first:first + step].tolist(), O[first:first + step].tolist(),
                    on[first:first + step].tolist())
-        yield "".join(["%.17g,%d,%.17g,%.17g,%d\n" % (m * h, k + 1, y[k], o[k], ind)
-                       for m, (y, o, ind) in enumerate(rows, first) for k in range(d.N)])
+        # each grid time formats its t and indicator once, into a row template
+        yield "".join([row % v for m, (y, o, ind) in enumerate(rows, first)
+                       for row in ["%.17g,%%d,%%.17g,%%.17g,%d\n" % (m * h, ind)]
+                       for v in zip(range(1, d.N + 1), y, o)])
 
 
 def allen_cahn_model(T: float = 1.0, nu: float = 1.0, preset: str = "bump",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.fft
-import scipy.fftpack  # scipy.fft's DST-I kernel and bits, without its backend dispatch
+from scipy.fft._pocketfft.pypocketfft import dst as _pocketfft_dst  # under scipy.fft.dst
 
 SQRT2 = np.sqrt(2.0)
 
@@ -95,6 +95,11 @@ def phi1_factors(n_modes: int, nu: float, h: float) -> np.ndarray:
     return out
 
 
+def _dst1(view: np.ndarray) -> None:
+    """In-place DST-I along the last axis, as scipy calls it: type 1, no norm, one worker."""
+    _pocketfft_dst(view, 1, (-1,), 0, view, 1)
+
+
 def default_grid(n_modes: int) -> int:
     """Smallest alias-free grid with a fast transform: the least G with
     G-1 >= 3N+1 whose DST-I, an FFT of length 2G, has no prime factor
@@ -152,8 +157,8 @@ def to_grid(coeffs: np.ndarray, layout: GridLayout) -> np.ndarray:
                          f"widths {layout.widths}")
     pad = np.zeros(coeffs.shape[:-1] + (layout.points,))
     pad[..., layout.columns] = coeffs
-    for view in layout.views:  # in place, each segment's own DST-I
-        scipy.fftpack.dst(pad[..., view], type=1, axis=-1, overwrite_x=True)
+    for view in layout.views:  # each segment's own DST-I
+        _dst1(pad[..., view])
     # dst-I computes 2 sum_j x_j sin(pi j m / G); fold in the sqrt(2) basis factor
     pad *= SQRT2 / 2.0
     return pad
@@ -170,7 +175,7 @@ def from_grid(values: np.ndarray, layout: GridLayout) -> np.ndarray:
     if values.shape[-1] != layout.points:
         raise ValueError(f"{values.shape[-1]} grid columns do not match grids {layout.grids}")
     for view in layout.views:
-        scipy.fftpack.dst(values[..., view], type=1, axis=-1, overwrite_x=True)
+        _dst1(values[..., view])
     return values[..., layout.columns] * layout.scale
 
 

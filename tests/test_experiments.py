@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -117,25 +118,29 @@ def test_study_threads_do_not_change_bytes():
     assert ex.fits_json(fits1) == ex.fits_json(fits2) == ex.fits_json(fits3)
 
 
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: maps lazily and in order, in this process."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
 def test_threads_are_capped_at_the_number_of_path_batches(monkeypatch):
     # the pool starts all its workers at the first submit, so a large
     # --threads must not become that many processes; the fake runs in process
     seen = []
 
-    class FakePool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
+    def pool(max_workers):
+        seen.append(max_workers)
+        return InProcessPool()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", pool)
     ex.run_convergence_study(small_cfg(paths=3 * ex.BATCH_PATHS, threads=100_000))
     assert seen and set(seen) == {3}
 
@@ -173,6 +178,36 @@ def test_no_target_runs_no_batch(monkeypatch):
     monkeypatch.setattr(ex, "_path_batch", never)
     assert ex._accumulate(small_cfg(), []) == {}
     assert ex.activation_fractions(small_cfg(), []) == []
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_accumulate_merges_each_batch_before_the_next_runs(monkeypatch, threads):
+    # a batch's moments are dead once merged: when batch k starts, at most one
+    # earlier batch (the one just merged, or the first, which the merge folds
+    # into) may still hold its arrays; the in-process pool maps lazily, in order
+    live, seen = [], []  # live[k]: arrays of batch k not yet freed
+
+    def freed(k):
+        live[k] -= 1
+
+    def batch(job):
+        seen.append(sum(n > 0 for n in live))
+        part = {t: {"paths": 1, "sum": np.full(4, float(job[2])), "m2": np.zeros(4),
+                    "suppressed": 0, "steps": 1} for t in job[1]}
+        live.append(0)
+        for a in part.values():
+            for name in ("sum", "m2"):
+                live[-1] += 1
+                weakref.finalize(a[name], freed, len(live) - 1)
+        return part
+
+    monkeypatch.setattr(ex, "_path_batch", batch)
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", lambda max_workers: InProcessPool())
+    total = ex._accumulate(small_cfg(paths=6 * ex.BATCH_PATHS, threads=threads),
+                           [(4, 2), ("temporal", 8, 4)])
+    assert len(seen) == 6 and max(seen) <= 1, seen
+    assert total[(4, 2)]["paths"] == 6
+    assert total[(4, 2)]["sum"].tolist() == [15 * ex.BATCH_PATHS] * 4
 
 
 def test_exact_mode_study():

@@ -176,19 +176,23 @@ def test_transform_batched_rows_match_single():
         np.testing.assert_array_equal(stacked[i], spectral.to_grid(block[i], layout))
 
 
-@pytest.mark.parametrize("lead", [(), (1,), (4,), (64,)])
-@pytest.mark.parametrize("n_modes", [1, 8, 16, 32, 64, 128, 512])
+@pytest.mark.parametrize("lead", [(), (1,), (4,), (64,), (2, 3)])
+@pytest.mark.parametrize("n_modes", [1, 8, 16, 32, 64, 128, 512,
+                                     pytest.param((128, 8, 16, 32, 64), id="5-segments")])
 def test_transforms_equal_scipy_fft_dst_bit_for_bit(n_modes, lead):
-    # to_grid / from_grid take the DST-I through scipy.fftpack; a scipy whose
-    # fftpack and fft kernels part ways fails here first
-    layout = spectral.GridLayout((n_modes,))
-    G = layout.grids[0]
-    rng = np.random.default_rng(n_modes)
-    c = rng.standard_normal(lead + (n_modes,))
-    pad = np.zeros(lead + (G - 1,))
-    pad[..., :n_modes] = c
-    np.testing.assert_array_equal(spectral.to_grid(c, layout),
-                                  scipy.fft.dst(pad, type=1, axis=-1) * (np.sqrt(2.0) / 2.0))
-    v = rng.standard_normal(lead + (G - 1,))
-    want = scipy.fft.dst(v, type=1, axis=-1) * (np.sqrt(2.0) / (2.0 * G))
-    np.testing.assert_array_equal(spectral.from_grid(v, layout), want[..., :n_modes])
+    # to_grid / from_grid call pocketfft's DST-I kernel in place on each
+    # segment's view of the grid array, a strided view when several segments
+    # share rows; every segment must equal public scipy.fft.dst of its own pad,
+    # so a scipy whose kernel and public transform part ways fails here first
+    layout = spectral.GridLayout(np.atleast_1d(n_modes))
+    rng = np.random.default_rng(layout.n_modes)
+    c = rng.standard_normal(lead + (layout.n_modes,))
+    v = rng.standard_normal(lead + (layout.points,))
+    values, coeffs = spectral.to_grid(c, layout), spectral.from_grid(v.copy(), layout)
+    for seg, view, n, G in zip(layout.modes, layout.views, layout.widths, layout.grids):
+        pad = np.zeros(lead + (G - 1,))
+        pad[..., :n] = c[..., seg]
+        np.testing.assert_array_equal(values[..., view],
+                                      scipy.fft.dst(pad, type=1, axis=-1) * (np.sqrt(2.0) / 2.0))
+        want = scipy.fft.dst(v[..., view], type=1, axis=-1) * (np.sqrt(2.0) / (2.0 * G))
+        np.testing.assert_array_equal(coeffs[..., seg], want[..., :n])
