@@ -142,68 +142,58 @@ def write_text_atomic(path, text) -> None:
         raise
 
 
-def _check_reference_ratios(cfg: StudyConfig, targets) -> None:
-    for _, M, N in targets:
-        if M != cfg.m_ref and (cfg.m_ref < 8 * M or cfg.m_ref % M != 0):
-            raise ValueError(
-                f"reference M={cfg.m_ref} must be a multiple and >= 8x of target M={M}")
-        if N != cfg.n_ref and cfg.n_ref < 2 * N:
-            raise ValueError(
-                f"reference N={cfg.n_ref} must be >= 2x target N={N}")
-
-
 def _path_batch(job):
     """Moments of one batch of paths: per target, the path count, the sum
     of its samples and their M2 (see noise.sum_and_m2), and truncation counts.
 
     All paths of the batch step together through the master grid, one time
     block at a time.  A block is the least common multiple of the master
-    steps per step of every run of the plan (on power-of-two grids, one
-    step of the coarsest), so each run takes whole steps inside
-    it and memory grows with the block, not with M_master.  Per block the
-    paths draw their master increments for those rows only.  The key of a
-    target says what it samples into its one (paths, columns) float array:
-    a (kind, M, N) target the squared H distance to the reference at each of
-    its grid times, so the reference joins the plan when any target is
-    keyed so; an (M, N) cell ||Y_T||_{H_gamma}^p in one column, the power of
-    spectral.hr_norm, the norm of the taming indicator.  Samples are added
-    path by path in path order, so the sums have the bits of stepping one
-    path at a time.
+    steps per step of every run (on power-of-two grids, one step of the
+    coarsest), so each run takes whole steps inside it and memory grows
+    with the block, not with M_master.  Per block the paths draw their
+    master increments for those rows only.  The key of a target says what
+    it samples into its one (paths, columns) float array: a (kind, M, N)
+    target the squared H distance to the reference (M_ref, N_ref) at each
+    of its grid times; an (M, N) cell ||Y_T||_{H_gamma}^p in one column, the
+    power of spectral.hr_norm, the norm of the taming indicator.  Samples
+    are added path by path in path order, so the sums have the bits of
+    stepping one path at a time.
 
-    The plan, made once per batch, maps each M to the resolutions (M, N)
-    its one run serves, the reference's first: every N of one M is a width
-    of that run, in target order after the reference, and the run steps at
-    its widest N (see run_scheme).  The kernel lays Y out
-    (scheme.lockstep_layout), so every reader reads its own columns and
-    suppressed count whatever the drift.
+    The reference is decided once: it runs when any target is keyed
+    (kind, M, N).  There is one run per M, with one record: its widths
+    (every N it serves, the reference's first, then in target order), the
+    readers of each width, their Y columns (scheme.lockstep_layout, so each
+    reads its own columns and suppressed count whatever the drift), and
+    the carried (Y, O).  The run steps at its widest N (see run_scheme).
     """
     cfg, targets, start, stop = job
     tapes = [NoiseTape(seed=cfg.seed, M_master=cfg.m_master, N_master=cfg.n_master,
                        T=cfg.model.T, path=path) for path in range(start, stop)]
-    plan = {cfg.m_ref: {(cfg.m_ref, cfg.n_ref): []}} if any(len(t) == 3 for t in targets) else {}
+    reference = (cfg.m_ref, cfg.n_ref) if any(len(t) == 3 for t in targets) else None
+    plan = {cfg.m_ref: {reference: []}} if reference else {}
     for target in targets:  # M -> {(M, N): targets}
         plan.setdefault(target[-2], {}).setdefault(target[-2:], []).append(target)
-    runs, states = {}, {}  # (M, widths) -> (readers, their Y columns); the carried (Y, O)
+    runs = {}  # M -> [widths, readers, their Y columns, the carried (Y, O)]
     for M, readers in plan.items():
         widths = tuple(N for _, N in readers)
         cols, segs = lockstep_layout(widths, any(cfg.model.a.as_tuple()))
         xi = cfg.model.xi_projected(max(widths))
-        runs[(M, widths)], states[(M, widths)] = (readers, segs), (xi[cols], xi)
-    block = math.lcm(*(cfg.m_master // M for M, _ in runs))
+        runs[M] = [widths, readers, segs, (xi[cols], xi)]
+    block = math.lcm(*(cfg.m_master // M for M in runs))
     columns = {t: t[-2] + 1 if len(t) == 3 else 1 for t in targets}  # grid times, or T
     # before allocating: each target's samples, and per block the master
     # increments, a tape's raw rows, and a run's Y (at most sum(widths) columns)
     heat_errors._check_values(float(len(tapes)) * max(
-        (block + 1) * max(cfg.n_master, *(sum(widths) for _, widths in runs)),
+        (block + 1) * max(cfg.n_master, *(sum(widths) for widths, *_ in runs.values())),
         *columns.values()), f"a batch of {len(tapes)} paths")
     suppressed = {resolution: 0 for readers in plan.values() for resolution in readers}
     samples = {t: np.empty((len(tapes), c)) for t, c in columns.items()}
 
-    master = np.empty((len(tapes), block, max(max(widths) for _, widths in runs)))
+    master = np.empty((len(tapes), block, max(max(widths) for widths, *_ in runs.values())))
     for first in range(0, cfg.m_master, block):
         for p, tape in enumerate(tapes):
             master[p] = tape.master_increments(master.shape[2], rows=(first, first + block))
-        _step_block(cfg, runs, master, first, states, suppressed, samples, start)
+        _step_block(cfg, runs, master, first, reference, suppressed, samples, start)
 
     acc = {}
     for target in targets:
@@ -215,23 +205,22 @@ def _path_batch(job):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finite checks report these
-def _step_block(cfg: StudyConfig, runs, master, first: int, states, suppressed, samples,
+def _step_block(cfg: StudyConfig, runs, master, first: int, reference, suppressed, samples,
                 first_path: int) -> None:
-    """Advance each run of the plan through one block of master increments
-    (paths, rows, modes) from master step `first`, carry its state on, and
-    let each resolution it serves, in target order, read its columns of the
-    run's Y rows: its finite check and suppressed count, then the samples
-    each of its targets takes in this block (see _path_batch), which take
-    one finite check, of their squares, and one store into their columns."""
+    """Advance each run (see _path_batch) through one block of master
+    increments (paths, rows, modes) from master step `first`, carry its
+    (Y, O) on in its record, and let each width, in target order, read its
+    columns of the run's Y rows: its finite check and suppressed count,
+    then the samples each of its targets takes in this block, which take
+    one finite check, of their squares, and one store into their columns.
+    The block's Y, distances and reference rows are freed on return."""
     block = master.shape[1]
-    reference = (cfg.m_ref, cfg.n_ref) if any(len(t) == 3 for t in samples) else None
-    for (M, widths), (readers, segs) in runs.items():
+    for M, (widths, readers, segs, state) in runs.items():
         group = cfg.m_master // M
-        steps = block // group
         y, o, off = run_scheme(cfg.model, cfg.discretization(M, max(widths)),
-                               coarsen_increments(master[..., :max(widths)], steps),
-                               start=states[(M, widths)], widths=widths)
-        states[(M, widths)] = (y[:, -1].copy(), o[:, -1].copy())  # copies free the block
+                               coarsen_increments(master[..., :max(widths)], block // group),
+                               start=state, widths=widths)
+        runs[M][3] = (y[:, -1].copy(), o[:, -1].copy())  # copies free the block
         finite_y, finite_o = np.isfinite(y).all(axis=1), np.isfinite(o).all(axis=1)
         del o  # before the samples and the next run allocate
         for r, ((_, N), members) in enumerate(readers.items()):
@@ -325,10 +314,11 @@ def run_convergence_study(cfg: StudyConfig):
     over the grids with the reference added: rows take its full errors
     against the time-space continuum, the temporal fit its temporal errors
     at N_ref and the spatial fit its spatial errors (the M -> infinity
-    limit); stderr is 0 and the paths column reads 0.  A grid with fewer
-    than 3 distinct values is refused before any path runs; in Monte Carlo
-    mode the reference's own value does not count, since its estimate is
-    exactly 0 and drops out of the fit.
+    limit); stderr is 0 and the paths column reads 0.  Before any path
+    runs, a grid with fewer than 3 distinct values is refused, and in Monte
+    Carlo mode (where the reference's own estimate is exactly 0, drops out
+    of the fit and does not count) so is any other grid M of which M_ref is
+    not a multiple of at least 8x, and any other grid N above N_ref / 2.
     """
     for name, grid, ref in (("m_grid", cfg.m_grid, cfg.m_ref), ("n_grid", cfg.n_grid, cfg.n_ref)):
         fitted = set(grid) if cfg.exact else set(grid) - {ref}
@@ -336,9 +326,15 @@ def run_convergence_study(cfg: StudyConfig):
             other = "" if cfg.exact else f", other than the reference's {ref}"
             raise ValueError(
                 f"{name} needs at least 3 distinct values to fit a rate{other}: {list(grid)}")
-    T, nu = cfg.model.T, cfg.model.nu
     targets = [("temporal", M, cfg.n_ref) for M in cfg.m_grid] \
         + [("spatial", cfg.m_ref, N) for N in cfg.n_grid]
+    for _, M, N in [] if cfg.exact else targets:  # the reference-ratio rules
+        if M != cfg.m_ref and (cfg.m_ref < 8 * M or cfg.m_ref % M != 0):
+            raise ValueError(
+                f"reference M={cfg.m_ref} must be a multiple and >= 8x of target M={M}")
+        if N != cfg.n_ref and cfg.n_ref < 2 * N:
+            raise ValueError(f"reference N={cfg.n_ref} must be >= 2x target N={N}")
+    T, nu = cfg.model.T, cfg.model.nu
 
     if cfg.exact:
         reports, _ = heat_errors.error_table([*cfg.m_grid, cfg.m_ref],
@@ -349,7 +345,6 @@ def run_convergence_study(cfg: StudyConfig):
         axes = {"temporal": {M: exact[("temporal", M, cfg.n_ref)] for M in cfg.m_grid},
                 "spatial": {N: exact[("spatial", cfg.m_ref, N)] for N in cfg.n_grid}}
     else:
-        _check_reference_ratios(cfg, targets)
         acc = _accumulate(cfg, targets)
         rows = [ErrorTableRow(kind, M, N, *_estimate(acc[(kind, M, N)]),
                               cfg.paths, cfg.seed) for kind, M, N in targets]

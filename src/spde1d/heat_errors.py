@@ -120,14 +120,14 @@ def _temporal_mode_terms(mu: np.ndarray, M: int, T: float,
     single-step integral.  J cancels catastrophically for small x = mu*h
     (three terms of size 1 leaving O(x^3)), hence the series branch; the
     closed branch is written against e^{-x} only so it cannot overflow.
-    G's numerator expm1(-2 mu T) does not depend on M: a caller that reuses
-    mu for several M passes it as g_numer.  expm1(-2x) is G's denominator
-    and J's first term, and e^{-2x} serves both branches of J.
+    G's numerator expm1(-2 mu T) does not depend on M: a caller reusing mu,
+    or its prefixes, for several M passes it as g_numer.  expm1(-2x) is G's
+    denominator and J's first term; e^{-2x} serves both branches of J.
     """
     h = T / M
     x = mu * h
     expm1_2x = np.expm1(-2 * x)
-    G = (np.expm1(-2 * mu * T) if g_numer is None else g_numer) / expm1_2x
+    G = (np.expm1(-2 * mu * T) if g_numer is None else g_numer[:mu.size]) / expm1_2x
     exp_2x = np.exp(-2 * x)
 
     J = np.empty_like(mu)
@@ -400,16 +400,17 @@ def error_table(m_grid, n_grid, T: float, nu: float) -> tuple[list[ErrorBoundsRe
     one line per row, each value as %.17g.
 
     Everything is evaluated per axis, and each value is formatted once.
-    Per table: the eigenvalues up to the widest integer N and the numerator
-    of the geometric factor G.  Per distinct M: one temporal term vector
-    whose prefixes give every integer N and, when its cutoff fits, the
-    "all" entry (with its trigamma tail), the temporal upper bound, and the
-    temporal lower bound as one array over the N axis.  Per distinct N: the
-    spatial series and both spatial bounds.  A full value is the hypot of
-    its two parts, as in full_error_exact, and its bounds are those of
-    bounds_full, from the same per-axis values.  Each prefix is summed by
-    fsum, correctly rounded, so it is bit for bit the value a vector of
-    exactly that many terms gives.
+    Per table: the eigenvalues and the numerator of the geometric factor G,
+    as many as any M needs.  Per distinct M: one temporal term vector, over
+    the widest integer N or, if longer, the "all" cutoff, whose prefixes
+    give every integer N and the "all" entry (with its trigamma tail); the
+    temporal upper bound; and the temporal lower bound as one array over the
+    N axis.  Per distinct N: the spatial series and both spatial bounds.  A
+    full value is the hypot of its two parts, as in full_error_exact, and
+    its bounds are those of bounds_full, from the same per-axis values.  One
+    pass over the grid writes the rows of all three kinds.  Each term is
+    elementwise and each prefix a correctly rounded fsum, so it is bit for
+    bit the value a vector of exactly that many terms gives.
     """
     _validate_positive(T=T, nu=nu)
     ms = [_int_at_least(M, "M must be a positive integer") for M in m_grid]
@@ -426,18 +427,17 @@ def error_table(m_grid, n_grid, T: float, nu: float) -> tuple[list[ErrorBoundsRe
                   bound_upper_spatial(n, T, nu))
         spatial[n] = (*values, "%.17g,%.17g,%.17g" % values)
 
-    mu = spectral.eigenvalues(width, nu) if counts else np.empty(0)
+    cutoffs = {M: _all_modes_cutoff(M, T, nu) if None in ns else 0 for M in ms}
+    length = max([width, *cutoffs.values()])
+    mu = spectral.eigenvalues(length, nu) if length else np.empty(0)
     g_numer = np.expm1(-2 * mu * T)
     temporal = {}  # M -> (exact by n, lower by N entry, upper, text)
-    for M in dict.fromkeys(ms):
-        terms = _temporal_mode_terms(mu, M, T, g_numer).tolist()
+    for M, cutoff in cutoffs.items():
+        terms = _temporal_mode_terms(mu[:max(width, cutoff)], M, T, g_numer).tolist()
         exact = {n: math.sqrt(math.fsum(itertools.islice(terms, n))) for n in counts}
-        if None in ns:
-            cutoff = _all_modes_cutoff(M, T, nu)
-            exact[None] = (
-                math.sqrt(math.fsum(itertools.islice(terms, cutoff))
-                          + _trigamma_tail(cutoff, nu))
-                if cutoff <= width else temporal_error_exact(M, ALL_MODES, T, nu))
+        if cutoff:
+            exact[None] = math.sqrt(math.fsum(itertools.islice(terms, cutoff))
+                                    + _trigamma_tail(cutoff, nu))
         lower = np.sqrt(_lower_temporal_sq(M, n_axis, T, nu)).tolist()
         upper = bound_upper_temporal(M, T, nu)
         temporal[M] = (exact, lower, upper, "%.17g" % upper)
@@ -446,25 +446,21 @@ def error_table(m_grid, n_grid, T: float, nu: float) -> tuple[list[ErrorBoundsRe
             sum(e.values()) + sum(lo) + up for e, lo, up, _ in temporal.values())):
         raise ValueError(f"exact errors or bounds overflow a float at T={T!r}, nu={nu!r}")
 
-    reports, lines = [], [REPORT_HEADER]
+    reports = {"temporal": [], "spatial": [], "full": []}  # kind -> its rows, in grid order
+    lines = {kind: [] for kind in reports}
     for M in ms:
         exact, lower, upper, upper_txt = temporal[M]
         for i, (N, n) in enumerate(zip(n_grid, ns)):
-            reports.append(ErrorBoundsReport("temporal", M, N, exact[n], lower[i], upper))
-            lines.append("%d,%s,%.17g,%.17g,%s,temporal"
-                         % (M, n_txt[i], exact[n], lower[i], upper_txt))
-    for M in ms:
-        for i, (N, n) in enumerate(zip(n_grid, ns)):
+            reports["temporal"].append(
+                ErrorBoundsReport("temporal", M, N, exact[n], lower[i], upper))
+            lines["temporal"].append(
+                "%d,%s,%.17g,%.17g,%s,temporal" % (M, n_txt[i], exact[n], lower[i], upper_txt))
             if n is not None:
-                reports.append(ErrorBoundsReport("spatial", M, N, *spatial[n][:3]))
-                lines.append("%d,%s,%s,spatial" % (M, n_txt[i], spatial[n][3]))
-    for M in ms:
-        exact, lower, upper, _ = temporal[M]
-        for i, (N, n) in enumerate(zip(n_grid, ns)):
-            if n is not None:
-                s_exact, s_lower, s_upper, _ = spatial[n]
-                row = ("full", M, N, math.hypot(exact[n], s_exact),
-                       (lower[i] + s_lower) / 2, upper + s_upper)
-                reports.append(ErrorBoundsReport(*row))
-                lines.append("%d,%s,%.17g,%.17g,%.17g,full" % (M, n_txt[i], *row[3:]))
-    return reports, "\n".join(lines) + "\n"
+                s_exact, s_lower, s_upper, s_txt = spatial[n]
+                full = (math.hypot(exact[n], s_exact), (lower[i] + s_lower) / 2, upper + s_upper)
+                reports["spatial"].append(ErrorBoundsReport("spatial", M, N, *spatial[n][:3]))
+                reports["full"].append(ErrorBoundsReport("full", M, N, *full))
+                lines["spatial"].append("%d,%s,%s,spatial" % (M, n_txt[i], s_txt))
+                lines["full"].append("%d,%s,%.17g,%.17g,%.17g,full" % (M, n_txt[i], *full))
+    text = "\n".join([REPORT_HEADER, *lines["temporal"], *lines["spatial"], *lines["full"]])
+    return reports["temporal"] + reports["spatial"] + reports["full"], text + "\n"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
+from . import heat_errors, spectral
 from .nonlinearity import CubicCoefficients, allen_cahn, project_F
 from .noise import NoiseTape
 
@@ -75,8 +75,9 @@ class DiscretizationParams:
     chi: float = DEFAULT_CHI
 
     def __post_init__(self):
-        if self.M < 1 or self.N < 1:
-            raise ValueError(f"need M, N >= 1, got M={self.M}, N={self.N}")
+        for name in ("M", "N"):  # stored as Python ints, as StudyConfig stores its counts
+            object.__setattr__(self, name, heat_errors._int_at_least(
+                getattr(self, name), f"{name} must be an integer >= 1"))
         lo, hi = GAMMA_RANGE
         if not (lo < self.gamma < hi):
             raise ValueError(

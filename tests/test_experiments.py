@@ -62,11 +62,19 @@ def test_config_validation():
     assert cfg.m_master == 128 and cfg.n_master == 16
 
 
-def test_reference_ratio_guard_and_escape():
-    with pytest.raises(ValueError, match="must be a multiple and >= 8x of target M=32"):
-        ex.run_convergence_study(small_cfg(m_grid=(4, 8, 32)))   # m_ref only 4x target
-    with pytest.raises(ValueError, match="must be >= 2x target N=12"):
-        ex.run_convergence_study(small_cfg(n_grid=(2, 4, 12)))   # n_ref below 2x target
+def test_reference_ratio_guard_and_escape(monkeypatch):
+    def never(job):
+        raise AssertionError("a path batch ran")
+    with monkeypatch.context() as patch:  # the rules refuse before any batch runs
+        patch.setattr(ex, "_path_batch", never)
+        with pytest.raises(ValueError, match="must be a multiple and >= 8x of target M=32"):
+            ex.run_convergence_study(small_cfg(m_grid=(4, 8, 32)))   # m_ref only 4x target
+        with pytest.raises(ValueError, match="must be >= 2x target N=12"):
+            ex.run_convergence_study(small_cfg(n_grid=(2, 4, 12)))   # n_ref below 2x target
+        # the closed form has no reference run, so exact mode takes the same grid
+        rows, _ = ex.run_convergence_study(small_cfg(m_grid=(4, 8, 32), exact=True))
+        assert [(r.kind, r.M) for r in rows[:3]] == [("temporal", 4), ("temporal", 8),
+                                                     ("temporal", 32)]
     # below the study, a target near the reference still has an estimate
     est, se, _ = strong_error(small_cfg(), 32, 16)
     assert est > 0 and se > 0

@@ -36,6 +36,9 @@ HEAT_GRID = {"m_grid": [1, 3, 16, 64, 4096], "n_grid": [1, 2, 7, 64, 4096, "all"
 _BENCH_AXIS = list(range(1, 65)) + [128, 256, 512, 1024, 4096]
 BENCH_HEAT = {"model": {"T": 2.0, "nu": 0.5},
               "study": {"m_grid": _BENCH_AXIS, "n_grid": _BENCH_AXIS + ["all"]}}
+# an "all" cutoff past the widest integer N: 2187 modes at M = 2^20, against N = 512
+HEAT_ALL_PAST_N = {"model": {"T": 1.0, "nu": 1.0},
+                   "study": {"m_grid": [1, 1048576], "n_grid": [2, 512, "all"]}}
 HEAT_ERRORS_SHA256 = {
     (1.0, 1.0): "b0c5319d2e4c3c26317ed23e44aecdfe66935fc57fed222534405bdca0593dfe",
     (0.5, 2.0): "fb667f4cd2bceec503c0f978bffa68750d84f1b343c8db9c2c084c15aacc2d08",
@@ -44,6 +47,7 @@ HEAT_ERRORS_SHA256 = {
     (1.0, 0.15): "f494b65e12d8249153c186a76c8327322c0e33a54a3d1f7df05a64edabaa4258",
     "default": "6fc8db505fb1ca4585c7e2a3be87a132e84bf59bb45b6cb58a20ec755371c6a6",
     "bench": "eabe9186e036c1699bb8d62c37f39ae05a79fecba13caafe83010abfc17c818e",
+    "all_past_n": "217a93d14a9dbe72d30143d9708553f208811e59c9764b348f0b1c39af5874c7",
 }
 
 MOMENT_REPRS = {
@@ -102,8 +106,8 @@ def test_simulate_bytes(tmp_path):
 
 @pytest.mark.parametrize("key", list(HEAT_ERRORS_SHA256))
 def test_heat_errors_bytes(tmp_path, key):
-    if key in ("default", "bench"):
-        payload = {"default": {}, "bench": BENCH_HEAT}[key]
+    if isinstance(key, str):
+        payload = {"default": {}, "bench": BENCH_HEAT, "all_past_n": HEAT_ALL_PAST_N}[key]
     else:
         payload = {"model": {"T": key[0], "nu": key[1]}, "study": HEAT_GRID}
     got = _run(tmp_path, "heat-errors", payload, ["spde1d_heat_errors.csv"])

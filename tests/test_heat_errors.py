@@ -271,9 +271,10 @@ def test_error_report_all_modes_row():
     assert text.splitlines()[1].startswith("16,all,")
 
 
-def test_error_table_all_modes_entry_from_the_prefix_or_the_scalar_function(monkeypatch):
-    # "all" cutoffs: 8 at M=1, inside the widest integer N (a prefix of its term
-    # vector), and 2187 at M=2^20, beyond it (temporal_error_exact itself)
+def test_error_table_all_modes_entry_from_its_own_term_vector(monkeypatch):
+    # "all" cutoffs: 8 at M=1, inside the widest integer N, and 2187 at M=2^20,
+    # beyond it; both are prefixes of their M's term vector, never a call of
+    # temporal_error_exact, and equal its value bit for bit
     calls, scalar = [], he.temporal_error_exact
 
     def counted(*args):
@@ -282,11 +283,14 @@ def test_error_table_all_modes_entry_from_the_prefix_or_the_scalar_function(monk
 
     monkeypatch.setattr(he, "temporal_error_exact", counted)
     rows, _ = he.error_table([1, 1048576], [2, 512, "all"], 1.0, 1.0)
-    assert calls == [(1048576, "all", 1.0, 1.0)]
+    assert calls == []
     all_rows = [r for r in rows if r.N == "all"]
     assert [r.M for r in all_rows] == [1, 1048576]
     for r in all_rows:
         assert r.exact == scalar(r.M, "all", 1.0, 1.0)
+    for r in rows:  # the integer prefixes of the longer vector too
+        if r.kind == "temporal" and r.N != "all":
+            assert r.exact == scalar(r.M, r.N, 1.0, 1.0)
 
 
 _M = st.one_of(st.integers(1, 64), st.integers(65, 5000), st.integers(5001, he.MAX_MODES))

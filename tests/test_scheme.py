@@ -49,6 +49,14 @@ def test_discretization_params_windows():
         scheme.DiscretizationParams(M=4, N=4, chi=0.0)
     with pytest.raises(ValueError):
         scheme.DiscretizationParams(M=0, N=4)
+    # M and N are integers, never rounded to one; a bool is not a count
+    for bad in (dict(M=2.5, N=4), dict(M=4, N=4.5), dict(M=True, N=4), dict(M=4, N=False),
+                dict(M="4", N=4), dict(M=4, N=None)):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            scheme.DiscretizationParams(**bad)
+    # an integral float or a numpy integer is stored as the Python int it equals
+    d = scheme.DiscretizationParams(M=np.int64(4), N=4.0)
+    assert (d.M, d.N) == (4, 4) and type(d.M) is int and type(d.N) is int
 
 
 def test_default_chi_is_cap():
