@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import polygamma
 
 from . import spectral
 
@@ -156,10 +155,46 @@ def _all_modes_cutoff(M: int, T: float, nu: float) -> int:
     return max(8, math.ceil(k_max))
 
 
+# (2j)!/B_2j for j = 1..12: the Euler-Maclaurin divisors of Cephes's zeta
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+           7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+           -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _trigamma(q: float) -> float:
+    """psi'(q) = sum_{k >= 0} 1/(q + k)^2 for q >= 1, bit for bit scipy's
+    polygamma(1, q): Cephes's Hurwitz zeta(2, q), step for step at s = 2, with
+    every power through libm's pow."""
+    if q > 1e8:  # asymptotic expansion, DLMF 25.11.43
+        return (1.0 + 1 / (2 * q)) * math.pow(q, -1.0)
+    # nine terms of the direct sum; for q >= 1 Cephes's early exit (a term
+    # below MACHEP of the sum) cannot fire here, each is above 5e-9 of it
+    s, a = math.pow(q, -2.0), q
+    for _ in range(9):
+        a += 1.0
+        b = math.pow(a, -2.0)
+        s += b
+    # Euler-Maclaurin from w = q + 9: the integral b w less half the last
+    # term, then Bernoulli terms until one is below MACHEP of the sum
+    w, a = a, 1.0
+    s = s + b * w - 0.5 * b
+    for j, divisor in enumerate(_ZETA_A):
+        a *= 2.0 + 2 * j
+        b /= w
+        t = a * b / divisor
+        s += t
+        if abs(t / s) < _MACHEP:
+            break
+        a *= 3.0 + 2 * j
+        b /= w
+    return s
+
+
 def _trigamma_tail(cutoff: int, nu: float) -> float:
     """sum_{k > cutoff} 1/(2 mu_k), in closed form."""
-    # a float: scipy takes no int beyond int64; below 2^53 the bits are the int's
-    return float(polygamma(1, float(cutoff + 1))) / (2 * nu * math.pi**2)
+    # a float: Cephes works in doubles, and past 2^53 cutoff + 1 rounds to scipy's double
+    return _trigamma(float(cutoff + 1)) / (2 * nu * math.pi**2)
 
 
 def temporal_error_exact(M: int, N, T: float, nu: float) -> float:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 # keeps the 128-bit Philox key apart from small seeds; 0x9E3779B97F4A7C15 as the
 _KEY_SALT = 0x9E3779B97F4A8000  # float64 it was always rounded to, so tapes keep their bits
@@ -96,6 +95,7 @@ class NoiseTape:
             )
         raw = self._raw(substream, first * self.N_master, (stop - first) * self.N_master)
         block = raw.reshape(stop - first, self.N_master)[:, :cols]
+        from scipy.special import ndtri  # here, so a run that draws no normal never loads scipy
         return ndtri(_uniform_open(block))
 
     def normal_at(self, j: int, k: int, substream: int = SUBSTREAM_INCREMENTS) -> float:
@@ -103,6 +103,7 @@ class NoiseTape:
         if not (0 <= j < self.M_master and 0 <= k < self.N_master):
             raise ValueError(f"element ({j},{k}) outside master block")
         raw = self._raw(substream, j * self.N_master + k, 1)
+        from scipy.special import ndtri
         return float(ndtri(_uniform_open(raw))[0])
 
     def master_increments(self, n_modes: int | None = None,

@@ -11,8 +11,6 @@ coercivity check all use it.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
-from scipy.fft._pocketfft.pypocketfft import dst as _pocketfft_dst  # under scipy.fft.dst
 
 SQRT2 = np.sqrt(2.0)
 
@@ -95,15 +93,21 @@ def phi1_factors(n_modes: int, nu: float, h: float) -> np.ndarray:
     return out
 
 
-def _dst1(view: np.ndarray) -> None:
-    """In-place DST-I along the last axis, as scipy calls it: type 1, no norm, one worker."""
-    _pocketfft_dst(view, 1, (-1,), 0, view, 1)
+def _dst1(pad: np.ndarray, views) -> None:
+    """In-place DST-I along the last axis of pad's column slices `views`, by
+    pocketfft's kernel under scipy.fft.dst as scipy calls it (type 1, no norm,
+    one worker), imported once per call: a process with no transform loads no scipy."""
+    import scipy.fft._pocketfft.pypocketfft as pocketfft  # a third the cost of from-import
+    for view in views:
+        segment = pad[..., view]
+        pocketfft.dst(segment, 1, (-1,), 0, segment, 1)
 
 
 def default_grid(n_modes: int) -> int:
     """Smallest alias-free grid with a fast transform: the least G with
     G-1 >= 3N+1 whose DST-I, an FFT of length 2G, has no prime factor
     above 5 (G = 5, 27, 50, 100, 200, 400 for N = 1, 8, 16, 32, 64, 128)."""
+    import scipy.fft
     return scipy.fft.next_fast_len(3 * n_modes + 2, real=True)
 
 
@@ -157,8 +161,7 @@ def to_grid(coeffs: np.ndarray, layout: GridLayout) -> np.ndarray:
                          f"widths {layout.widths}")
     pad = np.zeros(coeffs.shape[:-1] + (layout.points,))
     pad[..., layout.columns] = coeffs
-    for view in layout.views:  # each segment's own DST-I
-        _dst1(pad[..., view])
+    _dst1(pad, layout.views)  # each segment's own DST-I
     # dst-I computes 2 sum_j x_j sin(pi j m / G); fold in the sqrt(2) basis factor
     pad *= SQRT2 / 2.0
     return pad
@@ -174,8 +177,7 @@ def from_grid(values: np.ndarray, layout: GridLayout) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.shape[-1] != layout.points:
         raise ValueError(f"{values.shape[-1]} grid columns do not match grids {layout.grids}")
-    for view in layout.views:
-        _dst1(values[..., view])
+    _dst1(values, layout.views)
     return values[..., layout.columns] * layout.scale
 
 

@@ -48,9 +48,17 @@ def test_help_lists_subcommands():
         assert name in out.stdout
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    out = run_python("-c", "import sys, spde1d.cli; print('scipy.integrate' in sys.modules)")
-    assert out.returncode == 0 and out.stdout.strip() == "False"
+def test_cli_import_heat_errors_and_a_config_error_load_no_scipy(tmp_path):
+    # heat-errors runs on numpy alone, and converge refuses a malformed config
+    # before it builds a grid, transforms or draws a normal, where scipy is imported
+    bad = write_cfg(tmp_path, {"study": {"m_grid": "x"}})
+    out = run_python("-c", (
+        "import sys, spde1d.cli as cli\n"
+        f"rc = (cli.main(['heat-errors', '--out', {str(tmp_path)!r}]),\n"
+        f"      cli.main(['converge', '--config', {bad!r}, '--out', {str(tmp_path)!r}]))\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "(0, 2) []"
 
 
 def test_heat_errors_default_grid(tmp_path, capsys):

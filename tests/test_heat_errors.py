@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -105,6 +106,41 @@ def test_temporal_all_exceeds_any_finite_band():
     from scipy.special import polygamma
     tail = float(polygamma(1, 4097)) / (2 * math.pi**2)
     assert full**2 - finite**2 == pytest.approx(tail, rel=1e-3)
+
+
+def _unequal_to_scipy(qs):
+    """(q, port, scipy) wherever the port's bits differ from polygamma(1, q)'s."""
+    from scipy.special import polygamma
+    values = ((q, he._trigamma(q), float(polygamma(1, q))) for q in qs)
+    return [v for v in values if v[1] != v[2]]
+
+
+def test_trigamma_is_scipys_polygamma_bit_for_bit():
+    # every integer up to 2^17, which holds every cutoff + 1 a mode vector
+    # within MAX_MODES can reach; powers of two and their neighbours, past
+    # 2^53 where an integer rounds; and both sides of the q > 1e8 branch
+    assert he.MAX_MODES + 1 < 2**17
+    qs = [float(q) for q in range(1, 2**17 + 1)]
+    qs += [float(2**k + d) for k in range(1, 63) for d in (-1, 0, 1)]
+    qs += [1e8 - 1, math.nextafter(1e8, 0), 1e8, math.nextafter(1e8, math.inf), 1e8 + 1,
+           1e15, 2.0**63, 1e300, sys.float_info.max]
+    assert _unequal_to_scipy(qs) == []
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.floats(1.0, 2.0**63), min_size=1, max_size=50))
+def test_trigamma_matches_scipy_on_reals(qs):
+    assert _unequal_to_scipy(qs) == []
+
+
+@pytest.mark.parametrize("cutoff", [8, he.MAX_MODES - 1, he.MAX_MODES, 2**53 + 1, 2**64 + 5,
+                                    10**155, he.MAX_COUNT],
+                         ids=["8", "max_modes_less_1", "max_modes", "past_2_53", "past_int64",
+                              "1e155", "max_count"])
+def test_trigamma_tail_rounds_its_cutoff_as_scipy_did(cutoff):
+    from scipy.special import polygamma
+    want = float(polygamma(1, float(cutoff + 1))) / (2 * 0.3 * math.pi**2)
+    assert he._trigamma_tail(cutoff, 0.3) == want
 
 
 def test_full_error_composition():
@@ -215,7 +251,7 @@ def test_ou_pair_mismatch_refuses_oversized_arrays_before_allocating(args):
 @pytest.mark.parametrize("N", [2**64 + 5, 10**155, he.MAX_COUNT],
                          ids=["beyond_int64", "mu_beyond_the_float_range", "max_count"])
 def test_spatial_error_at_huge_N_is_the_trigamma_tail(N):
-    # past int64 scipy takes no int, and past k ~ 1e154 mu_k is inf; the
+    # past 2^53 the trigamma argument rounds, and past k ~ 1e154 mu_k is inf; the
     # explicit terms are then below 1/N of the tail sum_{k>N} 1/(2 mu_k) ~ 1/(2 pi^2 N)
     assert he.spatial_error_exact(N, 1.0, 1.0) == pytest.approx(
         math.sqrt(1 / (2 * math.pi**2 * N)), rel=1e-12)
