@@ -127,10 +127,9 @@ def project_F(coeffs: np.ndarray, a: CubicCoefficients,
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     layout = spectral.GridLayout(coeffs.shape[-1:]) if grid is None else grid
-    for w, g in zip(layout.widths, layout.grids):
-        if g - 1 < 3 * w + 1:
-            raise ValueError(f"alias risk: need grid-1 >= 3N+1 = {3 * w + 1}, "
-                             f"got grid-1 = {g - 1}")
+    if not layout.alias_free:
+        raise ValueError(f"alias risk: need grid-1 >= 3N+1 for each of widths "
+                         f"{layout.widths}, got grids {layout.grids}")
     a0, a1, a2, a3 = a.as_tuple()
     if a1 != 0.0 or a3 != 0.0:
         out = spectral.from_grid(_odd_part_on_grid(spectral.to_grid(coeffs, layout), a1, a3),

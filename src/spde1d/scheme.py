@@ -15,6 +15,7 @@ deterministic function of (model, discretization, tape).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -143,6 +144,29 @@ def lockstep_layout(widths, drift_on: bool) -> tuple[np.ndarray, list[slice]]:
     return np.arange(max(widths)), [slice(n) for n in widths]
 
 
+@functools.lru_cache(maxsize=32)
+def _run_constants(N: int, nu: float, h: float, gamma: float, widths: tuple, drift_on: bool):
+    """Everything run_scheme needs that depends on this key alone, made once
+    per run and shared, read-only, by each of its calls: Y's column modes,
+    e^{hA} and the weights mu^{2 gamma} (also in Y's layout), each width's Y
+    and O columns, whether Y gathers O, and with a drift (the GridLayout of
+    the widths, phi1(h) in Y's layout, each Y column's segment)."""
+    cols, y_segs = lockstep_layout(widths, drift_on)
+    decay = spectral.semigroup_factors(N, nu, h)
+    weights = spectral.eigenvalues(N, nu) ** (2 * gamma)
+    arrays = [cols, decay, weights, decay[cols], weights[cols]]
+    drift = ()
+    if drift_on:  # one projection pass for every segment
+        grids = spectral.GridLayout(widths)
+        drift = (grids, spectral.phi1_factors(N, nu, h)[cols],
+                 np.repeat(np.arange(len(widths)), widths))
+        arrays += [grids.columns, grids.scale, *drift[1:]]
+    for a in arrays:
+        a.flags.writeable = False
+    return (*arrays[:5], tuple(y_segs), tuple(slice(n) for n in widths),
+            not np.array_equal(cols, np.arange(N)), drift)
+
+
 def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
                start: tuple[np.ndarray, np.ndarray] | None = None, widths=None):
     """Trajectory kernel on raw increment arrays; the hot loop of every driver.
@@ -177,23 +201,24 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     block, every width's norm from its prefix.  The suppressed counts are one
     sum over the block.  The bits are those of one joint step.
     Every H_gamma norm is spectral.weighted_norm with the weights
-    mu^{2 gamma} taken once per run, the arithmetic of spectral.hr_norm.
+    mu^{2 gamma}, the arithmetic of spectral.hr_norm.  What depends on the
+    run alone (factors, weights, layouts) comes from _run_constants, made
+    once per run however many calls its blocks take.  The Y loop runs under
+    one np.errstate that silences the overflow of an off segment's cube.
     """
     dw = np.asarray(dw, dtype=np.float64)
     if (dw.ndim != 3 or dw.shape[2] != d.N
             or (dw.shape[1] > d.M if start is not None else dw.shape[1] != d.M)):
         raise ValueError(f"increments shape {dw.shape} does not match "
                          f"(paths, k, N) at (M,N)=({d.M},{d.N})")
-    sizes = (d.N,) if widths is None else tuple(widths)
+    sizes = (d.N,) if widths is None else tuple(int(n) for n in widths)
     if not sizes or not all(1 <= n <= d.N for n in sizes):
         raise ValueError(f"widths {sizes} must be mode counts in [1, N={d.N}]")
     drift_on = any(v != 0 for v in model.a.as_tuple())
-    cols, y_segs = lockstep_layout(sizes, drift_on)
+    (cols, decay, weights, decay_y, weights_y, y_segs, o_segs, gather,
+     drift_consts) = _run_constants(d.N, float(model.nu), model.T / d.M, float(d.gamma),
+                                    sizes, drift_on)
     paths, steps = dw.shape[:2]
-    h = model.T / d.M
-    decay = spectral.semigroup_factors(d.N, model.nu, h)
-    weights = spectral.eigenvalues(d.N, model.nu) ** (2 * d.gamma)
-    decay_y, weights_y = decay[cols], weights[cols]
     thr = d.threshold(model.T)
 
     # time-major while stepping, so that each step writes contiguous rows
@@ -205,39 +230,37 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     for m in range(steps):
         np.add(o_path[m], dw[:, m], out=o_path[m + 1])
         o_path[m + 1] *= decay
-    o_norm = spectral.weighted_norm(weights, o_path[:-1], segments=[slice(n) for n in sizes])
+    o_norm = spectral.weighted_norm(weights, o_path[:-1], segments=o_segs)
     if drift_on:
-        grids = spectral.GridLayout(sizes)  # one projection pass for every segment
-        phi = spectral.phi1_factors(d.N, model.nu, h)[cols]
-        seg_of_col = np.repeat(np.arange(len(sizes)), sizes)  # the segment of each Y column
+        grids, phi, seg_of_col = drift_consts
         y_norm = np.empty((paths, len(sizes)))
         on_rows = np.empty((steps, paths, len(sizes)), dtype=bool)  # each step's indicator
-    gather = not np.array_equal(cols, np.arange(d.N))
     if gather:  # O_m and O_{m+1} in Y's layout, the two buffers taking turns
         o_pair = (o_path[0][:, cols], np.empty((paths, len(cols))))
     decay_o = np.empty((paths, len(cols)))  # e^{hA} O_m
-    for m in range(steps):
-        y, y_next = y_path[m], y_path[m + 1]
-        if gather:
-            o_now = o_pair[m % 2]
-            o_next = o_path[m + 1].take(cols, axis=1, out=o_pair[1 - m % 2])
-        else:
-            o_now, o_next = o_path[m], o_path[m + 1]
-        np.multiply(decay_y, y, out=y_next)
-        y_next += o_next
-        np.multiply(decay_y, o_now, out=decay_o)
-        y_next -= decay_o
-        if drift_on:
-            on = _keeps_drift(spectral.weighted_norm(weights_y, y, out=y_norm, segments=y_segs),
-                              o_norm[m], thr, out=on_rows[m])
-            kept = on.any(axis=1)  # the rows that keep the drift in any segment
-            if kept.any():  # a masked add, not a 0/1 product: 0*inf would be NaN
-                with np.errstate(over="ignore", invalid="ignore"):  # an off segment's cube
+    with np.errstate(over="ignore", invalid="ignore"):  # an off segment's cube
+        for m in range(steps):
+            y, y_next = y_path[m], y_path[m + 1]
+            if gather:
+                o_now = o_pair[m % 2]
+                o_next = o_path[m + 1].take(cols, axis=1, out=o_pair[1 - m % 2])
+            else:
+                o_now, o_next = o_path[m], o_path[m + 1]
+            np.multiply(decay_y, y, out=y_next)
+            y_next += o_next
+            np.multiply(decay_y, o_now, out=decay_o)
+            y_next -= decay_o
+            if drift_on:
+                on = _keeps_drift(spectral.weighted_norm(weights_y, y, out=y_norm,
+                                                         segments=y_segs),
+                                  o_norm[m], thr, out=on_rows[m])
+                kept = on.any(axis=1)  # the rows that keep the drift in any segment
+                if kept.any():  # a masked add, not a 0/1 product: 0*inf would be NaN
                     drift = project_F(y[kept], model.a, grids)
-                drift *= phi
-                rows = y_next[kept]  # out and back; each column takes its segment's indicator
-                np.add(rows, drift, out=rows, where=on[kept].take(seg_of_col, axis=1))
-                y_next[kept] = rows
+                    drift *= phi
+                    rows = y_next[kept]  # out and back; each column takes its segment's indicator
+                    np.add(rows, drift, out=rows, where=on[kept].take(seg_of_col, axis=1))
+                    y_next[kept] = rows
     if not drift_on:  # every row in one pass, time-major, which reads contiguous rows
         on_rows = _keeps_drift(spectral.weighted_norm(weights_y, y_path[:-1], segments=y_segs),
                                o_norm, thr)

@@ -52,11 +52,18 @@ def weighted_norm(w: np.ndarray, X: np.ndarray, out: np.ndarray | None = None,
     With `segments`, slices of the last axis, each row has one norm per
     segment, shape (..., len(segments)), from one square-and-weight pass.  At
     most 2^15 values at a time; each row and segment is reduced on its own,
-    so its bits do not depend on its neighbours."""
-    if X.ndim > 1 and X.size > 1 << 15:
-        k = max(1, (1 << 15) // (X.size // len(X)))
-        return np.concatenate([weighted_norm(w, X[s:s + k], segments=segments)
-                               for s in range(0, len(X), k)], out=out)
+    so its bits do not depend on its neighbours.  Chunks are runs of the
+    flattened leading rows; a single row wider than 2^15 goes alone."""
+    if X.size > max(1 << 15, X.shape[-1]):  # several rows, too many values for one pass
+        rows = X.reshape(-1, X.shape[-1])
+        k = max(1, (1 << 15) // X.shape[-1])
+        norms = np.concatenate([weighted_norm(w, rows[s:s + k], segments=segments)
+                                for s in range(0, len(rows), k)])
+        norms = norms.reshape(X.shape[:-1] + norms.shape[1:])
+        if out is None:
+            return norms
+        out[...] = norms
+        return out
     sq = X * X
     sq *= w
     if segments is None:
@@ -93,14 +100,21 @@ def phi1_factors(n_modes: int, nu: float, h: float) -> np.ndarray:
     return out
 
 
+_pocketfft_dst = None  # pocketfft's DST-I kernel, resolved by the first transform
+
+
 def _dst1(pad: np.ndarray, views) -> None:
     """In-place DST-I along the last axis of pad's column slices `views`, by
     pocketfft's kernel under scipy.fft.dst as scipy calls it (type 1, no norm,
-    one worker), imported once per call: a process with no transform loads no scipy."""
-    import scipy.fft._pocketfft.pypocketfft as pocketfft  # a third the cost of from-import
+    one worker), resolved once per process at the first call: a process with
+    no transform loads no scipy."""
+    global _pocketfft_dst
+    if _pocketfft_dst is None:
+        from scipy.fft._pocketfft.pypocketfft import dst
+        _pocketfft_dst = dst
     for view in views:
         segment = pad[..., view]
-        pocketfft.dst(segment, 1, (-1,), 0, segment, 1)
+        _pocketfft_dst(segment, 1, (-1,), 0, segment, 1)
 
 
 def default_grid(n_modes: int) -> int:
@@ -120,10 +134,12 @@ class GridLayout:
     (columns `views[i]` of a grid array of `points` columns).  `columns` is
     the grid column of each coefficient column, an index array, and
     `scale` its inverse-transform factor sqrt(2)/(2G).  Grids default to
-    default_grid; each needs G-1 >= its width.  Built once per run: every
-    call of to_grid, from_grid and nonlinearity.project_F on it then takes
-    one scatter, one scale and one gather for all segments, and one DST-I
-    per segment.
+    default_grid; each needs G-1 >= its width.  `alias_free` says whether
+    every grid resolves the cube of its segment, G-1 >= 3n+1, the rule
+    nonlinearity.project_F requires.  Built once per run: every call of
+    to_grid, from_grid and nonlinearity.project_F on it then takes one
+    scatter, one scale and one gather for all segments, and one DST-I per
+    segment.
     """
 
     def __init__(self, widths, grids=None):
@@ -146,6 +162,7 @@ class GridLayout:
                                        for v, n in zip(self.views, self.widths)])
         self.scale = np.concatenate([np.full(n, SQRT2 / (2.0 * g))
                                      for n, g in zip(self.widths, self.grids)])
+        self.alias_free = all(g - 1 >= 3 * n + 1 for n, g in zip(self.widths, self.grids))
 
 
 def to_grid(coeffs: np.ndarray, layout: GridLayout) -> np.ndarray:
@@ -178,7 +195,9 @@ def from_grid(values: np.ndarray, layout: GridLayout) -> np.ndarray:
     if values.shape[-1] != layout.points:
         raise ValueError(f"{values.shape[-1]} grid columns do not match grids {layout.grids}")
     _dst1(values, layout.views)
-    return values[..., layout.columns] * layout.scale
+    out = values.take(layout.columns, axis=-1)
+    out *= layout.scale
+    return out
 
 
 def lq_norm_on_grid(values: np.ndarray, q: float) -> float | np.ndarray:

@@ -388,6 +388,30 @@ def test_traced_layers_are_reached_once_per_drift_step(monkeypatch):
         <= sum(M for M, _ in targets)
 
 
+def test_each_run_is_set_up_once_per_run_not_per_block(monkeypatch):
+    # a run's constants, its GridLayout among them, are made at its first
+    # block and shared by the rest
+    layouts, calls = [], []
+    grid_layout, run_scheme = spectral.GridLayout, ex.run_scheme
+
+    def counted_layout(*args, **kwargs):
+        layouts.append(args[0])
+        return grid_layout(*args, **kwargs)
+
+    def counted_run(*args, **kwargs):
+        calls.append(args[1].M)
+        return run_scheme(*args, **kwargs)
+    monkeypatch.setattr(spectral, "GridLayout", counted_layout)
+    monkeypatch.setattr(ex, "run_scheme", counted_run)
+    scheme._run_constants.cache_clear()
+    cfg = small_cfg(model=scheme.allen_cahn_model(n_xi_modes=16), paths=2)
+    ex._accumulate(cfg, [("temporal", 16, 16), ("spatial", 128, 8), (32, 4)])
+    runs = {16, 32, 128}
+    assert set(calls) == runs and len(calls) >= 2 * len(runs)  # two blocks or more
+    assert sorted(layouts) == [(4,), (16,), (16, 8)]  # one per run, by its widths
+    scheme._run_constants.cache_clear()  # no layout of this counter stays cached
+
+
 def _criterion_7_peak_bytes(model):
     """tracemalloc peak of 16 paths of the criterion-7 study shape (M_ref=2048, N_ref=128)."""
     cfg = ex.StudyConfig(model=model, m_grid=(16, 32, 64, 128), n_grid=(8, 16, 32, 64),

@@ -540,6 +540,31 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def test_wide_batch_equals_each_path_alone():
+    # 64 paths of 1024 modes: each grid time's O rows hold 65,536 values,
+    # more than one norm pass takes, so the norms go in chunks of rows
+    model = scheme.allen_cahn_model(n_xi_modes=1024)
+    d = scheme.DiscretizationParams(M=2, N=1024)
+    dw = np.random.default_rng(3).standard_normal((64, 2, 1024)) * math.sqrt(0.5)
+    y, o, suppressed = scheme.run_scheme(model, d, dw)
+    for p in range(64):
+        alone = scheme.run_scheme(model, d, dw[p:p + 1])
+        for got, want in zip((y, o, suppressed), alone):
+            np.testing.assert_array_equal(_bits(got[p:p + 1]), _bits(want))
+
+
+def test_run_constants_are_read_only():
+    # every call of a run shares them: a write would reach the next block
+    consts = scheme._run_constants(16, 1.0, 1.0 / 16, 0.2, (16, 8), True)
+    grids = consts[-1][0]
+    arrays = [a for a in consts[:-1] + consts[-1][1:] + (grids.columns, grids.scale)
+              if isinstance(a, np.ndarray)]
+    assert len(arrays) == 9
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
 @pytest.mark.parametrize("nu", [0.15, 1.0, 2.0])
 @pytest.mark.parametrize("h", [1e-6, 1.0 / 16, 1.0 / 2048])
 def test_mode_factors_are_prefix_equal_across_n(nu, h):

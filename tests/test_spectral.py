@@ -56,11 +56,12 @@ def test_hr_norm_batched_last_axis():
     batched = spectral.hr_norm(block, 0.3, 2.0)
     rows = np.array([spectral.hr_norm(row, 0.3, 2.0) for row in block])
     np.testing.assert_allclose(batched, rows, rtol=1e-15)
-    # more than 2^15 values go in several passes; each row keeps its bits
-    for shape in ((2000, 17), (3, 1500, 17)):
+    # more than 2^15 values go in several passes; each row keeps its bits,
+    # also where one leading slice, or one row, holds more than 2^15 values
+    for shape in ((2000, 17), (3, 1500, 17), (1, 300, 200), (2, 40000)):
         big = rng.standard_normal(shape)
         assert big.size > 1 << 15
-        rows = [spectral.hr_norm(row, 0.3, 2.0) for row in big.reshape(-1, 17)]
+        rows = [spectral.hr_norm(row, 0.3, 2.0) for row in big.reshape(-1, shape[-1])]
         np.testing.assert_array_equal(spectral.hr_norm(big, 0.3, 2.0).ravel(), rows)
 
 
