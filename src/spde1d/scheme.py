@@ -167,6 +167,7 @@ def _run_constants(N: int, nu: float, h: float, gamma: float, widths: tuple, dri
             not np.array_equal(cols, np.arange(N)), drift)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
                start: tuple[np.ndarray, np.ndarray] | None = None, widths=None):
     """Trajectory kernel on raw increment arrays; the hot loop of every driver.
@@ -189,7 +190,7 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     that keep the drift in any segment, and one masked add (np.add with
     where=) adds the drift to their columns whose segment keeps it: a
     segment whose indicator is off is projected but its drift is never
-    read, and the overflow of its cube is silenced where it is made.
+    read.
 
     O steps as O_{m+1} = e^{hA}(O_m + Delta W_m), the exponential Euler OU.
     It is not exact in law: per mode its variance at T is the continuum
@@ -203,8 +204,9 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     Every H_gamma norm is spectral.weighted_norm with the weights
     mu^{2 gamma}, the arithmetic of spectral.hr_norm.  What depends on the
     run alone (factors, weights, layouts) comes from _run_constants, made
-    once per run however many calls its blocks take.  The Y loop runs under
-    one np.errstate that silences the overflow of an off segment's cube.
+    once per run however many calls its blocks take.  The whole call runs
+    under one np.errstate: a norm that overflows is inf, which turns the
+    drift off, and an off segment's cube overflows unread; neither warns.
     """
     dw = np.asarray(dw, dtype=np.float64)
     if (dw.ndim != 3 or dw.shape[2] != d.N
@@ -238,29 +240,28 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     if gather:  # O_m and O_{m+1} in Y's layout, the two buffers taking turns
         o_pair = (o_path[0][:, cols], np.empty((paths, len(cols))))
     decay_o = np.empty((paths, len(cols)))  # e^{hA} O_m
-    with np.errstate(over="ignore", invalid="ignore"):  # an off segment's cube
-        for m in range(steps):
-            y, y_next = y_path[m], y_path[m + 1]
-            if gather:
-                o_now = o_pair[m % 2]
-                o_next = o_path[m + 1].take(cols, axis=1, out=o_pair[1 - m % 2])
-            else:
-                o_now, o_next = o_path[m], o_path[m + 1]
-            np.multiply(decay_y, y, out=y_next)
-            y_next += o_next
-            np.multiply(decay_y, o_now, out=decay_o)
-            y_next -= decay_o
-            if drift_on:
-                on = _keeps_drift(spectral.weighted_norm(weights_y, y, out=y_norm,
-                                                         segments=y_segs),
-                                  o_norm[m], thr, out=on_rows[m])
-                kept = on.any(axis=1)  # the rows that keep the drift in any segment
-                if kept.any():  # a masked add, not a 0/1 product: 0*inf would be NaN
-                    drift = project_F(y[kept], model.a, grids)
-                    drift *= phi
-                    rows = y_next[kept]  # out and back; each column takes its segment's indicator
-                    np.add(rows, drift, out=rows, where=on[kept].take(seg_of_col, axis=1))
-                    y_next[kept] = rows
+    for m in range(steps):
+        y, y_next = y_path[m], y_path[m + 1]
+        if gather:
+            o_now = o_pair[m % 2]
+            o_next = o_path[m + 1].take(cols, axis=1, out=o_pair[1 - m % 2])
+        else:
+            o_now, o_next = o_path[m], o_path[m + 1]
+        np.multiply(decay_y, y, out=y_next)
+        y_next += o_next
+        np.multiply(decay_y, o_now, out=decay_o)
+        y_next -= decay_o
+        if drift_on:
+            on = _keeps_drift(spectral.weighted_norm(weights_y, y, out=y_norm,
+                                                     segments=y_segs),
+                              o_norm[m], thr, out=on_rows[m])
+            kept = on.any(axis=1)  # the rows that keep the drift in any segment
+            if kept.any():  # a masked add, not a 0/1 product: 0*inf would be NaN
+                drift = project_F(y[kept], model.a, grids)
+                drift *= phi
+                rows = y_next[kept]  # out and back; each column takes its segment's indicator
+                np.add(rows, drift, out=rows, where=on[kept].take(seg_of_col, axis=1))
+                y_next[kept] = rows
     if not drift_on:  # every row in one pass, time-major, which reads contiguous rows
         on_rows = _keeps_drift(spectral.weighted_norm(weights_y, y_path[:-1], segments=y_segs),
                                o_norm, thr)
@@ -269,14 +270,11 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
             suppressed[:, 0] if widths is None else suppressed)
 
 
-@np.errstate(over="ignore")
 def simulate_trajectory(model: ModelParams, d: DiscretizationParams,
                         tape: NoiseTape) -> tuple[np.ndarray, np.ndarray]:
     """(Y rows, O rows) at grid times 0, h, ..., T, each (M+1, N); Y_0 = O_0 = P_N xi.
 
-    The tape's one path runs through run_scheme as a batch of P = 1.  An
-    H_gamma norm that overflows is inf, drift off, without a warning, as in
-    the batched driver (experiments._step_block)."""
+    The tape's one path runs through run_scheme as a batch of P = 1."""
     if tape.T != model.T:
         raise ValueError(f"tape horizon {tape.T} differs from model horizon {model.T}")
     y_path, o_path, _ = run_scheme(model, d, tape.increments(d.M, d.N)[None])

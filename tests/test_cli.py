@@ -61,6 +61,29 @@ def test_cli_import_heat_errors_and_a_config_error_load_no_scipy(tmp_path):
     assert out.stdout.splitlines()[-1] == "(0, 2) []"
 
 
+@pytest.mark.parametrize("module, loaded", [
+    ("spde1d", []),
+    ("spde1d.heat_errors", ["spde1d.heat_errors", "spde1d.spectral"]),
+], ids=["spde1d", "spde1d.heat_errors"])
+def test_importing_a_module_loads_only_what_it_imports(module, loaded):
+    # the package's API is its modules: spde1d itself imports none of them
+    out = run_python("-c", (
+        f"import sys, {module}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'spde1d'))"))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == str(["spde1d", *loaded])
+
+
+def test_readme_minimal_use_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^Minimal use:\n\n```python\n(.*?)^```$", readme,
+                        flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    out = run_python("-c", blocks[0])
+    assert out.returncode == 0, out.stderr
+    assert len(out.stdout.splitlines()) == 2
+
+
 def test_heat_errors_default_grid(tmp_path, capsys):
     rc = cli.main(["heat-errors", "--out", str(tmp_path)])
     assert rc == cli.EXIT_OK

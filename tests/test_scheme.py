@@ -521,6 +521,24 @@ def test_lockstep_segment_with_a_huge_state_warns_of_nothing():
         np.testing.assert_array_equal(suppressed[:, widths.index(n)], sup)
 
 
+@pytest.mark.parametrize("model", [zero_model(), scheme.allen_cahn_model(n_xi_modes=16)],
+                         ids=["zero_drift", "allen_cahn"])
+def test_run_scheme_from_a_huge_o_warns_of_nothing(model):
+    # ||O||_{H_gamma} overflows to inf in the bulk O-norm pass, which turns the
+    # drift off at every step; with zero drift the indicator pass after the
+    # Y loop reads those norms too
+    M, N, paths = 4, 16, 2
+    d = scheme.DiscretizationParams(M=M, N=N)
+    dw = np.stack([noise.NoiseTape(seed=4, M_master=M, N_master=N, T=1.0, path=p)
+                   .increments(M, N) for p in range(paths)])
+    start = (np.zeros((paths, N)), np.full((paths, N), 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, o, suppressed = scheme.run_scheme(model, d, dw, start=start)
+    np.testing.assert_array_equal(suppressed, [M] * paths)
+    assert np.all(np.isfinite(y)) and np.all(np.isfinite(o))
+
+
 def test_run_scheme_shape_guards():
     model, d, dw, _ = _batch_inputs()
     with pytest.raises(ValueError):
