@@ -103,11 +103,6 @@ def _check_values(count: float, what: str) -> None:
                          f"the limit of {MAX_VALUES}")
 
 
-def _fsum(values) -> float:
-    # compensated accumulation keeps the 1e-12 sandwich tolerances honest
-    return math.fsum(np.asarray(values, dtype=np.float64).tolist())
-
-
 # ---------------------------------------------------------------------------
 # temporal error: exact per-mode integrals
 
@@ -197,6 +192,23 @@ def _trigamma_tail(cutoff: int, nu: float) -> float:
     return _trigamma(float(cutoff + 1)) / (2 * nu * math.pi**2)
 
 
+def _temporal_errors(M: int, ns, T: float, nu: float, mu=None, g_numer=None) -> dict:
+    """The exact temporal error of one M, keyed by each entry of ns (None: "all").
+
+    One term vector spans the widest integer N or, if longer, M's "all"
+    cutoff.  Each value is the correctly rounded fsum of a prefix, so it is
+    bit for bit what a vector of exactly that many terms gives; "all" adds
+    the trigamma tail.  The arrays mu and g_numer, if given, cover that vector.
+    """
+    cutoff = _all_modes_cutoff(M, T, nu) if None in ns else 0
+    length = max([cutoff, *(n for n in ns if n is not None)])
+    mu = spectral.eigenvalues(length, nu) if mu is None else mu[:length]
+    terms = _temporal_mode_terms(mu, M, T, g_numer).tolist()
+    tail = _trigamma_tail(cutoff, nu) if cutoff else 0.0
+    return {n: math.sqrt(math.fsum(itertools.islice(terms, n)) if n is not None
+                         else math.fsum(itertools.islice(terms, cutoff)) + tail) for n in ns}
+
+
 def temporal_error_exact(M: int, N, T: float, nu: float) -> float:
     """||P_N O_T - O^{M,N}_T||_{L^2(P;H)}, exactly.
 
@@ -210,10 +222,7 @@ def temporal_error_exact(M: int, N, T: float, nu: float) -> float:
     n = _mode_count(N)
     if n is not None:
         _check_modes(n, f"the temporal error at N={n}")
-        return math.sqrt(_fsum(_temporal_mode_terms(spectral.eigenvalues(n, nu), M, T)))
-    cutoff = _all_modes_cutoff(M, T, nu)
-    terms = _temporal_mode_terms(spectral.eigenvalues(cutoff, nu), M, T)
-    return math.sqrt(_fsum(terms) + _trigamma_tail(cutoff, nu))
+    return _temporal_errors(M, [n], T, nu)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +235,23 @@ def spatial_error_exact(N: int, T: float, nu: float) -> float:
     Modes up to a cutoff K are summed explicitly; the remaining pure
     1/(2 mu_k) tail is added in closed form (trigamma), so the only neglect is
     the exponentially small sum_{k>K} e^{-2 mu_k T}/(2 mu_k), kept below 1e-12
-    of the total (the explicit range grows if ever needed).
+    of the total by mu_{K+1} T >= 22.5 unless K > about 2e7, where it raises.
     """
     _validate_positive(T=T, nu=nu)
     N = _int_at_least(N, "N must be a nonnegative integer", least=0)
     k_min = math.sqrt(22.5 / (nu * math.pi**2 * T))
-    _check_modes(k_min - N, f"the spatial error at N={N}")
+    _check_modes(k_min - N, f"the spatial error at N={N}")  # before ceil: k_min may be inf
     cutoff = max(N + 64, math.ceil(k_min))
-    while True:
-        _check_modes(cutoff - N, f"the spatial error at N={N}")
-        mu = spectral.eigenvalues(cutoff + 1, nu, first=N + 1)  # mu_{N+1}..mu_{K+1}
-        explicit = _fsum(-np.expm1(-2 * mu[:-1] * T) / (2 * mu[:-1]))
-        total = explicit + _trigamma_tail(cutoff, nu)
-        # neglected part <= e^{-2 mu_{K+1} T} * (pi^2/6)/(2 nu pi^2)
-        neglected = math.exp(-2 * mu[-1] * T) / (12 * nu)
-        if neglected <= 1e-12 * total:
-            return math.sqrt(total)
-        cutoff *= 2
+    _check_modes(cutoff - N, f"the spatial error at N={N}")  # exact, where float N rounds
+    mu = spectral.eigenvalues(cutoff + 1, nu, first=N + 1)  # mu_{N+1}..mu_{K+1}
+    # compensated accumulation keeps the 1e-12 sandwich tolerances honest
+    explicit = math.fsum((-np.expm1(-2 * mu[:-1] * T) / (2 * mu[:-1])).tolist())
+    total = explicit + _trigamma_tail(cutoff, nu)
+    # neglected part <= e^{-2 mu_{K+1} T} * (pi^2/6)/(2 nu pi^2)
+    neglected = math.exp(-2 * mu[-1] * T) / (12 * nu)
+    if not neglected <= 1e-12 * total:
+        raise ValueError(f"the spatial error at N={N} neglects more than 1e-12 of its value")
+    return math.sqrt(total)
 
 
 def full_error_exact(M: int, N, T: float, nu: float) -> float:
@@ -436,16 +445,12 @@ def error_table(m_grid, n_grid, T: float, nu: float) -> tuple[list[ErrorBoundsRe
 
     Everything is evaluated per axis, and each value is formatted once.
     Per table: the eigenvalues and the numerator of the geometric factor G,
-    as many as any M needs.  Per distinct M: one temporal term vector, over
-    the widest integer N or, if longer, the "all" cutoff, whose prefixes
-    give every integer N and the "all" entry (with its trigamma tail); the
-    temporal upper bound; and the temporal lower bound as one array over the
-    N axis.  Per distinct N: the spatial series and both spatial bounds.  A
-    full value is the hypot of its two parts, as in full_error_exact, and
-    its bounds are those of bounds_full, from the same per-axis values.  One
-    pass over the grid writes the rows of all three kinds.  Each term is
-    elementwise and each prefix a correctly rounded fsum, so it is bit for
-    bit the value a vector of exactly that many terms gives.
+    as many as any M needs.  Per distinct M: its temporal values from one
+    _temporal_errors call, as temporal_error_exact takes its one, and both
+    temporal bounds, the lower as one array over the N axis.  Per distinct
+    N: the spatial series and both spatial bounds.  A full value and its
+    bounds combine the same per-axis values as full_error_exact and
+    bounds_full do.  One pass over the grid writes the rows of all three kinds.
     """
     _validate_positive(T=T, nu=nu)
     ms = [_int_at_least(M, "M must be a positive integer") for M in m_grid]
@@ -462,17 +467,12 @@ def error_table(m_grid, n_grid, T: float, nu: float) -> tuple[list[ErrorBoundsRe
                   bound_upper_spatial(n, T, nu))
         spatial[n] = (*values, "%.17g,%.17g,%.17g" % values)
 
-    cutoffs = {M: _all_modes_cutoff(M, T, nu) if None in ns else 0 for M in ms}
-    length = max([width, *cutoffs.values()])
+    length = max([width, *(_all_modes_cutoff(M, T, nu) for M in ms if None in ns)])
     mu = spectral.eigenvalues(length, nu) if length else np.empty(0)
     g_numer = np.expm1(-2 * mu * T)
     temporal = {}  # M -> (exact by n, lower by N entry, upper, text)
-    for M, cutoff in cutoffs.items():
-        terms = _temporal_mode_terms(mu[:max(width, cutoff)], M, T, g_numer).tolist()
-        exact = {n: math.sqrt(math.fsum(itertools.islice(terms, n))) for n in counts}
-        if cutoff:
-            exact[None] = math.sqrt(math.fsum(itertools.islice(terms, cutoff))
-                                    + _trigamma_tail(cutoff, nu))
+    for M in dict.fromkeys(ms):
+        exact = _temporal_errors(M, dict.fromkeys(ns), T, nu, mu, g_numer)
         lower = np.sqrt(_lower_temporal_sq(M, n_axis, T, nu)).tolist()
         upper = bound_upper_temporal(M, T, nu)
         temporal[M] = (exact, lower, upper, "%.17g" % upper)

@@ -89,6 +89,23 @@ def test_spatial_series_refuses_mode_counts_that_do_not_exist(bad):
         he.spatial_error_exact(bad, 1.0, 1.0)
 
 
+def test_spatial_series_refuses_what_its_one_pass_cannot_bound():
+    # mu_{K+1} T = 22.5 at the cutoff K = N + 64 leaves a neglected part of
+    # about 4.7e-20 (K + 1) of the total: above 1e-12 once K passes ~2.1e7
+    N = 30_000_000
+    with pytest.raises(ValueError, match="the spatial error at N=30000000 neglects more than 1e-12"):
+        he.spatial_error_exact(N, 22.5 / (math.pi**2 * (N + 64) ** 2), 1.0)
+
+
+def test_spatial_series_refuses_a_cutoff_that_a_rounded_n_hides():
+    # float(N) rounds up to k_min = 1e150, so k_min - N reads 0, but the
+    # cutoff ceil(k_min) lies 1e130 modes past N
+    T, N = 2.2797266319526e-300, int(1e150) - 10**130
+    assert math.sqrt(22.5 / (math.pi**2 * T)) == float(N) == 1e150
+    with pytest.raises(ValueError, match="needs 1e\\+130 modes, more than the limit"):
+        he.spatial_error_exact(N, T, 1.0)
+
+
 def test_temporal_error_monotone_in_steps():
     vals = [he.temporal_error_exact(M, 32, 1.0, 1.0) for M in (1, 2, 4, 8, 16, 32, 64)]
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
@@ -308,9 +325,11 @@ def test_error_report_all_modes_row():
 
 
 def test_error_table_all_modes_entry_from_its_own_term_vector(monkeypatch):
-    # "all" cutoffs: 8 at M=1, inside the widest integer N, and 2187 at M=2^20,
-    # beyond it; both are prefixes of their M's term vector, never a call of
-    # temporal_error_exact, and equal its value bit for bit
+    # "all" cutoffs: 8 at M=1, inside the widest integer N; 512 at M=57344,
+    # exactly the widest integer N; and 2187 at M=2^20, beyond it; each is a
+    # prefix of its M's term vector, never a call of temporal_error_exact, and
+    # equals its value bit for bit
+    assert [he._all_modes_cutoff(M, 1.0, 1.0) for M in (1, 57344, 1048576)] == [8, 512, 2187]
     calls, scalar = [], he.temporal_error_exact
 
     def counted(*args):
@@ -318,10 +337,10 @@ def test_error_table_all_modes_entry_from_its_own_term_vector(monkeypatch):
         return scalar(*args)
 
     monkeypatch.setattr(he, "temporal_error_exact", counted)
-    rows, _ = he.error_table([1, 1048576], [2, 512, "all"], 1.0, 1.0)
+    rows, _ = he.error_table([1, 57344, 1048576], [2, 512, "all"], 1.0, 1.0)
     assert calls == []
     all_rows = [r for r in rows if r.N == "all"]
-    assert [r.M for r in all_rows] == [1, 1048576]
+    assert [r.M for r in all_rows] == [1, 57344, 1048576]
     for r in all_rows:
         assert r.exact == scalar(r.M, "all", 1.0, 1.0)
     for r in rows:  # the integer prefixes of the longer vector too
