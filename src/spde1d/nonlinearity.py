@@ -123,12 +123,12 @@ def project_F(coeffs: np.ndarray, a: CubicCoefficients,
         separate call per segment; the odd part u (a1 + a3 u^2) is formed
         once over the whole grid array.  The default is one segment of all
         N columns on spectral.default_grid(N).  Every segment needs
-        grid-1 >= 3N+1 (alias-free analysis of the cubic).
+        grid-1 >= 2N, so that no frequency of the cube aliases onto a kept mode.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     layout = spectral.GridLayout(coeffs.shape[-1:]) if grid is None else grid
     if not layout.alias_free:
-        raise ValueError(f"alias risk: need grid-1 >= 3N+1 for each of widths "
+        raise ValueError(f"alias risk: need grid-1 >= 2N for each of widths "
                          f"{layout.widths}, got grids {layout.grids}")
     a0, a1, a2, a3 = a.as_tuple()
     if a1 != 0.0 or a3 != 0.0:
@@ -187,7 +187,7 @@ def _f_difference_h_norm_sq(
     v: np.ndarray, w: np.ndarray, a: CubicCoefficients, uv: np.ndarray, uw: np.ndarray
 ) -> float:
     """||F(v) - F(w)||_H^2, exact: sine block + cosine block + mixed Gram term;
-    uv and uw are v and w on the default grid of their N modes."""
+    uv and uw are v and w on a grid with G-1 >= 3N+1, which resolves the cube."""
     n = v.shape[0]
     a0, a1, a2, a3 = a.as_tuple()
     odd = _odd_part_on_grid(uv, a1, a3) - _odd_part_on_grid(uw, a1, a3)
@@ -214,7 +214,8 @@ def check_lipschitz(v: np.ndarray, w: np.ndarray, a: CubicCoefficients) -> float
     w = np.asarray(w, dtype=np.float64)
     if v.shape != w.shape or v.ndim != 1:
         raise ValueError("v and w must be coefficient vectors of equal length")
-    layout = spectral.GridLayout(v.shape)  # grid-1 >= 3N+1: the norms are exact
+    # grid-1 >= 3N+1, not default_grid: the whole cube and the L^6 norms are exact
+    layout = spectral.GridLayout(v.shape, (spectral._fast_grid(3 * v.shape[0] + 2),))
     uv = spectral.to_grid(v, layout)
     uw = spectral.to_grid(w, layout)
     lhs = _f_difference_h_norm_sq(v, w, a, uv, uw)

@@ -100,29 +100,38 @@ def phi1_factors(n_modes: int, nu: float, h: float) -> np.ndarray:
     return out
 
 
-_pocketfft_dst = None  # pocketfft's DST-I kernel, resolved by the first transform
+_pocketfft_dst = None  # the DST-I kernel, resolved by the first transform
 
 
 def _dst1(pad: np.ndarray, views) -> None:
-    """In-place DST-I along the last axis of pad's column slices `views`, by
-    pocketfft's kernel under scipy.fft.dst as scipy calls it (type 1, no norm,
-    one worker), resolved once per process at the first call: a process with
-    no transform loads no scipy."""
+    """In-place DST-I along the last axis of pad's column slices `views`: the
+    pocketfft kernel as scipy.fft.dst calls it (type 1, no norm, one worker),
+    or scipy.fft.dst itself (same bits) in a scipy that moved that private
+    binding; resolved once per process: a process with no transform loads no scipy."""
     global _pocketfft_dst
     if _pocketfft_dst is None:
-        from scipy.fft._pocketfft.pypocketfft import dst
-        _pocketfft_dst = dst
+        try:
+            from scipy.fft._pocketfft.pypocketfft import dst as _pocketfft_dst
+        except ImportError:
+            import scipy.fft
+
+            def _pocketfft_dst(x, _type, _axes, _norm, out, _nthreads):
+                out[...] = scipy.fft.dst(x, type=1, axis=-1)
     for view in views:
         segment = pad[..., view]
         _pocketfft_dst(segment, 1, (-1,), 0, segment, 1)
 
 
-def default_grid(n_modes: int) -> int:
-    """Smallest alias-free grid with a fast transform: the least G with
-    G-1 >= 3N+1 whose DST-I, an FFT of length 2G, has no prime factor
-    above 5 (G = 5, 27, 50, 100, 200, 400 for N = 1, 8, 16, 32, 64, 128)."""
+def _fast_grid(points: int) -> int:
+    """The least G >= points whose DST-I, an FFT of length 2G, is 5-smooth."""
     import scipy.fft
-    return scipy.fft.next_fast_len(3 * n_modes + 2, real=True)
+    return scipy.fft.next_fast_len(points, real=True)
+
+
+def default_grid(n_modes: int) -> int:
+    """Least fast G >= 2N+1 (3, 18, 36, 72, 135, 270 for N = 1, 8, 16, 32, 64, 128):
+    each frequency m in (G, 3N] of the cube aliases onto 2G - m > N, off the kept modes."""
+    return _fast_grid(2 * n_modes + 1)
 
 
 class GridLayout:
@@ -135,7 +144,7 @@ class GridLayout:
     the grid column of each coefficient column, an index array, and
     `scale` its inverse-transform factor sqrt(2)/(2G).  Grids default to
     default_grid; each needs G-1 >= its width.  `alias_free` says whether
-    every grid resolves the cube of its segment, G-1 >= 3n+1, the rule
+    every grid keeps its segment's cube off its kept modes, G-1 >= 2n, as
     nonlinearity.project_F requires.  Built once per run: every call of
     to_grid, from_grid and nonlinearity.project_F on it then takes one
     scatter, one scale and one gather for all segments, and one DST-I per
@@ -162,7 +171,7 @@ class GridLayout:
                                        for v, n in zip(self.views, self.widths)])
         self.scale = np.concatenate([np.full(n, SQRT2 / (2.0 * g))
                                      for n, g in zip(self.widths, self.grids)])
-        self.alias_free = all(g - 1 >= 3 * n + 1 for n, g in zip(self.widths, self.grids))
+        self.alias_free = all(g - 1 >= 2 * n for n, g in zip(self.widths, self.grids))
 
 
 def to_grid(coeffs: np.ndarray, layout: GridLayout) -> np.ndarray:

@@ -142,6 +142,35 @@ def test_project_on_default_grid_matches_oracle_and_4n_grid(c, coeffs):
     assert np.max(np.abs(got - wide)) <= 1e-13 * size
 
 
+@pytest.mark.parametrize("n", range(1, 65))
+def test_projection_grid_rule_is_tight(n):
+    # G-1 >= 2N keeps every frequency of the cube, up to 3N, off the N kept
+    # modes: the default grid agrees with a 4N+1 grid to roundoff, and a
+    # transform forced onto G = 2N or 2N-1 (project_F refuses both) misses
+    assert spectral.GridLayout((n,), (2 * n + 1,)).alias_free
+    assert not spectral.GridLayout((n,), (2 * n,)).alias_free
+    a = nl.allen_cahn()
+    c = np.random.default_rng(n).standard_normal((4, n))
+    got = nl.project_F(c, a)
+    scale = np.max(np.abs(got))
+    wide = nl.project_F(c, a, spectral.GridLayout((n,), (4 * n + 1,)))
+    assert np.max(np.abs(got - wide)) <= 1e-14 * scale
+    for g in (2 * n, 2 * n - 1)[:n]:  # at N = 1 no grid G = 1 holds a mode
+        layout = spectral.GridLayout((n,), (g,))
+        with pytest.raises(ValueError, match="alias"):
+            nl.project_F(c, a, layout)
+        u = spectral.to_grid(c, layout)
+        aliased = spectral.from_grid(u - u**3, layout)
+        assert np.max(np.abs(aliased - got)) > 1e-9 * scale, g
+
+
+def test_lipschitz_audit_keeps_its_own_grid():
+    # check_lipschitz reads the whole cube on a grid with G-1 >= 3N+1, not on
+    # the projection's default grid; a change of either grid that reached the
+    # audit would move this value
+    assert nl.run_inequality_audit("lipschitz", trials=200, seed=0) == -4.53534117232955
+
+
 def test_project_alias_guard():
     with pytest.raises(ValueError, match="alias"):
         nl.project_F(np.ones(8), nl.allen_cahn(), grid=spectral.GridLayout((8,), (16,)))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -158,14 +159,14 @@ def _is_5_smooth(g):
 
 
 def test_default_grid_rule():
-    # least G with G-1 >= 3N+1 (alias-free cubic) and 5-smooth G (DST-I is an
-    # FFT of length 2G)
+    # least G with G-1 >= 2N (the projected cube aliases onto no kept mode)
+    # and 5-smooth G (DST-I is an FFT of length 2G)
     for n in range(1, 1025):
         G = spectral.default_grid(n)
-        assert G - 1 >= 3 * n + 1 and _is_5_smooth(G), n
-        assert not any(_is_5_smooth(g) for g in range(3 * n + 2, G)), n
+        assert G - 1 >= 2 * n and _is_5_smooth(G), n
+        assert not any(_is_5_smooth(g) for g in range(2 * n + 1, G)), n
     assert [spectral.default_grid(n) for n in (1, 8, 16, 32, 64, 128)] == \
-        [5, 27, 50, 100, 200, 400]
+        [3, 18, 36, 72, 135, 270]
 
 
 def test_transform_batched_rows_match_single():
@@ -197,3 +198,20 @@ def test_transforms_equal_scipy_fft_dst_bit_for_bit(n_modes, lead):
                                       scipy.fft.dst(pad, type=1, axis=-1) * (np.sqrt(2.0) / 2.0))
         want = scipy.fft.dst(v[..., view], type=1, axis=-1) * (np.sqrt(2.0) / (2.0 * G))
         np.testing.assert_array_equal(coeffs[..., seg], want[..., :n])
+
+
+@pytest.mark.parametrize("n_modes", [1, 16, pytest.param((128, 8, 16, 32, 64), id="5-segments")])
+def test_transforms_without_the_private_kernel_keep_its_bits(n_modes, monkeypatch):
+    # a scipy that moves pocketfft's private binding makes its import fail;
+    # _dst1 then resolves to public scipy.fft.dst, with the same bits
+    layout = spectral.GridLayout(np.atleast_1d(n_modes))
+    rng = np.random.default_rng(layout.n_modes)
+    c = rng.standard_normal((4, layout.n_modes))
+    v = rng.standard_normal((4, layout.points))
+    want = spectral.to_grid(c, layout), spectral.from_grid(v.copy(), layout)
+    monkeypatch.setattr(spectral, "_pocketfft_dst", None)
+    monkeypatch.setitem(sys.modules, "scipy.fft._pocketfft.pypocketfft", None)
+    got = spectral.to_grid(c, layout), spectral.from_grid(v.copy(), layout)
+    assert spectral._pocketfft_dst.__module__ == "spde1d.spectral"
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
