@@ -48,6 +48,7 @@ def _at_least(least: int, most: int = heat_errors.MAX_COUNT):
 
 
 _positive, _natural = _at_least(1), _at_least(0)
+_u64 = _at_least(0, 2**64 - 1)  # a noise tape's seed and path index are 64-bit counters
 # a mode count sizes vectors (the initial value, the tape's rows) before any run
 _modes, _modes_or_0 = _at_least(1, heat_errors.MAX_MODES), _at_least(0, heat_errors.MAX_MODES)
 
@@ -109,7 +110,7 @@ _MODEL = {"T": (1.0, _number), "nu": (1.0, _number),
           "a": ([0.0, 1.0, 0.0, -1.0], _coefficients), "initial": ("bump", _initial)}
 _SCHEME = {"gamma": (scheme.DEFAULT_GAMMA, _number), "chi": (scheme.DEFAULT_CHI, _number)}
 _MASTER = {"M_master": (0, _natural), "N_master": (0, _modes_or_0)}  # 0: the run's own M, N
-_SEED = {"seed": (0, _natural)}
+_SEED = {"seed": (0, _u64)}
 _OUTPUT = {"dir": (".", _directory), "prefix": ("spde1d", _file_prefix)}
 SETTINGS = {
     "heat-errors": {"model": {"T": _MODEL["T"], "nu": _MODEL["nu"]},
@@ -119,7 +120,7 @@ SETTINGS = {
                     "output": _OUTPUT},
     "simulate": {"model": _MODEL,
                  "discretization": {"M": (64, _positive), "N": (64, _modes), **_SCHEME},
-                 "study": {**_SEED, "path": (0, _natural), **_MASTER}, "output": _OUTPUT},
+                 "study": {**_SEED, "path": (0, _u64), **_MASTER}, "output": _OUTPUT},
     "converge": {"model": _MODEL, "discretization": _SCHEME,
                  "study": {"m_grid": ([16, 32, 64, 128], _int_grid),
                            "n_grid": ([8, 16, 32, 64], _int_grid),

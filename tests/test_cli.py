@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,7 @@ _ZERO_DRIFT = {"a": [0.0, 0.0, 0.0, 0.0], "initial": "zero"}
     ("simulate", {"model": {"initial": []}, "discretization": {"M": 8, "N": 4}}),
     ("converge", {"model": {"initial": []}, "study": _SMALL_STUDY}),
     ("converge", {"model": _ZERO_DRIFT, "study": dict(_SMALL_STUDY, exact=True, M_ref=10**400)}),
+    ("converge", {"model": _ZERO_DRIFT, "study": dict(_SMALL_STUDY, m_grid=[4, 8, 32])}),
 ], ids=["m_not_dividing_master", "m_grid_not_a_list", "study_not_an_object",
         "misspelled_key", "overflowing_initial_value", "fractional_M", "fractional_paths",
         "exact_as_string", "seed_as_bool", "master_as_string", "simulate_fractional_M",
@@ -253,7 +255,7 @@ _ZERO_DRIFT = {"a": [0.0, 0.0, 0.0, 0.0], "initial": "zero"}
         "simulate_prefix_naming_a_subdirectory", "prefix_naming_a_subdirectory",
         "simulate_null_prefix", "null_prefix", "config_root_not_an_object",
         "a_with_two_entries", "simulate_empty_initial", "empty_initial",
-        "exact_M_ref_beyond_the_float_range"])
+        "exact_M_ref_beyond_the_float_range", "m_within_8x_of_the_reference"])
 def test_bad_study_values_exit_2(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
     rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
@@ -324,13 +326,33 @@ def test_converge_refuses_a_grid_it_cannot_fit_before_any_path(tmp_path, capsys,
     assert not list(tmp_path.glob("spde1d_*"))
 
 
-def test_converge_exact_fits_a_grid_entry_at_the_reference(tmp_path):
-    # the exact error at M_ref is positive, so the grid refused above fits here
-    study = dict(_SMALL_STUDY, m_grid=[4, 8, 128], exact=True)
+@pytest.mark.parametrize("m_grid", [[4, 8, 128], [4, 8, 32]],
+                         ids=["m_at_reference", "m_within_8x_of_the_reference"])
+def test_converge_exact_fits_grids_monte_carlo_refuses(tmp_path, m_grid):
+    # exact mode runs no reference: its error at M_ref is positive, and no
+    # reference-ratio rule applies, so both grids Monte Carlo mode refuses fit
+    study = dict(_SMALL_STUDY, m_grid=m_grid, exact=True)
     cfg = write_cfg(tmp_path, {"model": _ZERO_DRIFT, "study": study})
     assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 0
     fits = json.loads((tmp_path / "spde1d_rates.json").read_text())
-    assert [M for M, _ in fits["temporal"]["points"]] == [4, 8, 128]
+    assert [M for M, _ in fits["temporal"]["points"]] == m_grid
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("simulate", {"study": {"seed": 2**64}}, "study.seed"),
+    ("simulate", {"study": {"path": 2**64}}, "study.path"),
+    ("converge", {"model": _ZERO_DRIFT, "study": dict(_SMALL_STUDY, exact=True, seed=2**64)},
+     "study.seed"),
+    ("check", {"study": {"seed": 2**64}}, "study.seed"),
+], ids=["simulate_seed", "simulate_path", "converge_exact_seed", "check_seed"])
+def test_seed_and_path_beyond_64_bits_are_named_and_exit_2(tmp_path, capsys, command, payload,
+                                                           key):
+    # the noise tape's counters are 64-bit, so every command refuses more as it parses
+    cfg = write_cfg(tmp_path, payload)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command, payload, key", [
@@ -403,6 +425,23 @@ def test_readme_key_table_is_the_cli_table():
                           for command, table in cli.SETTINGS.items()}
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("simulate", None),
+    # each grid time holds more values than one norm pass takes
+    ("simulate", {"discretization": {"M": 2, "N": 40000}}),
+    ("simulate", {"discretization": {"M": 4, "N": 2},
+                  "study": {"seed": 2**64 - 1, "path": 2**64 - 1}}),
+    ("converge", {"model": {"a": [0, 0, 0, 0]}, "study": _SMALL_STUDY}),
+    ("converge", {"study": _SMALL_STUDY}),
+], ids=["simulate_default", "simulate_wide", "simulate_largest_seed_and_path",
+        "converge_zero_drift", "converge_allen_cahn"])
+def test_runs_exit_0_with_an_empty_stderr(tmp_path, command, payload):
+    # a fresh interpreter, because pytest would catch a numpy warning before stderr
+    config = [] if payload is None else ["--config", write_cfg(tmp_path, payload)]
+    out = run_python("-m", "spde1d.cli", command, *config, "--out", str(tmp_path))
+    assert (out.returncode, out.stderr) == (0, "")
+
+
 def simulate_cfg(tmp_path, **model):
     payload = {"discretization": {"M": 8, "N": 8}}
     if model:
@@ -468,8 +507,21 @@ def test_converge_exact_mode(tmp_path, capsys):
     assert all(r.split(",")[6] == "0" for r in rows)  # paths column marks exact mode
 
 
-def test_converge_thread_count_does_not_change_bytes(tmp_path):
-    cfg = converge_cfg(tmp_path)
+@pytest.mark.parametrize("payload", [
+    {"model": _ZERO_DRIFT, "study": dict(_SMALL_STUDY, paths=70)},
+    # N = 1 is a width-1 segment of the reference's run, at 8 master steps per step
+    {"study": dict(_SMALL_STUDY, n_grid=[1, 2, 4], M_master=1024, paths=70)},
+], ids=["zero_drift", "allen_cahn_n1"])
+def test_converge_thread_count_does_not_change_bytes(tmp_path, monkeypatch, payload):
+    # 70 paths are two batches, so --threads 2 merges them from a pool of two workers
+    pools = []
+
+    def counted_pool(**kwargs):
+        pools.append(kwargs["max_workers"])
+        return ProcessPoolExecutor(**kwargs)
+
+    monkeypatch.setattr(cli.experiments, "ProcessPoolExecutor", counted_pool)
+    cfg = write_cfg(tmp_path, payload)
     assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path),
                      "--threads", "1"]) == cli.EXIT_OK
     csv1 = (tmp_path / "spde1d_errors.csv").read_bytes()
@@ -478,6 +530,7 @@ def test_converge_thread_count_does_not_change_bytes(tmp_path):
                      "--threads", "2"]) == cli.EXIT_OK
     assert (tmp_path / "spde1d_errors.csv").read_bytes() == csv1
     assert (tmp_path / "spde1d_rates.json").read_bytes() == json1
+    assert pools == [2]
 
 
 def test_converge_single_path_stderr_nan(tmp_path):
@@ -537,7 +590,9 @@ def test_check_passes_on_healthy_library(tmp_path, capsys):
     rc = cli.main(["check", "--config", cfg])
     assert rc == cli.EXIT_OK
     out = capsys.readouterr().out
-    assert out.count("PASS") == 5 and "FAIL" not in out
+    lines = out.splitlines()  # one line per audit, as README promises
+    assert len(lines) == 5 and all(line.startswith("PASS ") for line in lines), out
+    assert "FAIL" not in out
 
 
 def test_check_audit_failure_exits_4(monkeypatch, capsys):
