@@ -30,7 +30,7 @@ import numpy as np
 
 from . import experiments, heat_errors, nonlinearity, scheme
 from .heat_errors import _number
-from .noise import NoiseTape
+from .noise import MAX_COUNTER, NoiseTape
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,7 +48,7 @@ def _at_least(least: int, most: int = heat_errors.MAX_COUNT):
 
 
 _positive, _natural = _at_least(1), _at_least(0)
-_u64 = _at_least(0, 2**64 - 1)  # a noise tape's seed and path index are 64-bit counters
+_u64 = _at_least(0, MAX_COUNTER)  # a noise tape's seed and path index
 # a mode count sizes vectors (the initial value, the tape's rows) before any run
 _modes, _modes_or_0 = _at_least(1, heat_errors.MAX_MODES), _at_least(0, heat_errors.MAX_MODES)
 
@@ -224,13 +224,10 @@ def cmd_heat_errors(v: dict) -> int:
 
 def cmd_simulate(v: dict) -> int:
     M, N = v["M"], v["N"]
-    M_master, N_master = v["M_master"] or M, v["N_master"] or N
-    # bounds the tape's raw block, the increments, Y and O
-    heat_errors._check_values(float(M_master + 1) * N_master, f"simulate at M={M}, N={N}")
     d = scheme.DiscretizationParams(M=M, N=N, gamma=v["gamma"], chi=v["chi"])
     model = _model(v, n_xi=max(N, 512))
-    tape = NoiseTape(seed=v["seed"], M_master=M_master, N_master=N_master, T=model.T,
-                     path=v["path"])
+    tape = NoiseTape(seed=v["seed"], M_master=v["M_master"] or M, N_master=v["N_master"] or N,
+                     T=model.T, path=v["path"])
     Y, O = scheme.simulate_trajectory(model, d, tape)
     out = _write(v, "trajectory.csv", scheme.trajectory_csv(model, d, Y, O))
     print(f"wrote {out} ({len(Y)} grid times x {N} modes)")

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import heat_errors, spectral
-from .noise import NoiseTape, coarsen_increments, mean_stderr, merge_m2, sum_and_m2
+from .noise import MAX_COUNTER, NoiseTape, coarsen_increments, mean_stderr, merge_m2, sum_and_m2
 from .scheme import (DEFAULT_CHI, DEFAULT_GAMMA, DiscretizationParams, ModelParams,
                      lockstep_layout, run_scheme)
 
@@ -64,14 +64,16 @@ class StudyConfig:
     moment_p: int = 2
 
     def __post_init__(self):
-        def count(value, name: str, least: int = 1) -> int:  # a bool is not a count
-            return heat_errors._int_at_least(value, f"{name} must be an integer >= {least}", least)
+        def count(value, name: str, least: int = 1, most: int = heat_errors.MAX_COUNT) -> int:
+            return heat_errors._int_at_least(  # a bool is not a count
+                value, f"{name} must be an integer >= {least}", least, most)
         for name in ("m_grid", "n_grid"):
             object.__setattr__(self, name, tuple(count(v, name + " entries")
                                                  for v in getattr(self, name)))
-        for name, least in (("m_ref", 1), ("n_ref", 1), ("paths", 1), ("seed", 0),
+        for name, least in (("m_ref", 1), ("n_ref", 1), ("paths", 1),
                             ("m_master", 0), ("n_master", 0), ("threads", 1), ("moment_p", 1)):
             object.__setattr__(self, name, count(getattr(self, name), name, least))
+        object.__setattr__(self, "seed", count(self.seed, "seed", 0, MAX_COUNTER))  # the tape's key
         if not self.m_grid or not self.n_grid:
             raise ValueError("m_grid and n_grid must be nonempty")
         if self.m_master == 0:
@@ -173,23 +175,23 @@ def _path_batch(job):
     plan = {cfg.m_ref: {reference: []}} if reference else {}
     for target in targets:  # M -> {(M, N): targets}
         plan.setdefault(target[-2], {}).setdefault(target[-2:], []).append(target)
-    runs = {}  # M -> [widths, readers, their Y columns, the carried (Y, O)]
-    for M, readers in plan.items():
-        widths = tuple(N for _, N in readers)
-        cols, segs = lockstep_layout(widths, any(cfg.model.a.as_tuple()))
-        xi = cfg.model.xi_projected(max(widths))
-        runs[M] = [widths, readers, segs, (xi[cols], xi)]
-    block = math.lcm(*(cfg.m_master // M for M in runs))
+    widths = {M: tuple(N for _, N in readers) for M, readers in plan.items()}
+    block = math.lcm(*(cfg.m_master // M for M in plan))
     columns = {t: t[-2] + 1 if len(t) == 3 else 1 for t in targets}  # grid times, or T
     # before allocating: each target's samples, and per block the master
     # increments, a tape's raw rows, and a run's Y (at most sum(widths) columns)
     heat_errors._check_values(float(len(tapes)) * max(
-        (block + 1) * max(cfg.n_master, *(sum(widths) for widths, *_ in runs.values())),
-        *columns.values()), f"a batch of {len(tapes)} paths")
+        (block + 1) * max(cfg.n_master, *map(sum, widths.values())), *columns.values()),
+        f"a batch of {len(tapes)} paths")
+    runs = {}  # M -> [widths, readers, their Y columns, the carried (Y, O)]
+    for M, readers in plan.items():
+        cols, segs = lockstep_layout(widths[M], any(cfg.model.a.as_tuple()))
+        xi = cfg.model.xi_projected(max(widths[M]))
+        runs[M] = [widths[M], readers, segs, (xi[cols], xi)]
     suppressed = {resolution: 0 for readers in plan.values() for resolution in readers}
     samples = {t: np.empty((len(tapes), c)) for t, c in columns.items()}
 
-    master = np.empty((len(tapes), block, max(max(widths) for widths, *_ in runs.values())))
+    master = np.empty((len(tapes), block, max(map(max, widths.values()))))
     for first in range(0, cfg.m_master, block):
         for p, tape in enumerate(tapes):
             master[p] = tape.master_increments(master.shape[2], rows=(first, first + block))

@@ -65,8 +65,8 @@ def _int_at_least(value, requirement: str, least: int = 1, most: int = MAX_COUNT
         n = least - 1
     if n != value or n < least or isinstance(value, bool):
         raise ValueError(f"{requirement}, got {value!r}")
-    if n > most:
-        raise ValueError(f"{requirement}, at most {most:.6g}; "
+    if n > most:  # MAX_COUNT has 308 digits; any other bound prints exactly
+        raise ValueError(f"{requirement}, at most {f'{most:.6g}' if most == MAX_COUNT else most}; "
                          f"got a {len(str(n))}-digit integer")
     return n
 

@@ -24,6 +24,7 @@ _KEY_SALT = 0x9E3779B97F4A8000  # float64 it was always rounded to, so tapes kee
 
 SUBSTREAM_INCREMENTS = 0
 SUBSTREAM_AUX = 1  # residual draws for the exact true-vs-discrete coupling
+MAX_COUNTER = 2**64 - 1  # a tape's seed and path index are 64-bit Philox words
 
 
 def _uniform_open(raw: np.ndarray) -> np.ndarray:
@@ -37,11 +38,11 @@ class NoiseTape:
 
     Fields
     ------
-    seed : master seed shared by a whole experiment, an integer in [0, 2^64)
+    seed : master seed shared by a whole experiment, an integer in [0, MAX_COUNTER]
     M_master, N_master : master resolution; every consumed (M, N) must satisfy
         M | M_master and N <= N_master
     T : time horizon; master step is T/M_master
-    path : sub-stream index of this sample path, an integer in [0, 2^64)
+    path : sub-stream index of this sample path, an integer in [0, MAX_COUNTER]
     """
 
     seed: int
@@ -55,13 +56,13 @@ class NoiseTape:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
-        if not (0 <= self.seed < 2**64):
+        if not (0 <= self.seed <= MAX_COUNTER):
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.M_master < 1 or self.N_master < 1:
             raise ValueError("master resolution must be at least (1, 1)")
         if not (self.T > 0 and math.isfinite(self.T)):
             raise ValueError(f"horizon T must be positive and finite, got {self.T}")
-        if not (0 <= self.path < 2**64):
+        if not (0 <= self.path <= MAX_COUNTER):
             raise ValueError(f"path index must fit in 64 bits, got {self.path}")
 
     @property

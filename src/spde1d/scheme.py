@@ -194,13 +194,14 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
 
     O steps as O_{m+1} = e^{hA}(O_m + Delta W_m), the exponential Euler OU.
     It is not exact in law: per mode its variance at T is the continuum
-    (1 - e^{-2 mu T})/(2 mu) times 2 mu h/(e^{2 mu h} - 1), far below it
-    when mu h >> 1.  O does not depend on Y, so it steps first and its norms
-    are taken next.  With a drift, each step of the Y loop writes its
-    indicator into one (steps, paths, widths) bool block; with zero drift
-    one square-and-weight pass over all Y rows after the loop fills that
-    block, every width's norm from its prefix.  The suppressed counts are one
-    sum over the block.  The bits are those of one joint step.
+    (1 - e^{-2 mu T})/(2 mu) times 2 mu h/(e^{2 mu h} - 1), far below it when
+    mu h >> 1.  O does not depend on Y, so it steps first and its norms are
+    taken next.  The Y loop carries e^{hA} O_m over from each step to the next
+    and reads O_{m+1} through one buffer in Y's layout.  With a drift, each
+    step writes its indicator into one (steps, paths, widths) bool block; with
+    zero drift one square-and-weight pass over all Y rows after the loop fills
+    that block, every width's norm from its prefix.  The suppressed counts are
+    one sum over the block.  The bits are those of one joint step.
     Every H_gamma norm is spectral.weighted_norm with the weights
     mu^{2 gamma}, the arithmetic of spectral.hr_norm.  What depends on the
     run alone (factors, weights, layouts) comes from _run_constants, made
@@ -237,20 +238,16 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
         grids, phi, seg_of_col = drift_consts
         y_norm = np.empty((paths, len(sizes)))
         on_rows = np.empty((steps, paths, len(sizes)), dtype=bool)  # each step's indicator
-    if gather:  # O_m and O_{m+1} in Y's layout, the two buffers taking turns
-        o_pair = (o_path[0][:, cols], np.empty((paths, len(cols))))
-    decay_o = np.empty((paths, len(cols)))  # e^{hA} O_m
+    # e^{hA} O_m, carried from the step before; O_{m+1} in Y's layout if Y gathers O
+    decay_o = decay_y * o_path[0][:, cols]
+    o_next = np.empty((paths, len(cols))) if gather else None
     for m in range(steps):
         y, y_next = y_path[m], y_path[m + 1]
-        if gather:
-            o_now = o_pair[m % 2]
-            o_next = o_path[m + 1].take(cols, axis=1, out=o_pair[1 - m % 2])
-        else:
-            o_now, o_next = o_path[m], o_path[m + 1]
+        o_next = o_path[m + 1].take(cols, axis=1, out=o_next) if gather else o_path[m + 1]
         np.multiply(decay_y, y, out=y_next)
         y_next += o_next
-        np.multiply(decay_y, o_now, out=decay_o)
         y_next -= decay_o
+        np.multiply(decay_y, o_next, out=decay_o)
         if drift_on:
             on = _keeps_drift(spectral.weighted_norm(weights_y, y, out=y_norm,
                                                      segments=y_segs),
@@ -274,9 +271,12 @@ def simulate_trajectory(model: ModelParams, d: DiscretizationParams,
                         tape: NoiseTape) -> tuple[np.ndarray, np.ndarray]:
     """(Y rows, O rows) at grid times 0, h, ..., T, each (M+1, N); Y_0 = O_0 = P_N xi.
 
-    The tape's one path runs through run_scheme as a batch of P = 1."""
+    The tape's one path runs through run_scheme as a batch of P = 1, once its
+    raw block, which bounds dw, Y and O, is found to fit heat_errors.MAX_VALUES."""
     if tape.T != model.T:
         raise ValueError(f"tape horizon {tape.T} differs from model horizon {model.T}")
+    heat_errors._check_values(float(tape.M_master + 1) * tape.N_master,
+                              f"simulate at M={d.M}, N={d.N}")
     y_path, o_path, _ = run_scheme(model, d, tape.increments(d.M, d.N)[None])
     return y_path[0], o_path[0]
 

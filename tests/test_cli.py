@@ -290,6 +290,21 @@ def test_oversized_runs_exit_2_before_allocating(tmp_path, command, payload, lim
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+def test_library_simulate_refuses_an_oversized_tape_before_allocating():
+    # the refusal lives in scheme.simulate_trajectory, so a library caller
+    # gets the CLI's message, not a MemoryError from the 47.7 GiB tape
+    code = ("from spde1d import noise, scheme\n"
+            "tape = noise.NoiseTape(seed=0, M_master=10**8, N_master=64, T=1.0)\n"
+            "d = scheme.DiscretizationParams(M=10**8, N=64)\n"
+            "try:\n"
+            "    scheme.simulate_trajectory(scheme.allen_cahn_model(), d, tape)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    out = run_python("-c", code, address_space=2 << 30)
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    assert "more than the limit of 67108864" in out.stdout
+
+
 def test_simulate_memory_is_bounded_by_its_arrays(tmp_path, capsys):
     # the CSV goes to disk in chunks of grid times: 262,208 values, about
     # 18 MB of text, more than the peak allowed for the whole run
@@ -352,6 +367,7 @@ def test_seed_and_path_beyond_64_bits_are_named_and_exit_2(tmp_path, capsys, com
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert key in err and err.count("\n") == 1
+    assert "at most 18446744073709551615;" in err  # the bound, as a user can type it back
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
@@ -511,9 +527,12 @@ def test_converge_exact_mode(tmp_path, capsys):
     {"model": _ZERO_DRIFT, "study": dict(_SMALL_STUDY, paths=70)},
     # N = 1 is a width-1 segment of the reference's run, at 8 master steps per step
     {"study": dict(_SMALL_STUDY, n_grid=[1, 2, 4], M_master=1024, paths=70)},
-], ids=["zero_drift", "allen_cahn_n1"])
+    # with three batches a pool that merged them out of order would move the sums
+    {"model": _ZERO_DRIFT, "study": dict(_SMALL_STUDY, paths=130)},
+], ids=["zero_drift", "allen_cahn_n1", "zero_drift_three_batches"])
 def test_converge_thread_count_does_not_change_bytes(tmp_path, monkeypatch, payload):
-    # 70 paths are two batches, so --threads 2 merges them from a pool of two workers
+    # 70 paths are two batches of 64, 130 are three, so --threads 2 merges them
+    # from a pool of two workers
     pools = []
 
     def counted_pool(**kwargs):

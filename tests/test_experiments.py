@@ -62,6 +62,31 @@ def test_config_validation():
     assert cfg.m_master == 128 and cfg.n_master == 16
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["monte_carlo", "exact"])
+def test_seed_beyond_64_bits_is_refused_naming_seed(exact):
+    # the noise tape's key is a 64-bit word, in exact mode too, whose CSV prints the seed
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, "
+                                         "at most 18446744073709551615;"):
+        small_cfg(seed=2**64, exact=exact)
+    assert small_cfg(seed=2**64 - 1, exact=exact).seed == noise.MAX_COUNTER
+
+
+def test_oversized_batch_is_refused_before_it_allocates():
+    # at N_ref = 2e7 laying out the runs alone takes 1.58 GB, so the batch
+    # must refuse from its plan before it lays out any run
+    model = scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.allen_cahn(), xi=np.zeros(1))
+    cfg = ex.StudyConfig(model=model, m_grid=(1, 2, 4), n_grid=(2.5e6, 5e6, 1e7),
+                         m_ref=32, n_ref=2e7, paths=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than the limit of 67108864"):
+            ex.run_convergence_study(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_reference_ratio_guard_and_escape(monkeypatch):
     def never(job):
         raise AssertionError("a path batch ran")
