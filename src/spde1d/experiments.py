@@ -154,12 +154,12 @@ def _path_batch(job):
     coarsest), so each run takes whole steps inside it and memory grows
     with the block, not with M_master.  Per block the paths draw their
     master increments for those rows only.  The key of a target says what
-    it samples into its one (paths, columns) float array: a (kind, M, N)
-    target the squared H distance to the reference (M_ref, N_ref) at each
-    of its grid times; an (M, N) cell ||Y_T||_{H_gamma}^p in one column, the
-    power of spectral.hr_norm, the norm of the taming indicator.  Samples
-    are added path by path in path order, so the sums have the bits of
-    stepping one path at a time.
+    it samples, with one sum and one M2 per column: a (kind, M, N) target
+    the squared H distance to the reference (M_ref, N_ref) at each of its
+    grid times; an (M, N) cell ||Y_T||_{H_gamma}^p in one column, the power
+    of spectral.hr_norm, the norm of the taming indicator.  Each block's
+    samples are reduced into their columns as they are taken, path by path
+    in path order, so the sums have the bits of stepping one path at a time.
 
     The reference is decided once: it runs when any target is keyed
     (kind, M, N).  There is one run per M, with one record: its widths
@@ -178,10 +178,10 @@ def _path_batch(job):
     widths = {M: tuple(N for _, N in readers) for M, readers in plan.items()}
     block = math.lcm(*(cfg.m_master // M for M in plan))
     columns = {t: t[-2] + 1 if len(t) == 3 else 1 for t in targets}  # grid times, or T
-    # before allocating: each target's samples, and per block the master
+    # before allocating: each target's sum and M2, and per block the master
     # increments, a tape's raw rows, and a run's Y (at most sum(widths) columns)
-    heat_errors._check_values(float(len(tapes)) * max(
-        (block + 1) * max(cfg.n_master, *map(sum, widths.values())), *columns.values()),
+    heat_errors._check_values(max(float(len(tapes)) * (block + 1) * max(
+        cfg.n_master, *map(sum, widths.values())), *columns.values()),
         f"a batch of {len(tapes)} paths")
     runs = {}  # M -> [widths, readers, their Y columns, the carried (Y, O)]
     for M, readers in plan.items():
@@ -189,33 +189,30 @@ def _path_batch(job):
         xi = cfg.model.xi_projected(max(widths[M]))
         runs[M] = [widths[M], readers, segs, (xi[cols], xi)]
     suppressed = {resolution: 0 for readers in plan.values() for resolution in readers}
-    samples = {t: np.empty((len(tapes), c)) for t, c in columns.items()}
+    acc = {t: {"paths": len(tapes), "sum": np.empty(c), "m2": np.empty(c),
+               "steps": t[-2] * len(tapes)} for t, c in columns.items()}
 
     master = np.empty((len(tapes), block, max(map(max, widths.values()))))
     for first in range(0, cfg.m_master, block):
         for p, tape in enumerate(tapes):
             master[p] = tape.master_increments(master.shape[2], rows=(first, first + block))
-        _step_block(cfg, runs, master, first, reference, suppressed, samples, start)
-
-    acc = {}
-    for target in targets:
-        total, m2 = sum_and_m2(samples[target])
-        acc[target] = {"paths": len(tapes), "sum": total, "m2": m2,
-                       "suppressed": int(np.sum(suppressed[target[-2:]])),
-                       "steps": target[-2] * len(tapes)}
+        _step_block(cfg, runs, master, first, reference, suppressed, acc, start)
+    for target, a in acc.items():
+        a["suppressed"] = int(np.sum(suppressed[target[-2:]]))
     return acc
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finite checks report these
-def _step_block(cfg: StudyConfig, runs, master, first: int, reference, suppressed, samples,
+def _step_block(cfg: StudyConfig, runs, master, first: int, reference, suppressed, acc,
                 first_path: int) -> None:
     """Advance each run (see _path_batch) through one block of master
     increments (paths, rows, modes) from master step `first`, carry its
     (Y, O) on in its record, and let each width, in target order, read its
-    columns of the run's Y rows: its finite check and suppressed count,
-    then the samples each of its targets takes in this block, which take
-    one finite check, of their squares, and one store into their columns.
-    The block's Y, distances and reference rows are freed on return."""
+    columns of the run's Y rows: its finite check and suppressed count, then
+    the samples (paths, grid times) each of its targets takes in this block,
+    which take one finite check, of their squares, and are reduced into the
+    target's sum and M2 columns; a grid time shared with the next block is
+    reduced twice, from equal samples.  The block's Y and samples are freed."""
     block = master.shape[1]
     for M, (widths, readers, segs, state) in runs.items():
         group = cfg.m_master // M
@@ -246,7 +243,8 @@ def _step_block(cfg: StudyConfig, runs, master, first: int, reference, suppresse
                     values = spectral.hr_norm(y_n[:, -1:], cfg.gamma, cfg.model.nu) ** cfg.moment_p
                 _require_finite(np.isfinite(values * values).all(axis=1),  # squares feed m2
                                 f"{what} sample of {_name(target)}", first_path)
-                samples[target][:, col:col + values.shape[1]] = values
+                cols = slice(col, col + values.shape[1])
+                acc[target]["sum"][cols], acc[target]["m2"][cols] = sum_and_m2(values)
 
 
 def _name(target) -> str:

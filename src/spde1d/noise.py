@@ -156,20 +156,12 @@ def coarsen_increments(master: np.ndarray, n_steps: int) -> np.ndarray:
 # not cancel when the spread is small against the mean.
 
 def sum_and_m2(samples):
-    """(sum, M2) of a sequence of samples, scalars or equal-shape arrays.
-
-    Both passes run in sample order: the sum first, then the squared
-    deviations from sum / n.
-    """
-    total = 0.0
-    for x in samples:
-        total = total + x
-    mean = total / len(samples)
-    m2 = 0.0
-    for x in samples:
-        d = x - mean
-        m2 = m2 + d * d
-    return total, m2
+    """(sum, M2) along the first axis of samples: two left folds in sample
+    order (np.add.accumulate; the pairwise np.add.reduce has other bits)."""
+    samples = np.asarray(samples, dtype=np.float64)
+    total = np.add.accumulate(samples, axis=0)[-1]
+    d = samples - total / len(samples)
+    return total, np.add.accumulate(d * d, axis=0)[-1]
 
 
 def merge_m2(n_a: int, total_a, m2_a, n_b: int, total_b, m2_b):

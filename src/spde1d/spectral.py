@@ -48,30 +48,25 @@ def hr_norm(coeffs: np.ndarray, r: float, nu: float) -> float | np.ndarray:
 def weighted_norm(w: np.ndarray, X: np.ndarray, out: np.ndarray | None = None,
                   segments=None) -> np.ndarray:
     """sqrt(sum_k w_k X_k^2) of each row of X (..., N), w = mu^{2r}: the one
-    H_r norm arithmetic, written to `out` (shape X.shape[:-1]) if given.
-    With `segments`, slices of the last axis, each row has one norm per
-    segment, shape (..., len(segments)), from one square-and-weight pass.  At
-    most 2^15 values at a time; each row and segment is reduced on its own,
-    so its bits do not depend on its neighbours.  Chunks are runs of the
-    flattened leading rows; a single row wider than 2^15 goes alone."""
-    if X.size > max(1 << 15, X.shape[-1]):  # several rows, too many values for one pass
-        rows = X.reshape(-1, X.shape[-1])
-        k = max(1, (1 << 15) // X.shape[-1])
-        norms = np.concatenate([weighted_norm(w, rows[s:s + k], segments=segments)
-                                for s in range(0, len(rows), k)])
-        norms = norms.reshape(X.shape[:-1] + norms.shape[1:])
-        if out is None:
-            return norms
-        out[...] = norms
-        return out
-    sq = X * X
-    sq *= w
-    if segments is None:
-        return np.sqrt(np.add.reduce(sq, axis=-1, out=out), out=out)
-    out = np.empty(X.shape[:-1] + (len(segments),)) if out is None else out
-    for r, seg in enumerate(segments):
-        np.add.reduce(sq[..., seg], axis=-1, out=out[..., r])
-    return np.sqrt(out, out=out)
+    H_r norm arithmetic, written to `out` (shape X.shape[:-1], contiguous) if
+    given; a scalar for one vector.  With `segments`, slices of the last
+    axis, each row has one norm per segment, shape (..., len(segments)).
+    Runs of the flattened rows, at most 2^15 values or one row, are squared
+    and weighted in one pass; each row and segment is then reduced on its
+    own, straight into `out`, so its bits do not depend on its neighbours."""
+    segs = (slice(None),) if segments is None else segments
+    if out is None:
+        out = np.empty(X.shape[:-1] + (() if segments is None else (len(segs),)))
+    rows, flat = X.reshape(-1, X.shape[-1]), out.reshape(-1, len(segs))
+    k = (1 << 15) // X.shape[-1] or 1
+    for s in range(0, len(rows), k):
+        run, dst = rows[s:s + k], flat[s:s + k]
+        sq = run * run
+        sq *= w
+        for r, seg in enumerate(segs):
+            np.add.reduce(sq[:, seg], axis=1, out=dst[:, r])
+        del sq  # freed before the next run's squares, which then reuse its block
+    return np.sqrt(out, out=out)[()]  # [()]: a 0-d result as a scalar
 
 
 def semigroup_factors(n_modes: int, nu: float, t: float) -> np.ndarray:

@@ -143,13 +143,16 @@ def test_heat_errors_violation_exits_3_and_keeps_the_report(tmp_path, capsys, mo
     {"study": {"m_grid": [2], "n_grid": [2]}, "output": {"prefix": "x" * 300}},
     {"study": {"m_grid": [10**308], "n_grid": [4]}},
     {"study": {"n_grid": [10**400]}},
+    {"model": {"T": 0}},
+    {"model": {"nu": -1}},
+    {"model": {"T": math.inf}},
 ], ids=["infinite_T", "fractional_M", "infinite_M", "empty_m_grid", "empty_n_grid",
         "grid_not_a_list", "negative_infinite_N", "infinite_N", "null_N",
         "tolerance_as_string", "T_as_string", "nu_as_bool", "nan_tolerance",
         "infinite_tolerance", "negative_tolerance", "T_overflowing_the_errors",
         "prefix_naming_a_subdirectory", "null_prefix", "prefix_not_a_string",
         "prefix_longer_than_a_file_name", "M_whose_double_leaves_the_float_range",
-        "N_beyond_the_float_range"])
+        "N_beyond_the_float_range", "zero_T", "negative_nu", "T_as_json_infinity"])
 def test_bad_heat_errors_values_exit_2(tmp_path, capsys, payload):
     cfg = write_cfg(tmp_path, payload)
     rc = cli.main(["heat-errors", "--config", cfg, "--out", str(tmp_path)])
@@ -557,6 +560,19 @@ def test_converge_single_path_stderr_nan(tmp_path):
     assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_OK
     _, rows = read_rows(tmp_path / "spde1d_errors.csv")
     assert all(math.isnan(float(r.split(",")[4])) for r in rows)
+
+
+def test_failed_atomic_write_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
+    # a directory squatting on the target name makes the final rename fail;
+    # the temporary file it was written to is removed
+    (tmp_path / "spde1d_heat_errors.csv").mkdir()
+    cfg = write_cfg(tmp_path, {"study": {"m_grid": [2], "n_grid": [2]}})
+    assert cli.main(["heat-errors", "--config", cfg, "--out", str(tmp_path)]) \
+        == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Is a directory" in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "spde1d_heat_errors.csv"]
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_converge_write_survives_stale_temp_name(tmp_path):

@@ -44,6 +44,10 @@ def test_config_validation():
         small_cfg(moment_p=3)
     with pytest.raises(ValueError):
         small_cfg(model=scheme.allen_cahn_model(), exact=True)
+    with pytest.raises(ValueError, match="nonempty"):
+        small_cfg(m_grid=())
+    with pytest.raises(ValueError, match="N_ref <= N_master"):
+        small_cfg(n_master=8)                     # below n_ref=16
     # every count is an integer, never rounded to one; a bool is not a count
     for bad in (dict(m_grid=(4.7, 8, 16)), dict(m_grid=("4", 8, 16)), dict(n_grid=(2, 4.5)),
                 dict(paths=True), dict(paths=2.5), dict(threads=1.5), dict(threads=0),
@@ -437,10 +441,10 @@ def test_each_run_is_set_up_once_per_run_not_per_block(monkeypatch):
     scheme._run_constants.cache_clear()  # no layout of this counter stays cached
 
 
-def _criterion_7_peak_bytes(model):
-    """tracemalloc peak of 16 paths of the criterion-7 study shape (M_ref=2048, N_ref=128)."""
+def _criterion_7_peak_bytes(model, paths=16):
+    """tracemalloc peak of one batch of the criterion-7 study shape (M_ref=2048, N_ref=128)."""
     cfg = ex.StudyConfig(model=model, m_grid=(16, 32, 64, 128), n_grid=(8, 16, 32, 64),
-                         m_ref=2048, n_ref=128, paths=16, seed=0)
+                         m_ref=2048, n_ref=128, paths=paths, seed=0)
     targets = [("temporal", M, 128) for M in cfg.m_grid] \
         + [("spatial", 2048, N) for N in cfg.n_grid]
     tracemalloc.start()
@@ -453,8 +457,8 @@ def _criterion_7_peak_bytes(model):
 
 def test_batch_memory_stays_within_a_block():
     # heat_mc shape of the benchmark: 16 zero-drift paths, M_ref=2048, N_ref=128.
-    # Stepping block by block peaks near 11 MB; one whole tape per path
-    # costs more than 14 MB.
+    # Stepping block by block, each block's samples reduced as they are taken,
+    # peaks near 8.8 MB; one whole tape per path costs more than 14 MB.
     peak = _criterion_7_peak_bytes(ou_model())
     assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
 
@@ -462,9 +466,35 @@ def test_batch_memory_stays_within_a_block():
 def test_allen_cahn_batch_memory_stays_within_a_block():
     # the same shape with the drift: the reference and the four spatial
     # targets step as one run whose Y holds 128 + 8 + 16 + 32 + 64 modes
-    # side by side; it peaks near 11.7 MB
+    # side by side; it peaks near 10.8 MB
     peak = _criterion_7_peak_bytes(scheme.allen_cahn_model())
     assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("model, bound", [(ou_model(), 37e6),
+                                          (scheme.allen_cahn_model(), 45e6)],
+                         ids=["zero_drift", "allen_cahn"])
+def test_full_batch_memory_holds_no_per_path_sample_store(model, bound):
+    # a full batch of 64 paths peaks near 34.8 MB (zero drift) and 42.8 MB
+    # (Allen-Cahn); storing every path's sample at every grid time of every
+    # target before reducing them peaked near 39.0 and 47.0 MB
+    peak = _criterion_7_peak_bytes(model, paths=64)
+    assert peak <= bound, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_batch_whose_only_large_array_would_be_its_sample_store_runs(monkeypatch):
+    # 2 paths of a spatial target at M_ref=4096 have 2 x 4097 samples, above
+    # a limit of 5000 values; its 4097 sums and M2s and every block fit, and
+    # the study gives the bits it gives under the default limit
+    cfg = ex.StudyConfig(model=ou_model(), m_grid=(128, 256, 512), n_grid=(1, 2, 4),
+                         m_ref=4096, n_ref=8, paths=2, seed=3)
+    want = ex.run_convergence_study(cfg)
+    monkeypatch.setattr(heat_errors, "MAX_VALUES", 5000)
+    assert ex.run_convergence_study(cfg) == want
+    with pytest.raises(ValueError, match="a batch of 2 paths needs"):  # a block of 4096 rows
+        ex.run_convergence_study(ex.StudyConfig(
+            model=ou_model(), m_grid=(1, 2, 4), n_grid=(1, 2, 4), m_ref=4096, n_ref=8,
+            paths=2, seed=3))
 
 
 def test_moment_stderr_survives_a_large_mean():

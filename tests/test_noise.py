@@ -155,6 +155,26 @@ def test_increment_moments_large_sample():
     assert abs(z.var(ddof=1) - 1.0) < 0.01
 
 
+def _sum_and_m2_loop(samples):
+    # the in-order left folds sum_and_m2 must equal bit for bit
+    total = 0.0
+    for x in samples:
+        total = total + x
+    m2 = 0.0
+    for x in samples:
+        m2 = m2 + (x - total / len(samples)) ** 2
+    return total, m2
+
+
+@pytest.mark.parametrize("shape", [(64,), (64, 1), (64, 33), (1, 5)])
+def test_sum_and_m2_is_the_in_order_loop(shape):
+    # a pairwise np.add.reduce would change the bits of the (64,) and (64, 1) cases
+    x = np.random.default_rng(5).lognormal(0.0, 2.0, size=shape)
+    for got, want in zip(noise.sum_and_m2(x), _sum_and_m2_loop(x)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert noise.sum_and_m2(list(x.ravel()))[0] == _sum_and_m2_loop(list(x.ravel()))[0]
+
+
 def test_coarsen_identity_and_pairwise_sum():
     tape = small_tape()
     fine = tape.master_increments()

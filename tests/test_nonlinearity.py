@@ -22,6 +22,8 @@ def test_coefficients_reject_unstable_cubic():
         nl.CubicCoefficients(0.0, 1.0, 0.0, 1.0)   # a3 > 0
     with pytest.raises(ValueError):
         nl.CubicCoefficients(0.0, 1.0, 0.5, 0.0)   # quadratic with no cubic
+    with pytest.raises(ValueError, match="finite"):
+        nl.CubicCoefficients(math.nan, 1.0, 0.0, -1.0)
 
 
 def test_project_identity_drift():
@@ -211,6 +213,12 @@ def test_coercivity_equality_for_linear_drift():
 def test_lipschitz_shape_guard():
     with pytest.raises(ValueError):
         nl.check_lipschitz(np.ones(3), np.ones(4), nl.allen_cahn())
+    with pytest.raises(ValueError, match="equal length"):
+        nl.check_monotonicity(np.ones(3), np.ones(4), nl.allen_cahn(), 1.0)
+    with pytest.raises(ValueError, match="coefficient vector"):
+        nl.check_coercivity_gradient(np.ones((2, 3)), nl.allen_cahn(), 1.0)
+    with pytest.raises(ValueError, match="unknown audit"):  # and an audit name it lacks
+        nl.run_inequality_audit("bogus", trials=1)
 
 
 @pytest.mark.parametrize("name", ["monotonicity", "lipschitz", "coercivity"])

@@ -27,6 +27,8 @@ def test_model_params_validation():
     with pytest.raises(ValueError):
         scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.allen_cahn(),
                            xi=np.array([np.inf]))
+    with pytest.raises(ValueError, match="coefficient vector"):
+        scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.allen_cahn(), xi=np.zeros((2, 2)))
 
 
 def test_xi_projection_pads_and_truncates():
@@ -79,6 +81,8 @@ def test_initial_presets():
     assert np.all(bump[1::2] == 0.0)
     with pytest.raises(ValueError):
         scheme.initial_coefficients("spike", 4)
+    with pytest.raises(ValueError, match="n_modes >= 1"):
+        scheme.initial_coefficients("zero", 0)
 
 
 def test_bump_preset_reconstructs_parabola():

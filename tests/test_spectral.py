@@ -25,6 +25,21 @@ def test_eigenvalues_reject_bad_args():
         spectral.eigenvalues(0, 1.0)
     with pytest.raises(ValueError):
         spectral.eigenvalues(4, -1.0)
+    with pytest.raises(ValueError, match="semigroup time"):
+        spectral.semigroup_factors(4, 1.0, -0.5)
+    with pytest.raises(ValueError, match="step size"):
+        spectral.phi1_factors(4, 1.0, 0.0)
+    with pytest.raises(ValueError, match="one grid per width"):
+        spectral.GridLayout((2, 3), grids=(9,))
+    with pytest.raises(ValueError, match="grid-1 >= n_modes"):
+        spectral.GridLayout((8,), grids=(8,))
+    layout = spectral.GridLayout((4,))
+    with pytest.raises(ValueError, match="coefficient columns"):
+        spectral.to_grid(np.ones(3), layout)
+    with pytest.raises(ValueError, match="grid columns"):
+        spectral.from_grid(np.ones(layout.points + 1), layout)
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        spectral.lq_norm_on_grid(np.ones(3), 0.5)
 
 
 def test_hr_norm_basis_vectors():
