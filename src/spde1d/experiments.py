@@ -212,7 +212,15 @@ def _step_block(cfg: StudyConfig, runs, master, first: int, reference, suppresse
     the samples (paths, grid times) each of its targets takes in this block,
     which take one finite check, of their squares, and are reduced into the
     target's sum and M2 columns; a grid time shared with the next block is
-    reduced twice, from equal samples.  The block's Y and samples are freed."""
+    reduced twice, from equal samples.  The block's Y and samples are freed.
+
+    Every squared distance of a run comes from one time-major copy of the
+    reference's Y rows at the run's grid times, (grid times, paths, N_ref):
+    its widths, narrowest first, each write y_ref - y into their first N
+    columns, while the columns past N still hold the reference, and sum
+    each (grid time, path) row.  A width that reads the reference's own
+    columns (zero drift at M_ref) writes zeros, the x - x of a finite
+    reference; a reference that is not finite fails its state check first."""
     block = master.shape[1]
     for M, (widths, readers, segs, state) in runs.items():
         group = cfg.m_master // M
@@ -222,25 +230,35 @@ def _step_block(cfg: StudyConfig, runs, master, first: int, reference, suppresse
         runs[M][3] = (y[:, -1].copy(), o[:, -1].copy())  # copies free the block
         finite_y, finite_o = np.isfinite(y).all(axis=1), np.isfinite(o).all(axis=1)
         del o  # before the samples and the next run allocate
+        rows = y.transpose(1, 0, 2)  # time-major, as run_scheme wrote them
+        if M == cfg.m_ref and reference:  # the reference run, which steps first
+            y_ref = rows[..., segs[0]]
+        distances, diff = {}, None  # width -> squared distances (paths, grid times)
+        for r in sorted(range(len(widths)), key=widths.__getitem__):  # narrowest first
+            if any(len(t) == 3 for t in readers[(M, widths[r])]):
+                ref = y_ref[:: cfg.m_ref // M]  # at this run's grid times
+                diff = ref.copy() if diff is None else diff
+                N = widths[r]
+                if M == cfg.m_ref and segs[r].start == segs[0].start:
+                    diff[..., :N] = 0.0  # the reference's own columns: x - x
+                else:
+                    np.subtract(ref[..., :N], rows[..., segs[r]], out=diff[..., :N])
+                distances[r] = np.einsum("ipj,ipj->ip", diff, diff).T
+        del diff  # before the next run allocates
         for r, ((_, N), members) in enumerate(readers.items()):
             _require_finite(finite_y[:, segs[r]].all(axis=1) & finite_o[:, :N].all(axis=1),
                             "state of " + ("reference" if (M, N) == reference
                                            else _name(members[0])), first_path)
             suppressed[(M, N)] += off[:, r]
-            y_n = y[..., segs[r]]
-            if (M, N) == reference:
-                y_ref = y_n
             for target in members:
                 if len(target) == 3:  # the target's grid times in this block
-                    diff = y_ref[:, :: cfg.m_ref // M].copy()
-                    diff[..., :N] -= y_n
-                    what, col = "squared-distance", first // group
-                    values = np.einsum("pij,pij->pi", diff, diff)
+                    what, col, values = "squared-distance", first // group, distances[r]
                 elif first + block < cfg.m_master:
                     continue  # a cell samples at T only
                 else:
                     what, col = "moment", 0
-                    values = spectral.hr_norm(y_n[:, -1:], cfg.gamma, cfg.model.nu) ** cfg.moment_p
+                    values = spectral.hr_norm(y[:, -1:, segs[r]], cfg.gamma,
+                                              cfg.model.nu) ** cfg.moment_p
                 _require_finite(np.isfinite(values * values).all(axis=1),  # squares feed m2
                                 f"{what} sample of {_name(target)}", first_path)
                 cols = slice(col, col + values.shape[1])

@@ -187,10 +187,10 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     each step's linear update, square-and-weight pass and compare, and with
     a drift one project_F call on a spectral.GridLayout of the widths (each
     segment its own DST-I) and one phi1(h) scale.  That call takes the rows
-    that keep the drift in any segment, and one masked add (np.add with
-    where=) adds the drift to their columns whose segment keeps it: a
-    segment whose indicator is off is projected but its drift is never
-    read.
+    that keep the drift in any segment, gathered through one index, and one
+    masked add (np.add with where=) adds the drift to their columns whose
+    segment keeps it: a segment whose indicator is off is projected but its
+    drift is never read.
 
     O steps as O_{m+1} = e^{hA}(O_m + Delta W_m), the exponential Euler OU.
     It is not exact in law: per mode its variance at T is the continuum
@@ -203,7 +203,9 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     that block, every width's norm from its prefix.  The suppressed counts are
     one sum over the block.  The bits are those of one joint step.
     Every H_gamma norm is spectral.weighted_norm with the weights
-    mu^{2 gamma}, the arithmetic of spectral.hr_norm.  What depends on the
+    mu^{2 gamma}, the arithmetic of spectral.hr_norm; the drift step's takes
+    its square buffer and segment views, made once per call, from
+    spectral._RowNorms, weighted_norm's own loop body.  What depends on the
     run alone (factors, weights, layouts) comes from _run_constants, made
     once per run however many calls its blocks take.  The whole call runs
     under one np.errstate: a norm that overflows is inf, which turns the
@@ -236,7 +238,8 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     o_norm = spectral.weighted_norm(weights, o_path[:-1], segments=o_segs)
     if drift_on:
         grids, phi, seg_of_col = drift_consts
-        y_norm = np.empty((paths, len(sizes)))
+        y_norms = spectral._RowNorms(weights_y, (paths, len(cols)), y_segs,
+                                     np.empty((paths, len(sizes))))
         on_rows = np.empty((steps, paths, len(sizes)), dtype=bool)  # each step's indicator
     # e^{hA} O_m, carried from the step before; O_{m+1} in Y's layout if Y gathers O
     decay_o = decay_y * o_path[0][:, cols]
@@ -249,15 +252,14 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
         y_next -= decay_o
         np.multiply(decay_y, o_next, out=decay_o)
         if drift_on:
-            on = _keeps_drift(spectral.weighted_norm(weights_y, y, out=y_norm,
-                                                     segments=y_segs),
-                              o_norm[m], thr, out=on_rows[m])
-            kept = on.any(axis=1)  # the rows that keep the drift in any segment
-            if kept.any():  # a masked add, not a 0/1 product: 0*inf would be NaN
-                drift = project_F(y[kept], model.a, grids)
+            on = _keeps_drift(y_norms(y), o_norm[m], thr, out=on_rows[m])
+            kept = np.flatnonzero(on.any(axis=1))  # the rows that keep the drift in any segment
+            if kept.size:  # a masked add, not a 0/1 product: 0*inf would be NaN
+                drift = project_F(y.take(kept, axis=0), model.a, grids)
                 drift *= phi
-                rows = y_next[kept]  # out and back; each column takes its segment's indicator
-                np.add(rows, drift, out=rows, where=on[kept].take(seg_of_col, axis=1))
+                rows = y_next.take(kept, axis=0)  # out and back
+                keep = on.take(kept, axis=0).take(seg_of_col, axis=1)  # each column, its segment's
+                np.add(rows, drift, out=rows, where=keep)
                 y_next[kept] = rows
     if not drift_on:  # every row in one pass, time-major, which reads contiguous rows
         on_rows = _keeps_drift(spectral.weighted_norm(weights_y, y_path[:-1], segments=y_segs),

@@ -3,9 +3,9 @@
 Functions are represented by coefficients against e_k(x) = sqrt(2) sin(k pi x),
 k = 1..N, which diagonalize A = nu * d^2/dx^2 with eigenvalues -mu_k,
 mu_k = nu pi^2 k^2.  Everything here is float64 numpy on plain arrays.
-weighted_norm (behind hr_norm) is the only arithmetic of the H_r norms
-||(-A)^r v||_H: the scheme's taming indicator, the moment audit and the
-coercivity check all use it.
+weighted_norm (behind hr_norm), whose loop body is _RowNorms, is the only
+arithmetic of the H_r norms ||(-A)^r v||_H: the scheme's taming indicator,
+the moment audit and the coercivity check all use it.
 """
 
 from __future__ import annotations
@@ -53,20 +53,40 @@ def weighted_norm(w: np.ndarray, X: np.ndarray, out: np.ndarray | None = None,
     axis, each row has one norm per segment, shape (..., len(segments)).
     Runs of the flattened rows, at most 2^15 values or one row, are squared
     and weighted in one pass; each row and segment is then reduced on its
-    own, straight into `out`, so its bits do not depend on its neighbours."""
+    own, straight into `out`, so its bits do not depend on its neighbours.
+    An `out` of another shape, or one whose rows are not one view, is refused."""
     segs = (slice(None),) if segments is None else segments
+    shape = X.shape[:-1] + (() if segments is None else (len(segs),))
     if out is None:
-        out = np.empty(X.shape[:-1] + (() if segments is None else (len(segs),)))
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a contiguous array of shape {shape}, "
+                         f"got shape {out.shape}")
     rows, flat = X.reshape(-1, X.shape[-1]), out.reshape(-1, len(segs))
     k = (1 << 15) // X.shape[-1] or 1
     for s in range(0, len(rows), k):
-        run, dst = rows[s:s + k], flat[s:s + k]
-        sq = run * run
-        sq *= w
-        for r, seg in enumerate(segs):
-            np.add.reduce(sq[:, seg], axis=1, out=dst[:, r])
-        del sq  # freed before the next run's squares, which then reuse its block
-    return np.sqrt(out, out=out)[()]  # [()]: a 0-d result as a scalar
+        run = rows[s:s + k]
+        _RowNorms(w, run.shape, segs, flat[s:s + k])(run)
+    return out[()]  # [()]: a 0-d result as a scalar
+
+
+class _RowNorms:
+    """weighted_norm of (rows, N) blocks X of one shape into `out` (rows,
+    len(segments)), with the square buffer and each segment's views made
+    once, for a loop that takes one such block per step: each call squares
+    and weights X into the buffer, reduces each segment's view into its
+    column of `out`, and takes the roots in place.  Returns `out`."""
+
+    def __init__(self, w: np.ndarray, shape, segments, out: np.ndarray):
+        self.w, self.sq, self.out = w, np.empty(shape), out
+        self.views = [(self.sq[:, seg], out[:, r]) for r, seg in enumerate(segments)]
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        np.multiply(X, X, out=self.sq)
+        self.sq *= self.w
+        for sq, dst in self.views:
+            np.add.reduce(sq, axis=1, out=dst)
+        return np.sqrt(self.out, out=self.out)
 
 
 def semigroup_factors(n_modes: int, nu: float, t: float) -> np.ndarray:

@@ -458,7 +458,7 @@ def _criterion_7_peak_bytes(model, paths=16):
 def test_batch_memory_stays_within_a_block():
     # heat_mc shape of the benchmark: 16 zero-drift paths, M_ref=2048, N_ref=128.
     # Stepping block by block, each block's samples reduced as they are taken,
-    # peaks near 8.8 MB; one whole tape per path costs more than 14 MB.
+    # peaks near 7.2 MB; one whole tape per path costs more than 14 MB.
     peak = _criterion_7_peak_bytes(ou_model())
     assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
 
@@ -466,7 +466,7 @@ def test_batch_memory_stays_within_a_block():
 def test_allen_cahn_batch_memory_stays_within_a_block():
     # the same shape with the drift: the reference and the four spatial
     # targets step as one run whose Y holds 128 + 8 + 16 + 32 + 64 modes
-    # side by side; it peaks near 10.8 MB
+    # side by side; it peaks near 9.2 MB
     peak = _criterion_7_peak_bytes(scheme.allen_cahn_model())
     assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
 
@@ -475,7 +475,7 @@ def test_allen_cahn_batch_memory_stays_within_a_block():
                                           (scheme.allen_cahn_model(), 45e6)],
                          ids=["zero_drift", "allen_cahn"])
 def test_full_batch_memory_holds_no_per_path_sample_store(model, bound):
-    # a full batch of 64 paths peaks near 34.8 MB (zero drift) and 42.8 MB
+    # a full batch of 64 paths peaks near 27.3 MB (zero drift) and 36.4 MB
     # (Allen-Cahn); storing every path's sample at every grid time of every
     # target before reducing them peaked near 39.0 and 47.0 MB
     peak = _criterion_7_peak_bytes(model, paths=64)
@@ -544,6 +544,64 @@ def test_zero_drift_study_steps_shared_and_alone_give_the_same_moments():
         assert shared[("spatial", M, N)]["suppressed"] \
             == ex._accumulate(cfg, [(M, N)])[(M, N)]["suppressed"]
     assert len({shared[t]["suppressed"] for t in targets}) > 2
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(st.sampled_from((1, 2, 3)), st.permutations((1, 2, 4, 8)),
+       st.lists(st.tuples(st.sampled_from((1, 2, 3, 4, 6)), st.sampled_from((1, 2, 4, 8))),
+                max_size=3), st.sampled_from(_MODELS), st.integers(0, 2**32 - 1))
+def test_each_distance_target_of_a_study_has_the_bits_it_has_alone(blocks, widths, others,
+                                                                   model, seed):
+    # a run takes every squared distance from one copy of the reference rows,
+    # which its widths fill narrowest first: spatial widths in any order,
+    # N = N_ref among them, a temporal target at M_ref, targets off M_ref at
+    # several N and a cell beside them, on `blocks` time blocks, with and
+    # without a drift; each target's sum and M2 are those it has alone
+    cfg = ex.StudyConfig(model=model, m_grid=(12,), n_grid=(8,), m_ref=12, n_ref=8,
+                         paths=5, seed=seed)
+    targets = [("temporal", blocks, 8), *(("spatial", 12, N) for N in widths),
+               ("temporal", 12, 8), (blocks, 4),
+               *(("temporal", M, N) for M, N in others if M % blocks == 0)]
+    shared = ex._accumulate(cfg, targets)
+    for target in shared:
+        if len(target) == 3:
+            _assert_same_moments(shared[target], ex._accumulate(cfg, [target])[target])
+
+
+@pytest.mark.parametrize("model", [ou_model(8), scheme.allen_cahn_model(n_xi_modes=8)],
+                         ids=["zero_drift", "allen_cahn"])
+def test_distance_samples_are_the_squared_distance_to_the_reference_path(model):
+    # one path: each column's sum is its one sample ||Y_ref(t) - Y^{M,N}(t)||^2,
+    # from the two trajectories simulated on their own; with a drift the
+    # widths of the reference run step their own columns, so a head that
+    # read the reference's columns would drop their difference
+    cfg = ex.StudyConfig(model=model, m_grid=(4, 16), n_grid=(2, 8), m_ref=16, n_ref=8,
+                         paths=1, seed=3)
+    tape = noise.NoiseTape(seed=3, M_master=cfg.m_master, N_master=cfg.n_master, T=1.0, path=0)
+    y_ref, _ = scheme.simulate_trajectory(model, cfg.discretization(16, 8), tape)
+    targets = [("spatial", 16, 2), ("spatial", 16, 8), ("temporal", 4, 8), ("temporal", 4, 2)]
+    acc = ex._accumulate(cfg, targets)
+    for target in targets:
+        _, M, N = target
+        y, _ = scheme.simulate_trajectory(model, cfg.discretization(M, N), tape)
+        diff = y_ref[:: 16 // M].copy()
+        diff[:, :N] -= y
+        np.testing.assert_array_equal(acc[target]["sum"], np.einsum("ij,ij->i", diff, diff))
+
+
+def test_spatial_estimate_is_the_sup_over_grid_times():
+    # zero drift and xi_k = 1 on every mode: each N reads a prefix of the
+    # reference run, so its squared distance is ||Y_ref[N:]||^2, which is
+    # N_ref - N on every path at t = 0 and decays from there; the estimate is
+    # read at t = 0, with a stderr of 0 (the sample at T is far smaller)
+    model = scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.CubicCoefficients(0, 0, 0, 0),
+                               xi=np.ones(16))
+    cfg = small_cfg(model=model, n_grid=(2, 4, 8, 16), paths=ex.BATCH_PATHS + 3)
+    rows, _ = ex.run_convergence_study(cfg)
+    spatial = [(r.N, r.estimate, r.stderr) for r in rows if r.kind == "spatial"]
+    assert spatial == [(N, math.sqrt(cfg.n_ref - N), 0.0) for N in cfg.n_grid]
+    acc = ex._accumulate(cfg, [("spatial", cfg.m_ref, 2)])[("spatial", cfg.m_ref, 2)]
+    assert acc["sum"][-1] / acc["paths"] < 0.01 * (cfg.n_ref - 2)
 
 
 @pytest.mark.parametrize("model", [None, scheme.allen_cahn_model(n_xi_modes=16)],

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,9 +270,10 @@ def test_ou_pair_mismatch_refuses_oversized_arrays_before_allocating(args):
                          ids=["beyond_int64", "mu_beyond_the_float_range", "max_count"])
 def test_spatial_error_at_huge_N_is_the_trigamma_tail(N):
     # past 2^53 the trigamma argument rounds, and past k ~ 1e154 mu_k is inf; the
-    # explicit terms are then below 1/N of the tail sum_{k>N} 1/(2 mu_k) ~ 1/(2 pi^2 N)
-    assert he.spatial_error_exact(N, 1.0, 1.0) == pytest.approx(
-        math.sqrt(1 / (2 * math.pi**2 * N)), rel=1e-12)
+    # explicit terms are then below 1/N of the tail sum_{k>N} 1/(2 mu_k) ~ 1/(2 pi^2 N),
+    # taken in mpmath, where 2 pi^2 N does not overflow at MAX_COUNT
+    tail = float(mpmath.sqrt(1 / (2 * mpmath.pi**2 * N)))
+    assert he.spatial_error_exact(N, 1.0, 1.0) == pytest.approx(tail, rel=1e-12, abs=0)
 
 
 @pytest.mark.filterwarnings("error")

@@ -81,6 +81,23 @@ def test_hr_norm_batched_last_axis():
         np.testing.assert_array_equal(spectral.hr_norm(big, 0.3, 2.0).ravel(), rows)
 
 
+def test_weighted_norm_refuses_an_out_it_cannot_write_through():
+    # a transposed out reshapes into a copy: the norms would go there, and
+    # the square roots of the untouched out would come back
+    X = np.arange(12.0).reshape(2, 2, 3)
+    w, segs = np.ones(3), [slice(0, 2), slice(0, 3)]
+    out = np.full((2, 2, 2), -1.0).transpose(1, 0, 2)
+    for bad in (out, np.empty((2, 2)), np.empty((4, 2))):
+        with pytest.raises(ValueError, match="out must be a contiguous array of shape"):
+            spectral.weighted_norm(w, X, out=bad, segments=segs)
+    assert (out == -1.0).all()
+    # the norms themselves, written through a contiguous out
+    good = np.empty((2, 2, 2))
+    spectral.weighted_norm(w, X, out=good, segments=segs)
+    np.testing.assert_array_equal(good, np.sqrt(np.stack(
+        [(X[..., :2] ** 2).sum(-1), (X ** 2).sum(-1)], axis=-1)))
+
+
 def test_semigroup_identity_at_zero_time():
     np.testing.assert_array_equal(spectral.semigroup_factors(6, 1.0, 0.0),
                                   np.ones(6))
@@ -114,7 +131,7 @@ def test_phi1_small_argument_is_h():
     # mu h = 1e-12 sits deep in the series branch; multiplier ~ h
     h = 1e-12 / PI2
     fac = spectral.phi1_factors(1, 1.0, h)
-    assert fac[0] == pytest.approx(h, rel=1e-6)
+    assert fac[0] == pytest.approx(h, rel=1e-6, abs=0)
 
 
 def test_phi1_branches_agree_at_threshold():
@@ -123,7 +140,7 @@ def test_phi1_branches_agree_at_threshold():
         h = x / PI2
         got = spectral.phi1_factors(1, 1.0, h)[0]
         exact = -math.expm1(-x) / PI2
-        assert got == pytest.approx(exact, rel=1e-12)
+        assert got == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_phi1_semigroup_identity():
