@@ -337,6 +337,7 @@ def run_convergence_study(cfg: StudyConfig):
     Carlo mode (where the reference's own estimate is exactly 0, drops out
     of the fit and does not count) so is any other grid M of which M_ref is
     not a multiple of at least 8x, and any other grid N above N_ref / 2.
+    After they run, an axis with fewer than 3 positive estimates is refused.
     """
     for name, grid, ref in (("m_grid", cfg.m_grid, cfg.m_ref), ("n_grid", cfg.n_grid, cfg.n_ref)):
         fitted = set(grid) if cfg.exact else set(grid) - {ref}
@@ -368,6 +369,9 @@ def run_convergence_study(cfg: StudyConfig):
                               cfg.paths, cfg.seed) for kind, M, N in targets]
         axes = {axis: {r.M if axis == "temporal" else r.N: r.estimate for r in rows
                        if r.kind == axis and r.estimate > 0} for axis in ("temporal", "spatial")}
+        for axis, pts in axes.items():  # every estimate is 0.0 at nu = 1e300, or T = 1e-300
+            if len(pts) < 3:
+                raise ValueError(f"{len(pts)} positive {axis} estimates; rate fits need at least 3")
     return rows, {axis: heat_errors.fit_rate(pts) for axis, pts in axes.items()}
 
 

@@ -148,22 +148,22 @@ def lockstep_layout(widths, drift_on: bool) -> tuple[np.ndarray, list[slice]]:
 def _run_constants(N: int, nu: float, h: float, gamma: float, widths: tuple, drift_on: bool):
     """Everything run_scheme needs that depends on this key alone, made once
     per run and shared, read-only, by each of its calls: Y's column modes,
-    e^{hA} and the weights mu^{2 gamma} (also in Y's layout), each width's Y
-    and O columns, whether Y gathers O, and with a drift (the GridLayout of
-    the widths, phi1(h) in Y's layout, each Y column's segment)."""
+    e^{hA} (also in Y's layout), each width's Y and O columns, whether Y
+    gathers O, and with a drift (the GridLayout of the widths, and in Y's
+    layout phi1(h), each column's segment and the H_gamma weights)."""
     cols, y_segs = lockstep_layout(widths, drift_on)
     decay = spectral.semigroup_factors(N, nu, h)
-    weights = spectral.eigenvalues(N, nu) ** (2 * gamma)
-    arrays = [cols, decay, weights, decay[cols], weights[cols]]
+    arrays = [cols, decay, decay[cols]]
     drift = ()
     if drift_on:  # one projection pass for every segment
         grids = spectral.GridLayout(widths)
         drift = (grids, spectral.phi1_factors(N, nu, h)[cols],
-                 np.repeat(np.arange(len(widths)), widths))
+                 np.repeat(np.arange(len(widths)), widths),
+                 spectral.hr_weights(N, gamma, nu)[cols])
         arrays += [grids.columns, grids.scale, *drift[1:]]
     for a in arrays:
         a.flags.writeable = False
-    return (*arrays[:5], tuple(y_segs), tuple(slice(n) for n in widths),
+    return (*arrays[:3], tuple(y_segs), tuple(slice(n) for n in widths),
             not np.array_equal(cols, np.arange(N)), drift)
 
 
@@ -202,14 +202,14 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     zero drift one square-and-weight pass over all Y rows after the loop fills
     that block, every width's norm from its prefix.  The suppressed counts are
     one sum over the block.  The bits are those of one joint step.
-    Every H_gamma norm is spectral.weighted_norm with the weights
-    mu^{2 gamma}, the arithmetic of spectral.hr_norm; the drift step's takes
-    its square buffer and segment views, made once per call, from
-    spectral._RowNorms, weighted_norm's own loop body.  What depends on the
-    run alone (factors, weights, layouts) comes from _run_constants, made
-    once per run however many calls its blocks take.  The whole call runs
-    under one np.errstate: a norm that overflows is inf, which turns the
-    drift off, and an off segment's cube overflows unread; neither warns.
+    Every H_gamma norm is spectral.hr_norm; the drift step's takes its
+    square buffer and segment views, made once per call, from
+    spectral._RowNorms, hr_norm's own loop body, with spectral.hr_weights.
+    What depends on the run alone (factors, weights, layouts) comes from
+    _run_constants, made once per run however many calls its blocks take.
+    The whole call runs under one np.errstate: a norm that overflows is
+    inf, which turns the drift off, and an off segment's cube overflows
+    unread; neither warns.
     """
     dw = np.asarray(dw, dtype=np.float64)
     if (dw.ndim != 3 or dw.shape[2] != d.N
@@ -220,9 +220,8 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     if not sizes or not all(1 <= n <= d.N for n in sizes):
         raise ValueError(f"widths {sizes} must be mode counts in [1, N={d.N}]")
     drift_on = any(v != 0 for v in model.a.as_tuple())
-    (cols, decay, weights, decay_y, weights_y, y_segs, o_segs, gather,
-     drift_consts) = _run_constants(d.N, float(model.nu), model.T / d.M, float(d.gamma),
-                                    sizes, drift_on)
+    cols, decay, decay_y, y_segs, o_segs, gather, drift_consts = _run_constants(
+        d.N, float(model.nu), model.T / d.M, float(d.gamma), sizes, drift_on)
     paths, steps = dw.shape[:2]
     thr = d.threshold(model.T)
 
@@ -235,9 +234,9 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     for m in range(steps):
         np.add(o_path[m], dw[:, m], out=o_path[m + 1])
         o_path[m + 1] *= decay
-    o_norm = spectral.weighted_norm(weights, o_path[:-1], segments=o_segs)
+    o_norm = spectral.hr_norm(o_path[:-1], d.gamma, model.nu, segments=o_segs)
     if drift_on:
-        grids, phi, seg_of_col = drift_consts
+        grids, phi, seg_of_col, weights_y = drift_consts
         y_norms = spectral._RowNorms(weights_y, (paths, len(cols)), y_segs,
                                      np.empty((paths, len(sizes))))
         on_rows = np.empty((steps, paths, len(sizes)), dtype=bool)  # each step's indicator
@@ -262,8 +261,8 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
                 np.add(rows, drift, out=rows, where=keep)
                 y_next[kept] = rows
     if not drift_on:  # every row in one pass, time-major, which reads contiguous rows
-        on_rows = _keeps_drift(spectral.weighted_norm(weights_y, y_path[:-1], segments=y_segs),
-                               o_norm, thr)
+        on_rows = _keeps_drift(
+            spectral.hr_norm(y_path[:-1], d.gamma, model.nu, segments=y_segs), o_norm, thr)
     suppressed = steps - on_rows.sum(0)
     return (y_path.transpose(1, 0, 2), o_path.transpose(1, 0, 2),
             suppressed[:, 0] if widths is None else suppressed)

@@ -3,9 +3,9 @@
 Functions are represented by coefficients against e_k(x) = sqrt(2) sin(k pi x),
 k = 1..N, which diagonalize A = nu * d^2/dx^2 with eigenvalues -mu_k,
 mu_k = nu pi^2 k^2.  Everything here is float64 numpy on plain arrays.
-weighted_norm (behind hr_norm), whose loop body is _RowNorms, is the only
-arithmetic of the H_r norms ||(-A)^r v||_H: the scheme's taming indicator,
-the moment audit and the coercivity check all use it.
+hr_norm, whose loop body is _RowNorms, with the weights of hr_weights, is
+the only arithmetic of the H_r norms ||(-A)^r v||_H: the scheme's taming
+indicator, the moment audit and the coercivity check all use it.
 """
 
 from __future__ import annotations
@@ -28,8 +28,14 @@ def eigenvalues(n_modes: int, nu: float, first: int = 1) -> np.ndarray:
     return nu * np.pi**2 * k * k
 
 
-def hr_norm(coeffs: np.ndarray, r: float, nu: float) -> float | np.ndarray:
-    """Interpolation-space norm ||(-A)^r v||_H of a coefficient vector.
+def hr_weights(n_modes: int, r: float, nu: float) -> np.ndarray:
+    """The H_r weights mu_k^{2r}, k = 1..n_modes: the one place they are
+    computed.  Each depends on k alone, so they are prefix-equal across n."""
+    return eigenvalues(n_modes, nu) ** (2.0 * r)
+
+
+def hr_norm(coeffs: np.ndarray, r: float, nu: float, segments=None) -> float | np.ndarray:
+    """Interpolation-space norm ||(-A)^r v||_H = sqrt(sum_k mu_k^{2r} v_k^2).
 
     Parameters
     ----------
@@ -40,28 +46,18 @@ def hr_norm(coeffs: np.ndarray, r: float, nu: float) -> float | np.ndarray:
         r = 1/2 one spatial derivative, negative r the dual scale.
     nu : float
         Diffusivity entering the eigenvalues.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    return weighted_norm(eigenvalues(coeffs.shape[-1], nu) ** (2.0 * r), coeffs)
+    segments : slices of the last axis, optional
+        One norm per segment, shape (..., len(segments)); without them a
+        scalar for one vector.
 
-
-def weighted_norm(w: np.ndarray, X: np.ndarray, out: np.ndarray | None = None,
-                  segments=None) -> np.ndarray:
-    """sqrt(sum_k w_k X_k^2) of each row of X (..., N), w = mu^{2r}: the one
-    H_r norm arithmetic, written to `out` (shape X.shape[:-1], contiguous) if
-    given; a scalar for one vector.  With `segments`, slices of the last
-    axis, each row has one norm per segment, shape (..., len(segments)).
     Runs of the flattened rows, at most 2^15 values or one row, are squared
-    and weighted in one pass; each row and segment is then reduced on its
-    own, straight into `out`, so its bits do not depend on its neighbours.
-    An `out` of another shape, or one whose rows are not one view, is refused."""
+    and weighted in one pass, then each row and segment is reduced on its
+    own: its bits do not depend on its neighbours.
+    """
+    X = np.asarray(coeffs, dtype=np.float64)
     segs = (slice(None),) if segments is None else segments
-    shape = X.shape[:-1] + (() if segments is None else (len(segs),))
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a contiguous array of shape {shape}, "
-                         f"got shape {out.shape}")
+    out = np.empty(X.shape[:-1] + (() if segments is None else (len(segs),)))
+    w = hr_weights(X.shape[-1], r, nu)
     rows, flat = X.reshape(-1, X.shape[-1]), out.reshape(-1, len(segs))
     k = (1 << 15) // X.shape[-1] or 1
     for s in range(0, len(rows), k):
@@ -71,11 +67,11 @@ def weighted_norm(w: np.ndarray, X: np.ndarray, out: np.ndarray | None = None,
 
 
 class _RowNorms:
-    """weighted_norm of (rows, N) blocks X of one shape into `out` (rows,
-    len(segments)), with the square buffer and each segment's views made
-    once, for a loop that takes one such block per step: each call squares
-    and weights X into the buffer, reduces each segment's view into its
-    column of `out`, and takes the roots in place.  Returns `out`."""
+    """hr_norm, weights w, of (rows, N) blocks X of one shape into `out`
+    (rows, len(segments)), with the square buffer and each segment's views
+    made once, for a loop that takes one such block per step: each call
+    squares and weights X into the buffer, reduces each segment's view into
+    its column of `out`, and takes the roots in place.  Returns `out`."""
 
     def __init__(self, w: np.ndarray, shape, segments, out: np.ndarray):
         self.w, self.sq, self.out = w, np.empty(shape), out

@@ -32,8 +32,8 @@ def test_criterion_1_spatial_sandwich():
         root = math.sqrt(N)
         assert lo_c / root - TOL <= err <= hi_c / root + TOL, f"N={N}: {err}"
         # the packaged bound functions must be the same constants
-        assert he.bound_lower_spatial(N, 1.0, 1.0) == pytest.approx(lo_c / root, rel=1e-13)
-        assert he.bound_upper_spatial(N, 1.0, 1.0) == pytest.approx(hi_c / root, rel=1e-13)
+        assert he.bound_lower_spatial(N, 1.0, 1.0) == pytest.approx(lo_c / root, rel=1e-13, abs=0)
+        assert he.bound_upper_spatial(N, 1.0, 1.0) == pytest.approx(hi_c / root, rel=1e-13, abs=0)
     elapsed = time.perf_counter() - t0
     print(f"criterion 1: PASS spatial sandwich N=1..256 (tol {TOL:g}, {elapsed:.2f}s)")
     assert elapsed < 1.0
@@ -46,7 +46,7 @@ def test_criterion_2_temporal_sandwich_and_slope():
         assert upper == pytest.approx(
             M**-0.25 * math.sqrt(math.sqrt(1.0) / 2.0
                                  * (1.0 / math.pi + 1.0 / math.pi**2 + 4.0 * math.pi)),
-            rel=1e-13)
+            rel=1e-13, abs=0)
         for N in range(1, 65):
             err = he.temporal_error_exact(M, N, 1.0, 1.0)
             lower = he.bound_lower_temporal(M, N, 1.0, 1.0)

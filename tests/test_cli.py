@@ -268,6 +268,18 @@ def test_bad_study_values_exit_2(tmp_path, capsys, command, payload):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("model", [{"nu": 1e300}, {"T": 1e-300}], ids=["huge_nu", "tiny_T"])
+def test_failed_rate_fit_names_its_axis(tmp_path, capsys, model):
+    # the grids pass their checks and every path runs, but every temporal
+    # estimate is exactly 0.0, which no log-log fit can take
+    cfg = write_cfg(tmp_path, {"model": model, "study": {
+        "m_grid": [1, 2, 4], "n_grid": [1, 2, 4], "M_ref": 32, "N_ref": 8, "paths": 2}})
+    assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == ("configuration error: 0 positive temporal estimates; "
+                                       "rate fits need at least 3\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("command, payload, limit", [
     ("simulate", {"discretization": {"M": 10**8, "N": 64}}, "more than the limit of 67108864"),
     ("simulate", {"discretization": {"N": 10**8}}, "discretization.N must be an integer >= 1, "

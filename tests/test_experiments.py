@@ -255,7 +255,7 @@ def test_exact_mode_study():
     for r in rows:
         assert r.paths == 0 and r.stderr == 0.0 and math.isnan(r.activation_fraction)
         want = heat_errors.full_error_exact(r.M, r.N, 1.0, 1.0)
-        assert r.estimate == pytest.approx(want, rel=1e-14)
+        assert r.estimate == pytest.approx(want, rel=1e-14, abs=0)
     assert -0.30 <= fits["temporal"].slope <= -0.20
     assert -0.55 <= fits["spatial"].slope <= -0.45
 

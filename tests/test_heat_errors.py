@@ -27,21 +27,21 @@ FROZEN = {
 
 def test_frozen_values():
     assert he.temporal_error_exact(1, 1, 1.0, 1.0) == pytest.approx(
-        FROZEN["temporal_1_1"], rel=1e-12)
+        FROZEN["temporal_1_1"], rel=1e-12, abs=0)
     assert he.temporal_error_exact(16, 64, 1.0, 1.0) == pytest.approx(
-        FROZEN["temporal_16_64"], rel=1e-12)
+        FROZEN["temporal_16_64"], rel=1e-12, abs=0)
     assert he.temporal_error_exact(8, "all", 1.0, 1.0) == pytest.approx(
-        FROZEN["temporal_8_all"], rel=1e-12)
+        FROZEN["temporal_8_all"], rel=1e-12, abs=0)
     assert he.spatial_error_exact(4, 1.0, 1.0) == pytest.approx(
-        FROZEN["spatial_4"], rel=1e-12)
+        FROZEN["spatial_4"], rel=1e-12, abs=0)
     assert he.full_error_exact(16, 64, 1.0, 1.0) == pytest.approx(
-        FROZEN["full_16_64"], rel=1e-12)
+        FROZEN["full_16_64"], rel=1e-12, abs=0)
     assert he.bound_upper_temporal(1, 1.0, 1.0) == pytest.approx(
-        FROZEN["upper_temporal_1"], rel=1e-12)
+        FROZEN["upper_temporal_1"], rel=1e-12, abs=0)
     assert he.bound_lower_spatial(4, 1.0, 1.0) == pytest.approx(
-        FROZEN["lower_spatial_4"], rel=1e-12)
+        FROZEN["lower_spatial_4"], rel=1e-12, abs=0)
     assert temporal_mode_integral(1, 1, 1.0, 1.0) == pytest.approx(
-        FROZEN["mode_1_1"], rel=1e-12)
+        FROZEN["mode_1_1"], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("M,k,T,nu", [
@@ -50,15 +50,15 @@ def test_frozen_values():
 ])
 def test_mode_integral_against_mp(M, k, T, nu):
     got = temporal_mode_integral(M, k, T, nu)
-    assert got == pytest.approx(temporal_mode_mp(M, k, T, nu), rel=1e-13)
-    assert got == pytest.approx(temporal_mode_quad_mp(M, k, T, nu), rel=1e-12)
+    assert got == pytest.approx(temporal_mode_mp(M, k, T, nu), rel=1e-13, abs=0)
+    assert got == pytest.approx(temporal_mode_quad_mp(M, k, T, nu), rel=1e-12, abs=0)
 
 
 def test_mode_integral_against_package_quadrature():
     for M, k in [(2, 3), (9, 9), (16, 1)]:
         closed = temporal_mode_integral(M, k, 1.0, 1.0)
         quad = temporal_mode_integral_quadrature(M, k, 1.0, 1.0)
-        assert closed == pytest.approx(quad, rel=1e-10)
+        assert closed == pytest.approx(quad, rel=1e-10, abs=0)
 
 
 def test_mode_integral_branches_meet_at_crossover():
@@ -69,19 +69,19 @@ def test_mode_integral_branches_meet_at_crossover():
         M = 1
         got = temporal_mode_integral(M, 1, h * M, 1.0)
         want = temporal_mode_mp(M, 1, h * M, 1.0)
-        assert got == pytest.approx(want, rel=1e-13)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_spatial_series_basel_limit():
     # T large: squared value approaches sum 1/(2 pi^2 k^2) = 1/12
     val = he.spatial_error_exact(0, 50.0, 1.0)
-    assert val**2 == pytest.approx(1.0 / 12.0, rel=1e-6)
+    assert val**2 == pytest.approx(1.0 / 12.0, rel=1e-6, abs=0)
 
 
 @pytest.mark.parametrize("N", [1, 4, 17])
 def test_spatial_series_against_mp(N):
     got = he.spatial_error_exact(N, 1.0, 1.0)
-    assert got**2 == pytest.approx(spatial_tail_mp(N, 1.0, 1.0), rel=1e-12)
+    assert got**2 == pytest.approx(spatial_tail_mp(N, 1.0, 1.0), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5, True, -1])
@@ -123,7 +123,7 @@ def test_temporal_all_exceeds_any_finite_band():
     # the gap is the pure-diffusion tail above the band, 1/(2 mu_k) summed
     from scipy.special import polygamma
     tail = float(polygamma(1, 4097)) / (2 * math.pi**2)
-    assert full**2 - finite**2 == pytest.approx(tail, rel=1e-3)
+    assert full**2 - finite**2 == pytest.approx(tail, rel=1e-3, abs=0)
 
 
 def _unequal_to_scipy(qs):
@@ -165,11 +165,11 @@ def test_full_error_composition():
     t = he.temporal_error_exact(16, 64, 1.0, 1.0)
     s = he.spatial_error_exact(64, 1.0, 1.0)
     assert he.full_error_exact(16, 64, 1.0, 1.0) == pytest.approx(
-        math.hypot(t, s), rel=1e-15)
+        math.hypot(t, s), rel=1e-15, abs=0)
     with pytest.raises(ValueError):  # the M -> infinity limit is spatial_error_exact
         he.full_error_exact(math.inf, 64, 1.0, 1.0)
     assert he.full_error_exact(16, "all", 1.0, 1.0) == pytest.approx(
-        he.temporal_error_exact(16, "all", 1.0, 1.0), rel=1e-15)
+        he.temporal_error_exact(16, "all", 1.0, 1.0), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("T,nu", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.1)])
@@ -210,7 +210,7 @@ def test_lower_temporal_clamps_to_zero_when_band_resolved():
 
 def test_upper_spatial_closed_form():
     assert he.bound_upper_spatial(9, 1.0, 2.0) == pytest.approx(
-        1.0 / (math.pi * math.sqrt(2.0 * 2.0)) / math.sqrt(9.0), rel=1e-15)
+        1.0 / (math.pi * math.sqrt(2.0 * 2.0)) / math.sqrt(9.0), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("M, M_ref, N, N_ref, T, nu", [
@@ -232,7 +232,7 @@ def test_ou_pair_mismatch_against_brute_force(M, M_ref, N, N_ref, T, nu):
 def test_ou_pair_mismatch_with_no_kept_mode_is_the_discrete_ou_variance(M, N, T, nu):
     # r = 1 and c_k = 0: the injection is h e^{-2 mu h}, summed over the steps
     got = he.ou_pair_mismatch_exact(M, M, 0, N, T, nu)[-1]
-    assert got == pytest.approx(math.fsum(ou_variance_discrete(M, N, T, nu)), rel=1e-13)
+    assert got == pytest.approx(math.fsum(ou_variance_discrete(M, N, T, nu)), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("r", [10**3, 10**4])

@@ -203,7 +203,7 @@ def test_coarsen_rejects_nondivisor():
 
 def test_ou_pure_decay():
     out = ou_run(np.zeros((1, 1, 1)), xi=[1.0], T=0.25)[0, 1]
-    assert out[0] == pytest.approx(math.exp(-0.25 * math.pi**2), rel=1e-15)
+    assert out[0] == pytest.approx(math.exp(-0.25 * math.pi**2), rel=1e-15, abs=0)
 
 
 def test_ou_one_step_variance_mc():
@@ -259,7 +259,7 @@ def test_ou_initial_row():
 
 def test_ou_second_moment_sums_mode_variances():
     direct = float(np.sum(ou_variance_discrete(16, 8, 1.0, 0.5)))
-    assert ou_second_moment(16, 8, 1.0, 0.5) == pytest.approx(direct, rel=1e-15)
+    assert ou_second_moment(16, 8, 1.0, 0.5) == pytest.approx(direct, rel=1e-15, abs=0)
 
 
 def test_bridge_variance_identity_per_mode():
@@ -269,7 +269,7 @@ def test_bridge_variance_identity_per_mode():
     per_mode = (coef_z**2 + beta**2).sum(axis=0)
     for k in range(1, N + 1):
         want = temporal_mode_integral(M, k, T, nu)
-        assert per_mode[k - 1] == pytest.approx(want, rel=1e-13)
+        assert per_mode[k - 1] == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_bridge_mc_agrees_with_exact_error():

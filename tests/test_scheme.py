@@ -63,12 +63,12 @@ def test_discretization_params_windows():
 
 def test_default_chi_is_cap():
     assert scheme.DEFAULT_CHI == pytest.approx(scheme.DEFAULT_GAMMA / 3 - 1 / 18,
-                                               rel=1e-12)
+                                               rel=1e-12, abs=0)
 
 
 def test_threshold_power_law():
     d = scheme.DiscretizationParams(M=512, N=4)
-    assert d.threshold(2.0) == pytest.approx((512 / 2.0) ** d.chi, rel=1e-15)
+    assert d.threshold(2.0) == pytest.approx((512 / 2.0) ** d.chi, rel=1e-15, abs=0)
     assert scheme.DiscretizationParams(M=1, N=1).threshold(1.0) == 1.0
 
 
@@ -77,7 +77,7 @@ def test_initial_presets():
     np.testing.assert_array_equal(scheme.initial_coefficients("first_mode", 3),
                                   [1.0, 0.0, 0.0])
     bump = scheme.initial_coefficients("bump", 6)
-    assert bump[0] == pytest.approx(4 * math.sqrt(2) / math.pi**3, rel=1e-14)
+    assert bump[0] == pytest.approx(4 * math.sqrt(2) / math.pi**3, rel=1e-14, abs=0)
     assert np.all(bump[1::2] == 0.0)
     with pytest.raises(ValueError):
         scheme.initial_coefficients("spike", 4)
@@ -145,7 +145,7 @@ def test_indicator_is_the_kernels_decision_at_the_boundary():
             c = np.nextafter(c, -np.inf)
         for _ in range(40):
             v = c * u
-            kernel_on = 2.0 * float(spectral.weighted_norm(w, v)) <= 1.0
+            kernel_on = 2.0 * float(spectral.hr_norm(v, d.gamma, 1.0)) <= 1.0
             summed_on = 2.0 * float(np.sqrt(np.sum(w * v * v))) <= 1.0
             if kernel_on != summed_on:
                 hit = v
@@ -171,7 +171,7 @@ def test_one_step_suppressed_is_bare_semigroup():
     d = scheme.DiscretizationParams(M=1, N=1)
     [y], [o], [suppressed] = scheme.run_scheme(model, d, np.zeros((1, 1, 1)))
     assert suppressed == 1
-    assert y[1, 0] == pytest.approx(math.exp(-PI2), rel=1e-14)
+    assert y[1, 0] == pytest.approx(math.exp(-PI2), rel=1e-14, abs=0)
 
 
 def test_one_step_closed_form_when_drift_active():
@@ -185,8 +185,8 @@ def test_one_step_closed_form_when_drift_active():
     assert suppressed == 0
     drift = c - 1.5 * c**3
     want = c * math.exp(-PI2) + (1 - math.exp(-PI2)) / PI2 * drift
-    assert y[1, 0] == pytest.approx(want, rel=1e-13)
-    assert o[1, 0] == pytest.approx(c * math.exp(-PI2), rel=1e-14)
+    assert y[1, 0] == pytest.approx(want, rel=1e-13, abs=0)
+    assert o[1, 0] == pytest.approx(c * math.exp(-PI2), rel=1e-14, abs=0)
 
 
 def test_euler_step_matches_run_scheme():
@@ -581,7 +581,7 @@ def test_run_constants_are_read_only():
     grids = consts[-1][0]
     arrays = [a for a in consts[:-1] + consts[-1][1:] + (grids.columns, grids.scale)
               if isinstance(a, np.ndarray)]
-    assert len(arrays) == 9
+    assert len(arrays) == 8
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 1.0
@@ -596,12 +596,12 @@ def test_mode_factors_are_prefix_equal_across_n(nu, h):
     wide = {"mu": spectral.eigenvalues(1024, nu),
             "decay": spectral.semigroup_factors(1024, nu, h),
             "phi": spectral.phi1_factors(1024, nu, h),
-            "weights": spectral.eigenvalues(1024, nu) ** (2 * scheme.DEFAULT_GAMMA)}
+            "weights": spectral.hr_weights(1024, scheme.DEFAULT_GAMMA, nu)}
     for n in (1, 7, 8, 64, 128, 1000):
         narrow = {"mu": spectral.eigenvalues(n, nu),
                   "decay": spectral.semigroup_factors(n, nu, h),
                   "phi": spectral.phi1_factors(n, nu, h),
-                  "weights": spectral.eigenvalues(n, nu) ** (2 * scheme.DEFAULT_GAMMA)}
+                  "weights": spectral.hr_weights(n, scheme.DEFAULT_GAMMA, nu)}
         for name, values in narrow.items():
             np.testing.assert_array_equal(_bits(values), _bits(wide[name][:n]), err_msg=name)
 

@@ -14,10 +14,10 @@ PI2 = math.pi**2
 
 def test_eigenvalues_closed_form():
     mu = spectral.eigenvalues(3, 1.0)
-    assert mu[0] == pytest.approx(PI2, rel=1e-15)
-    assert mu[1] == pytest.approx(4 * PI2, rel=1e-15)
+    assert mu[0] == pytest.approx(PI2, rel=1e-15, abs=0)
+    assert mu[1] == pytest.approx(4 * PI2, rel=1e-15, abs=0)
     mu_half = spectral.eigenvalues(3, 0.5)
-    assert mu_half[2] == pytest.approx(4.5 * PI2, rel=1e-15)
+    assert mu_half[2] == pytest.approx(4.5 * PI2, rel=1e-15, abs=0)
 
 
 def test_eigenvalues_reject_bad_args():
@@ -44,9 +44,9 @@ def test_eigenvalues_reject_bad_args():
 
 def test_hr_norm_basis_vectors():
     e1 = np.array([1.0])
-    assert spectral.hr_norm(e1, 0.0, 1.0) == pytest.approx(1.0, rel=1e-15)
+    assert spectral.hr_norm(e1, 0.0, 1.0) == pytest.approx(1.0, rel=1e-15, abs=0)
     # mu_1^{1/2} = pi for nu = 1
-    assert spectral.hr_norm(e1, 0.5, 1.0) == pytest.approx(math.pi, rel=1e-14)
+    assert spectral.hr_norm(e1, 0.5, 1.0) == pytest.approx(math.pi, rel=1e-14, abs=0)
 
 
 def test_hr_norm_against_mp_oracle():
@@ -55,7 +55,7 @@ def test_hr_norm_against_mp_oracle():
         c = rng.standard_normal(n)
         got = spectral.hr_norm(c, 0.24, 0.7)
         want = hr_norm_mp(c, 0.24, 0.7)
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_hr_norm_monotone_in_r_when_mu_above_one():
@@ -81,21 +81,21 @@ def test_hr_norm_batched_last_axis():
         np.testing.assert_array_equal(spectral.hr_norm(big, 0.3, 2.0).ravel(), rows)
 
 
-def test_weighted_norm_refuses_an_out_it_cannot_write_through():
-    # a transposed out reshapes into a copy: the norms would go there, and
-    # the square roots of the untouched out would come back
+def test_hr_norm_per_segment():
+    # one norm per segment of the last axis, the direct sum of its squares
+    # at r = 0, where every weight is 1.0
     X = np.arange(12.0).reshape(2, 2, 3)
-    w, segs = np.ones(3), [slice(0, 2), slice(0, 3)]
-    out = np.full((2, 2, 2), -1.0).transpose(1, 0, 2)
-    for bad in (out, np.empty((2, 2)), np.empty((4, 2))):
-        with pytest.raises(ValueError, match="out must be a contiguous array of shape"):
-            spectral.weighted_norm(w, X, out=bad, segments=segs)
-    assert (out == -1.0).all()
-    # the norms themselves, written through a contiguous out
-    good = np.empty((2, 2, 2))
-    spectral.weighted_norm(w, X, out=good, segments=segs)
-    np.testing.assert_array_equal(good, np.sqrt(np.stack(
+    got = spectral.hr_norm(X, 0.0, 1.0, segments=[slice(0, 2), slice(0, 3)])
+    np.testing.assert_array_equal(got, np.sqrt(np.stack(
         [(X[..., :2] ** 2).sum(-1), (X ** 2).sum(-1)], axis=-1)))
+    # a prefix segment has the bits of the norm of its columns alone, also
+    # across the passes of more than 2^15 values
+    big = np.random.default_rng(9).standard_normal((3, 1500, 17))
+    widths = (1, 5, 17)
+    got = spectral.hr_norm(big, 0.3, 2.0, segments=[slice(n) for n in widths])
+    assert got.shape == (3, 1500, 3)
+    for r, n in enumerate(widths):
+        np.testing.assert_array_equal(got[..., r], spectral.hr_norm(big[..., :n], 0.3, 2.0))
 
 
 def test_semigroup_identity_at_zero_time():
@@ -105,8 +105,8 @@ def test_semigroup_identity_at_zero_time():
 
 def test_semigroup_first_mode_value():
     v = np.array([1.0]) * spectral.semigroup_factors(1, 1.0, 0.1)
-    assert v[0] == pytest.approx(math.exp(-0.1 * PI2), rel=1e-14)
-    assert v[0] == pytest.approx(0.37268, rel=1e-4)
+    assert v[0] == pytest.approx(math.exp(-0.1 * PI2), rel=1e-14, abs=0)
+    assert v[0] == pytest.approx(0.37268, rel=1e-4, abs=0)
 
 
 def test_semigroup_contraction_and_composition():
@@ -123,8 +123,8 @@ def test_semigroup_contraction_and_composition():
 def test_phi1_first_mode_value():
     out = np.array([1.0]) * spectral.phi1_factors(1, 1.0, 1.0)
     want = (1.0 - math.exp(-PI2)) / PI2
-    assert out[0] == pytest.approx(want, rel=1e-14)
-    assert out[0] == pytest.approx(0.1013159, rel=1e-5)
+    assert out[0] == pytest.approx(want, rel=1e-14, abs=0)
+    assert out[0] == pytest.approx(0.1013159, rel=1e-5, abs=0)
 
 
 def test_phi1_small_argument_is_h():
@@ -174,13 +174,13 @@ def test_grid_quadrature_parseval():
     G = spectral.default_grid(20)
     vals = spectral.to_grid(v, spectral.GridLayout((20,), (G,)))
     quad = spectral.lq_norm_on_grid(vals, 2.0) ** 2
-    assert quad == pytest.approx(float(np.dot(v, v)), rel=1e-10)
+    assert quad == pytest.approx(float(np.dot(v, v)), rel=1e-10, abs=0)
 
 
 def test_lq_and_sup_norms_of_first_mode():
     vals = spectral.to_grid(np.array([1.0]), spectral.GridLayout((1,), (1025,)))
-    assert spectral.lq_norm_on_grid(vals, 2.0) == pytest.approx(1.0, rel=1e-8)
-    assert np.max(np.abs(vals)) == pytest.approx(math.sqrt(2), rel=1e-4)
+    assert spectral.lq_norm_on_grid(vals, 2.0) == pytest.approx(1.0, rel=1e-8, abs=0)
+    assert np.max(np.abs(vals)) == pytest.approx(math.sqrt(2), rel=1e-4, abs=0)
 
 
 def _is_5_smooth(g):
