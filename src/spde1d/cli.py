@@ -225,7 +225,7 @@ def cmd_heat_errors(v: dict) -> int:
 def cmd_simulate(v: dict) -> int:
     M, N = v["M"], v["N"]
     d = scheme.DiscretizationParams(M=M, N=N, gamma=v["gamma"], chi=v["chi"])
-    model = _model(v, n_xi=max(N, 512))
+    model = _model(v, n_xi=N)
     tape = NoiseTape(seed=v["seed"], M_master=v["M_master"] or M, N_master=v["N_master"] or N,
                      T=model.T, path=v["path"])
     Y, O = scheme.simulate_trajectory(model, d, tape)
@@ -236,7 +236,7 @@ def cmd_simulate(v: dict) -> int:
 
 def cmd_converge(v: dict) -> int:
     study_cfg = experiments.StudyConfig(
-        model=_model(v, n_xi=max(v["N_master"] or v["N_ref"], 512)),
+        model=_model(v, n_xi=v["N_ref"]),
         m_grid=v["m_grid"], n_grid=v["n_grid"], m_ref=v["M_ref"], n_ref=v["N_ref"],
         paths=v["paths"], seed=v["seed"], gamma=v["gamma"], chi=v["chi"],
         m_master=v["M_master"], n_master=v["N_master"], exact=v["exact"],

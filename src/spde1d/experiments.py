@@ -90,7 +90,7 @@ class StudyConfig:
             raise ValueError(f"need N_ref <= N_master, got {self.n_ref} vs {self.n_master}")
         if self.moment_p not in (2, 4, 8):
             raise ValueError(f"moment_p must be one of 2, 4, 8, got {self.moment_p}")
-        if self.exact and any(v != 0 for v in self.model.a.as_tuple()):
+        if self.exact and self.model.drift_on:
             raise ValueError("exact mode is only defined for the zero-drift model")
         DiscretizationParams(M=1, N=1, gamma=self.gamma, chi=self.chi)  # range check
 
@@ -145,8 +145,8 @@ def write_text_atomic(path, text) -> None:
 
 
 def _path_batch(job):
-    """Moments of one batch of paths: per target, the path count, the sum
-    of its samples and their M2 (see noise.sum_and_m2), and truncation counts.
+    """Moments of one batch of paths: per target, a record of its path count,
+    the sum and M2 of its samples (noise.sum_and_m2) and its steps with the drift off.
 
     All paths of the batch step together through the master grid, one time
     block at a time.  A block is the least common multiple of the master
@@ -161,58 +161,54 @@ def _path_batch(job):
     samples are reduced into their columns as they are taken, path by path
     in path order, so the sums have the bits of stepping one path at a time.
 
-    The reference is decided once: it runs when any target is keyed
-    (kind, M, N).  There is one run per M, with one record: its widths
-    (every N it serves, the reference's first, then in target order), the
-    readers of each width, their Y columns (scheme.lockstep_layout, so each
-    reads its own columns and suppressed count whatever the drift), and
-    the carried (Y, O).  The run steps at its widest N (see run_scheme).
+    The plan is {M: {N: targets}}, one run per M, whose widths are its
+    entry's keys in target order.  The reference runs when any target is
+    keyed (kind, M, N): N_ref then leads M_ref's entry.  A run's record holds
+    its entry, each width's Y columns (scheme.lockstep_layout, so each reads
+    its own columns and suppressed count whatever the drift) and the carried
+    (Y, O).  The run steps at its widest N (see run_scheme).
     """
     cfg, targets, start, stop = job
     tapes = [NoiseTape(seed=cfg.seed, M_master=cfg.m_master, N_master=cfg.n_master,
                        T=cfg.model.T, path=path) for path in range(start, stop)]
     reference = (cfg.m_ref, cfg.n_ref) if any(len(t) == 3 for t in targets) else None
-    plan = {cfg.m_ref: {reference: []}} if reference else {}
-    for target in targets:  # M -> {(M, N): targets}
-        plan.setdefault(target[-2], {}).setdefault(target[-2:], []).append(target)
-    widths = {M: tuple(N for _, N in readers) for M, readers in plan.items()}
+    plan = {cfg.m_ref: {cfg.n_ref: []}} if reference else {}
+    for target in targets:  # M -> {N: targets}
+        plan.setdefault(target[-2], {}).setdefault(target[-1], []).append(target)
     block = math.lcm(*(cfg.m_master // M for M in plan))
     columns = {t: t[-2] + 1 if len(t) == 3 else 1 for t in targets}  # grid times, or T
     # before allocating: each target's sum and M2, and per block the master
-    # increments, a tape's raw rows, and a run's Y (at most sum(widths) columns)
+    # increments, a tape's raw rows, and a run's Y (at most the sum of its widths)
     heat_errors._check_values(max(float(len(tapes)) * (block + 1) * max(
-        cfg.n_master, *map(sum, widths.values())), *columns.values()),
+        cfg.n_master, *map(sum, plan.values())), *columns.values()),
         f"a batch of {len(tapes)} paths")
-    runs = {}  # M -> [widths, readers, their Y columns, the carried (Y, O)]
+    runs = {}  # M -> [readers, their Y columns, the carried (Y, O)]
     for M, readers in plan.items():
-        cols, segs = lockstep_layout(widths[M], any(cfg.model.a.as_tuple()))
-        xi = cfg.model.xi_projected(max(widths[M]))
-        runs[M] = [widths[M], readers, segs, (xi[cols], xi)]
-    suppressed = {resolution: 0 for readers in plan.values() for resolution in readers}
-    acc = {t: {"paths": len(tapes), "sum": np.empty(c), "m2": np.empty(c),
-               "steps": t[-2] * len(tapes)} for t, c in columns.items()}
+        cols, segs = lockstep_layout(tuple(readers), cfg.model.drift_on)
+        xi = cfg.model.xi_projected(max(readers))
+        runs[M] = [readers, segs, (xi[cols], xi)]
+    acc = {t: {"paths": len(tapes), "sum": np.empty(c), "m2": np.empty(c), "suppressed": 0}
+           for t, c in columns.items()}
 
-    master = np.empty((len(tapes), block, max(map(max, widths.values()))))
+    master = np.empty((len(tapes), block, max(map(max, plan.values()))))
     for first in range(0, cfg.m_master, block):
         for p, tape in enumerate(tapes):
             master[p] = tape.master_increments(master.shape[2], rows=(first, first + block))
-        _step_block(cfg, runs, master, first, reference, suppressed, acc, start)
-    for target, a in acc.items():
-        a["suppressed"] = int(np.sum(suppressed[target[-2:]]))
+        _step_block(cfg, runs, master, first, reference, acc, start)
     return acc
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finite checks report these
-def _step_block(cfg: StudyConfig, runs, master, first: int, reference, suppressed, acc,
+def _step_block(cfg: StudyConfig, runs, master, first: int, reference, acc,
                 first_path: int) -> None:
     """Advance each run (see _path_batch) through one block of master
     increments (paths, rows, modes) from master step `first`, carry its
     (Y, O) on in its record, and let each width, in target order, read its
-    columns of the run's Y rows: its finite check and suppressed count, then
-    the samples (paths, grid times) each of its targets takes in this block,
-    which take one finite check, of their squares, and are reduced into the
-    target's sum and M2 columns; a grid time shared with the next block is
-    reduced twice, from equal samples.  The block's Y and samples are freed.
+    columns of the run's Y rows: its finite check, then into each of its
+    targets' records the block's suppressed count and the samples (paths,
+    grid times) it takes in this block, after one finite check of their
+    squares, as sum and M2 columns; a grid time shared with the next block
+    is reduced twice, from equal samples.  The block's Y and samples are freed.
 
     Every squared distance of a run comes from one time-major copy of the
     reference's Y rows at the run's grid times, (grid times, paths, N_ref):
@@ -222,12 +218,12 @@ def _step_block(cfg: StudyConfig, runs, master, first: int, reference, suppresse
     columns (zero drift at M_ref) writes zeros, the x - x of a finite
     reference; a reference that is not finite fails its state check first."""
     block = master.shape[1]
-    for M, (widths, readers, segs, state) in runs.items():
-        group = cfg.m_master // M
+    for M, (readers, segs, state) in runs.items():
+        widths, group = tuple(readers), cfg.m_master // M
         y, o, off = run_scheme(cfg.model, cfg.discretization(M, max(widths)),
                                coarsen_increments(master[..., :max(widths)], block // group),
                                start=state, widths=widths)
-        runs[M][3] = (y[:, -1].copy(), o[:, -1].copy())  # copies free the block
+        runs[M][2] = (y[:, -1].copy(), o[:, -1].copy())  # copies free the block
         finite_y, finite_o = np.isfinite(y).all(axis=1), np.isfinite(o).all(axis=1)
         del o  # before the samples and the next run allocate
         rows = y.transpose(1, 0, 2)  # time-major, as run_scheme wrote them
@@ -235,7 +231,7 @@ def _step_block(cfg: StudyConfig, runs, master, first: int, reference, suppresse
             y_ref = rows[..., segs[0]]
         distances, diff = {}, None  # width -> squared distances (paths, grid times)
         for r in sorted(range(len(widths)), key=widths.__getitem__):  # narrowest first
-            if any(len(t) == 3 for t in readers[(M, widths[r])]):
+            if any(len(t) == 3 for t in readers[widths[r]]):
                 ref = y_ref[:: cfg.m_ref // M]  # at this run's grid times
                 diff = ref.copy() if diff is None else diff
                 N = widths[r]
@@ -245,12 +241,12 @@ def _step_block(cfg: StudyConfig, runs, master, first: int, reference, suppresse
                     np.subtract(ref[..., :N], rows[..., segs[r]], out=diff[..., :N])
                 distances[r] = np.einsum("ipj,ipj->ip", diff, diff).T
         del diff  # before the next run allocates
-        for r, ((_, N), members) in enumerate(readers.items()):
+        for r, (N, members) in enumerate(readers.items()):
             _require_finite(finite_y[:, segs[r]].all(axis=1) & finite_o[:, :N].all(axis=1),
                             "state of " + ("reference" if (M, N) == reference
                                            else _name(members[0])), first_path)
-            suppressed[(M, N)] += off[:, r]
             for target in members:
+                acc[target]["suppressed"] += int(off[:, r].sum())
                 if len(target) == 3:  # the target's grid times in this block
                     what, col, values = "squared-distance", first // group, distances[r]
                 elif first + block < cfg.m_master:
@@ -306,21 +302,22 @@ def _merge_in_order(parts):
         for key, b in part.items():
             a = total[key]
             a["m2"] = merge_m2(a["paths"], a["sum"], a["m2"], b["paths"], b["sum"], b["m2"])
-            for name in ("paths", "sum", "suppressed", "steps"):
+            for name in ("paths", "sum", "suppressed"):
                 a[name] = a[name] + b[name]
     return total
 
 
-def _activation(a) -> float:
-    return a["suppressed"] / a["steps"]
+def _activation(a, M: int) -> float:
+    """The share of a target's M * paths steps in which the drift was off."""
+    return a["suppressed"] / (M * a["paths"])
 
 
-def _estimate(a, root: bool = True) -> tuple[float, float, float]:
+def _estimate(a, M: int, root: bool = True) -> tuple[float, float, float]:
     """Mean, stderr and activation fraction at the sample column of largest mean:
     a cell's moment, or (root) a strong error at its worst grid time."""
     col = int(np.argmax(a["sum"] / a["paths"]))
     est, se = mean_stderr(float(a["sum"][col]), float(a["m2"][col]), a["paths"], root)
-    return est, se, _activation(a)
+    return est, se, _activation(a, M)
 
 
 def run_convergence_study(cfg: StudyConfig):
@@ -365,7 +362,7 @@ def run_convergence_study(cfg: StudyConfig):
                 "spatial": {N: exact[("spatial", cfg.m_ref, N)] for N in cfg.n_grid}}
     else:
         acc = _accumulate(cfg, targets)
-        rows = [ErrorTableRow(kind, M, N, *_estimate(acc[(kind, M, N)]),
+        rows = [ErrorTableRow(kind, M, N, *_estimate(acc[(kind, M, N)], M),
                               cfg.paths, cfg.seed) for kind, M, N in targets]
         axes = {axis: {r.M if axis == "temporal" else r.N: r.estimate for r in rows
                        if r.kind == axis and r.estimate > 0} for axis in ("temporal", "spatial")}
@@ -404,7 +401,7 @@ def moment_audit(cfg: StudyConfig):
     """
     cells = [(M, N) for M in cfg.m_grid for N in cfg.n_grid]
     acc = _accumulate(cfg, cells)
-    rows = [MomentRow(M, N, *_estimate(acc[(M, N)], root=False)) for M, N in cells]
+    rows = [MomentRow(M, N, *_estimate(acc[(M, N)], M, root=False)) for M, N in cells]
     median = float(np.median([r.estimate for r in rows]))
     flagged = any(
         r.estimate > 3.0 * median + 3.0 * r.stderr
@@ -416,4 +413,4 @@ def moment_audit(cfg: StudyConfig):
 def activation_fractions(cfg: StudyConfig, cells):
     """Drift-suppression fraction per (M, N) cell, [(M, N, fraction), ...]."""
     acc = _accumulate(cfg, cells)
-    return [(M, N, _activation(acc[(M, N)])) for M, N in cells]
+    return [(M, N, _activation(acc[(M, N)], M)) for M, N in cells]

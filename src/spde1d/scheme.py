@@ -43,16 +43,18 @@ class ModelParams:
     xi: np.ndarray
 
     def __post_init__(self):
-        if not (self.T > 0 and math.isfinite(self.T)):
-            raise ValueError(f"horizon T must be positive and finite, got {self.T}")
-        if not (self.nu > 0 and math.isfinite(self.nu)):
-            raise ValueError(f"diffusivity nu must be positive, got {self.nu}")
+        heat_errors._validate_positive(T=self.T, nu=self.nu)
         xi = np.asarray(self.xi, dtype=np.float64)
         if xi.ndim != 1:
             raise ValueError(f"xi must be a coefficient vector, got shape {xi.shape}")
         if not np.all(np.isfinite(xi)):
             raise ValueError("xi coefficients must be finite")
         object.__setattr__(self, "xi", xi)
+
+    @property
+    def drift_on(self) -> bool:
+        """Whether the drift F is nonzero: any cubic coefficient is."""
+        return any(v != 0 for v in self.a.as_tuple())
 
     def xi_projected(self, n_modes: int) -> np.ndarray:
         out = np.zeros(n_modes)
@@ -219,7 +221,7 @@ def run_scheme(model: ModelParams, d: DiscretizationParams, dw: np.ndarray,
     sizes = (d.N,) if widths is None else tuple(int(n) for n in widths)
     if not sizes or not all(1 <= n <= d.N for n in sizes):
         raise ValueError(f"widths {sizes} must be mode counts in [1, N={d.N}]")
-    drift_on = any(v != 0 for v in model.a.as_tuple())
+    drift_on = model.drift_on
     cols, decay, decay_y, y_segs, o_segs, gather, drift_consts = _run_constants(
         d.N, float(model.nu), model.T / d.M, float(d.gamma), sizes, drift_on)
     paths, steps = dw.shape[:2]

@@ -30,7 +30,7 @@ def small_cfg(**kw):
 def strong_error(cfg, M, N):
     """(estimate, stderr, activation_fraction) of one target, with no reference-ratio guard."""
     target = ("single", M, N)
-    return ex._estimate(ex._accumulate(cfg, [target])[target])
+    return ex._estimate(ex._accumulate(cfg, [target])[target], M)
 
 
 def test_config_validation():
@@ -230,7 +230,7 @@ def test_accumulate_merges_each_batch_before_the_next_runs(monkeypatch, threads)
     def batch(job):
         seen.append(sum(n > 0 for n in live))
         part = {t: {"paths": 1, "sum": np.full(4, float(job[2])), "m2": np.zeros(4),
-                    "suppressed": 0, "steps": 1} for t in job[1]}
+                    "suppressed": 0} for t in job[1]}
         live.append(0)
         for a in part.values():
             for name in ("sum", "m2"):
@@ -326,6 +326,24 @@ def test_activation_fraction_regression():
     assert frac < 0.06
 
 
+def test_activation_fraction_is_the_share_of_steps_with_the_drift_off():
+    # the definition, path by path: each path run alone through run_scheme on
+    # its own tape, the steps whose indicator was false counted, over M * paths;
+    # two batches, cells at several M and N, counts that differ across both
+    cfg = ex.StudyConfig(model=scheme.allen_cahn_model(n_xi_modes=16), m_grid=(4, 8, 32),
+                         n_grid=(4, 8, 16), m_ref=32, n_ref=16, paths=70, seed=3)
+    cells = [(4, 16), (8, 2), (8, 16), (32, 1), (32, 8), (32, 16)]
+    counts = []
+    for M, N in cells:
+        d = cfg.discretization(M, N)
+        counts.append(sum(int(scheme.run_scheme(cfg.model, d, noise.NoiseTape(
+            seed=cfg.seed, M_master=cfg.m_master, N_master=cfg.n_master, T=cfg.model.T,
+            path=p).increments(M, N)[None])[2][0]) for p in range(cfg.paths)))
+    assert cfg.paths > ex.BATCH_PATHS and len(set(counts)) > 3 and max(counts) > 0
+    assert ex.activation_fractions(cfg, cells) == [
+        (M, N, count / (M * cfg.paths)) for (M, N), count in zip(cells, counts)]
+
+
 def test_repeated_grid_entries_are_not_double_counted():
     cfg = small_cfg(m_grid=(4, 4), n_grid=(8,), m_ref=16, n_ref=8, paths=8)
     rows, _ = ex.moment_audit(cfg)
@@ -408,7 +426,7 @@ def test_traced_layers_are_reached_once_per_drift_step(monkeypatch):
     cfg = small_cfg(model=scheme.allen_cahn_model(n_xi_modes=16), paths=6)
     targets = [(16, 8), (32, 16), (128, 4)]
     acc = ex._accumulate(cfg, targets)
-    steps = sum(acc[t]["steps"] for t in targets)
+    steps = sum(M * acc[(M, N)]["paths"] for M, N in targets)
     kept = steps - sum(acc[t]["suppressed"] for t in targets)
     assert 0 < kept < steps  # the indicator switched the drift both ways
     assert rows["project_F"] == rows["to_grid"] == rows["from_grid"] == kept

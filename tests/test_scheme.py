@@ -29,6 +29,11 @@ def test_model_params_validation():
                            xi=np.array([np.inf]))
     with pytest.raises(ValueError, match="coefficient vector"):
         scheme.ModelParams(T=1.0, nu=1.0, a=nonlinearity.allen_cahn(), xi=np.zeros((2, 2)))
+    for bad in (math.inf, math.nan):  # the message heat_errors gives for the same values
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            zero_model(T=bad)
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
+            zero_model(nu=bad)
 
 
 def test_xi_projection_pads_and_truncates():
@@ -83,6 +88,12 @@ def test_initial_presets():
         scheme.initial_coefficients("spike", 4)
     with pytest.raises(ValueError, match="n_modes >= 1"):
         scheme.initial_coefficients("zero", 0)
+    # the CLI builds a preset at the widest N it runs: every width's prefix
+    # must be the same bits whatever length the vector was built at
+    for preset in scheme.INITIAL_PRESETS:
+        wide = scheme.initial_coefficients(preset, 2048)
+        for n in range(1, 1025):
+            np.testing.assert_array_equal(scheme.initial_coefficients(preset, n), wide[:n])
 
 
 def test_bump_preset_reconstructs_parabola():
